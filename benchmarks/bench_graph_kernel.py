@@ -22,10 +22,10 @@ Measures, on a 1M-edge random graph:
 * **parallel detection** — ``detect_communities_parallel`` (one shared
   batched walk + conflict resolution) against the pre-port scalar per-seed
   loop over the same spread seeds, at ``r ∈ {1, 8, 64}`` on an 8-block PPM;
-* **worker scaling** — the 64-seed steady-state step and the B=64 batched
-  mixing-set search at ``workers ∈ {1, 2, 4}`` threads (the multi-core
-  execution layer of :mod:`repro.execution`; results are bit-identical at
-  every worker count, only the wall clock moves);
+* **worker scaling** — the B=64 batched mixing-set search at
+  ``workers ∈ {1, 2, 4}`` threads (the multi-core execution layer of
+  :mod:`repro.execution`; results are bit-identical at every worker count,
+  only the wall clock moves);
 * **process executor** — a 32-seed batched detection through the facade on
   the serial in-process path against the shared-memory process tier
   (:mod:`repro.execution_process`) at ``workers ∈ {1, 2, 4}`` processes;
@@ -33,11 +33,6 @@ Measures, on a 1M-edge random graph:
 * **storage tiers** — the 32-seed detection once more on the same graph
   read back from a memmapped binary CSR file (``memmap_detect_s``), gated
   on producing the exact in-RAM detection;
-* **sharded executor** — the same detection through the ``"sharded"``
-  backend at ``workers ∈ {1, 2, 4}`` shard processes, each holding only its
-  vertex partition's operator rows; detections must equal the serial rows
-  exactly, and the boundary traffic of the k=4 run is archived
-  (``sharded_boundary_bytes``);
 * **resident session** — a stream of small detection requests on the same
   graph answered once with a fresh ``detect()`` per request (each paying
   the broadcast + pool fork + operator build) and once through a single
@@ -56,8 +51,8 @@ through pytest (``pytest benchmarks/bench_graph_kernel.py``) to enforce the
 acceptance thresholds: construction and the 64-seed walk advance must be at
 least 10× faster than the seed scalar path, the 64-column batched
 mixing-set search must beat the per-column loop, on machines with at least
-two cores the threaded step and threaded search must each beat their
-``workers=1`` timing by ≥ 1.3×, and on machines with at least four cores
+two cores the threaded search must beat its ``workers=1`` timing by ≥ 1.3×,
+and on machines with at least four cores
 the process tier must beat the serial facade by ≥ 1.5×, the resident
 session must beat the per-call setup loop by ≥ 2×, and the coalescing
 service at 16 concurrent clients must beat the serialized session loop by
@@ -235,14 +230,6 @@ def run_benchmark() -> dict[str, float]:
     results["step_batched_s"] = _best_of(lambda: operator @ matrix)
     results["step_speedup"] = results["step_scalar_s"] / results["step_batched_s"]
 
-    # -- worker scaling: threaded steady-state step ---------------------
-    for workers in WORKER_COUNTS:
-        walk = BatchedWalkDistribution(graph, seeds, workers=workers)
-        results[f"step_workers{workers}_s"] = _best_of(walk.step)
-    results["step_threads_speedup"] = results["step_workers1_s"] / min(
-        results[f"step_workers{workers}_s"] for workers in WORKER_COUNTS if workers > 1
-    )
-
     # -- batched mixing-set search (per walk step, B ∈ {1, 8, 64}) ------
     search_edges = np.random.default_rng(3).integers(
         0, SEARCH_VERTICES, size=(SEARCH_EDGES, 2), dtype=np.int64
@@ -279,7 +266,7 @@ def run_benchmark() -> dict[str, float]:
         threaded_search = BatchedMixingSetSearch(
             search_graph, initial_size=initial_size, workers=workers
         )
-        # Best-of-3 like the step timings: this row backs an enforced
+        # Best-of-3 like the steady-state step: this row backs an enforced
         # acceptance threshold, so a single scheduler hiccup must not
         # deflate the cached speedup.
         results[f"search_workers{workers}_s"] = _best_of(
@@ -374,27 +361,6 @@ def run_benchmark() -> dict[str, float]:
     results["memmap_identical"] = float(
         mapped_report.detection == baseline_report.detection
     )
-
-    # -- sharded executor (row-partitioned walk, one shard per process) --
-    sharded_identical = 1.0
-    boundary_bytes = 0.0
-    for workers in PROCESS_WORKER_COUNTS:
-        start = time.perf_counter()
-        report = detect(
-            process_ppm.graph,
-            backend="sharded",
-            delta_hint=process_delta,
-            config=RunConfig(seeds=process_seeds, workers=workers),
-        )
-        results[f"sharded_workers{workers}_s"] = time.perf_counter() - start
-        if report.detection != baseline_report.detection:
-            sharded_identical = 0.0
-        exchange = report.metadata.get("exchange", {})
-        boundary_bytes = float(exchange.get("boundary_bytes", 0))
-    results["sharded_identical"] = sharded_identical
-    # Boundary traffic of the widest run (workers = 4): what a real
-    # deployment would put on the wire for this detection.
-    results["sharded_boundary_bytes"] = boundary_bytes
 
     # -- resident session (amortised broadcast / pool / operator setup) --
     session_rng = np.random.default_rng(9)
@@ -541,11 +507,10 @@ def print_table(results: dict[str, float]) -> None:
 
 
 def print_workers_table(results: dict[str, float]) -> None:
-    """Print the workers ∈ {1, 2, 4} scaling table of the two threaded kernels."""
+    """Print the workers ∈ {1, 2, 4} scaling table of the search and process tier."""
     header = "".join(f"{f'workers={w} [s]':>15s}" for w in WORKER_COUNTS)
     print(f"{'threaded kernel':26s}{header} {'best speedup':>13s}")
     for label, prefix, speedup_key in (
-        ("64-seed steady step", "step_workers", "step_threads_speedup"),
         (f"mixing search B={max(BATCH_WIDTHS)}", "search_workers", "search_threads_speedup"),
         (f"process detect {PROCESS_SEEDS} seeds", "process_workers", "process_speedup"),
     ):
@@ -555,18 +520,9 @@ def print_workers_table(results: dict[str, float]) -> None:
         f"{'(process serial baseline)':26s}{results['process_serial_s']:15.4f} "
         f"identical={results['process_identical']:.0f}"
     )
-    sharded = "".join(
-        f"{results[f'sharded_workers{w}_s']:15.4f}" for w in PROCESS_WORKER_COUNTS
-    )
-    print(
-        f"{'sharded detect (k shards)':26s}{sharded} "
-        f"identical={results['sharded_identical']:.0f}"
-    )
     print(
         f"memmapped CSR detect: {results['memmap_detect_s']:.4f}s "
-        f"(identical={results['memmap_identical']:.0f}); "
-        f"sharded boundary traffic at k=4: "
-        f"{results['sharded_boundary_bytes'] / 1e6:.2f} MB"
+        f"(identical={results['memmap_identical']:.0f})"
     )
     print(
         f"resident session ({SESSION_REPEATS} requests x {SESSION_SEEDS_PER_CALL} "
@@ -631,17 +587,6 @@ def test_parallel_detection_beats_scalar_loop_at_64():
     (os.cpu_count() or 1) < 2,
     reason="threaded speedups need >= 2 cores; equivalence tests gate single-core runners",
 )
-def test_threaded_steady_step_speedup_at_least_1_3x():
-    """Acceptance: the column-blocked step must scale on multi-core hosts."""
-    results = run_benchmark()
-    assert results["step_threads_speedup"] >= THREADED_REQUIRED_SPEEDUP, results
-
-
-@pytest.mark.perf
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2,
-    reason="threaded speedups need >= 2 cores; equivalence tests gate single-core runners",
-)
 def test_threaded_search_speedup_at_least_1_3x():
     """Acceptance: the lane-blocked B=64 search must scale on multi-core hosts."""
     results = run_benchmark()
@@ -671,14 +616,6 @@ def test_memmap_detection_identical_to_in_ram():
     """A detection on the memmapped CSR file must equal the in-RAM one exactly."""
     results = run_benchmark()
     assert results["memmap_identical"] == 1.0, results
-
-
-@pytest.mark.perf
-def test_sharded_detections_identical_to_serial():
-    """The sharded executor must reproduce the serial detections at every k."""
-    results = run_benchmark()
-    assert results["sharded_identical"] == 1.0, results
-    assert results["sharded_boundary_bytes"] > 0.0, results
 
 
 @pytest.mark.perf
@@ -802,8 +739,6 @@ def main(argv: list[str] | None = None) -> None:
         failed.append("process-tier detection identity")
     if table["memmap_identical"] != 1.0:
         failed.append("memmapped-storage detection identity")
-    if table["sharded_identical"] != 1.0:
-        failed.append("sharded-executor detection identity")
     if table["session_identical"] != 1.0 or table["session_broadcasts"] != 1.0:
         failed.append("resident-session identity/broadcast")
     if (
@@ -815,8 +750,6 @@ def main(argv: list[str] | None = None) -> None:
     multicore = (os.cpu_count() or 1) >= 2
     manycore = (os.cpu_count() or 1) >= PROCESS_REQUIRED_CORES
     if multicore:
-        if table["step_threads_speedup"] < THREADED_REQUIRED_SPEEDUP:
-            failed.append("threaded steady step")
         if table["search_threads_speedup"] < THREADED_REQUIRED_SPEEDUP:
             failed.append("threaded mixing search")
     if manycore:
@@ -832,7 +765,7 @@ def main(argv: list[str] | None = None) -> None:
         f"\nacceptance: construction and 64-seed walk advance >= {REQUIRED_SPEEDUP}x, "
         f"64-column batched search > 1x, process detections identical"
         + (
-            f", threaded step/search >= {THREADED_REQUIRED_SPEEDUP}x"
+            f", threaded search >= {THREADED_REQUIRED_SPEEDUP}x"
             if multicore
             else " (single core: threaded thresholds not enforced)"
         )

@@ -452,11 +452,9 @@ class SharedMemoryFinalizerRule(Rule):
 _IMPL_NAME_RE = re.compile(r"^_\w*_impl$")
 
 #: Engine-internal modules allowed to bypass the facade: the facade itself,
-#: the resident session, the process and sharded tiers, and the core
-#: package the implementations live in.
-_ENGINE_FILES = frozenset(
-    {"api.py", "session.py", "execution_process.py", "execution_sharded.py"}
-)
+#: the resident session, the process tier, and the core package the
+#: implementations live in.
+_ENGINE_FILES = frozenset({"api.py", "session.py", "execution_process.py"})
 _ENGINE_PACKAGES = ("core",)
 
 

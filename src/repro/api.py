@@ -103,11 +103,12 @@ class RunConfig:
         Seeds per batched pass (batched backend; ``1`` reproduces the scalar
         pool loop RNG-exactly).
     workers:
-        Worker count of the execution tier: threads for the batched kernels
-        on the ``"thread"`` executor, worker processes on the ``"process"``
-        executor (``None`` → the ``REPRO_WORKERS`` environment override,
-        default serial; ``0`` → all cores).  Results are identical for every
-        value on either tier.
+        Worker count of the execution tier: threads for the lanes of the
+        batched mixing-set search on the ``"thread"`` executor (the walk
+        step always runs on the calling thread), worker processes on the
+        ``"process"`` executor (``None`` → the ``REPRO_WORKERS`` environment
+        override, default serial; ``0`` → all cores).  Results are identical
+        for every value on either tier.
     executor:
         Execution tier of the ``batched`` and ``parallel`` backends:
         ``"thread"`` (in-process batched kernels, the default) or
@@ -830,42 +831,6 @@ def _batched_runner(
     )
 
 
-def _sharded_runner(
-    graph: Graph,
-    params: CDRWParameters | None,
-    config: RunConfig,
-    delta_hint: float | None,
-) -> BackendOutcome:
-    from .execution_sharded import detect_batched_sharded
-
-    outcome = detect_batched_sharded(
-        graph,
-        params,
-        delta_hint,
-        seed=config.seed,
-        max_seeds=config.max_seeds,
-        batch_size=config.batch_size,
-        seeds=config.seeds,
-        workers=config.workers,
-        partition_seed=config.partition_seed,
-        dtype=config.dtype,
-        capture_distributions=config.capture_distributions,
-        capture_history=config.capture_history,
-    )
-    artifacts: dict[str, object] = {}
-    finals = None
-    if config.capture_distributions and outcome.final_distributions is not None:
-        finals = outcome.final_distributions
-        artifacts["final_distributions"] = _distribution_rows(finals)
-    return BackendOutcome(
-        detection=outcome.detection,
-        timings=dict(outcome.timings),
-        extras=dict(outcome.extras),
-        artifacts=artifacts,
-        native=finals,
-    )
-
-
 def _parallel_runner(
     graph: Graph,
     params: CDRWParameters | None,
@@ -1052,11 +1017,6 @@ _BUILTIN_BACKENDS: tuple[tuple[str, str, Runner], ...] = (
         "batched",
         "multi-seed batches on one shared SpMM walk (RNG-identical at batch_size=1)",
         _batched_runner,
-    ),
-    (
-        "sharded",
-        "row-sharded walk across worker processes, each holding one vertex partition",
-        _sharded_runner,
     ),
     (
         "parallel",

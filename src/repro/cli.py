@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="workers of the execution tier: threads (--executor thread) or "
+        help="workers of the execution tier: search threads (--executor thread) or "
         "worker processes (--executor process); default: REPRO_WORKERS or "
         "serial; 0 = all cores",
     )

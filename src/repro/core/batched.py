@@ -42,7 +42,7 @@ identical to the pre-registry behaviour.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from numpy.typing import DTypeLike
@@ -60,29 +60,7 @@ from .stopping import GrowthStoppingRule
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-__all__ = ["detect_community_batch", "detect_communities_batched", "BatchedWalk"]
-
-
-class BatchedWalk(Protocol):
-    """The walk surface the batched detection driver consumes.
-
-    :class:`~repro.randomwalk.batched.BatchedWalkDistribution` is the
-    reference implementation; the sharded execution tier
-    (:mod:`repro.execution_sharded`) substitutes a drop-in whose step runs
-    row-sliced on worker processes.  Any implementation must keep the
-    bit-identity contract: column ``j`` after ``ℓ`` steps equals the serial
-    walk from ``sources[j]`` exactly.
-    """
-
-    def step(self, count: int = 1) -> np.ndarray: ...
-
-    def probabilities(self) -> np.ndarray: ...
-
-    def column(self, walk: int) -> np.ndarray: ...
-
-    def columns(self, walks: Sequence[int]) -> np.ndarray: ...
-
-    def retain(self, walks: Sequence[int]) -> None: ...
+__all__ = ["detect_community_batch", "detect_communities_batched"]
 
 
 def detect_community_batch(
@@ -108,11 +86,11 @@ def detect_community_batch(
     resolve conflicts between overlapping communities without re-running any
     walk.
 
-    ``workers`` selects the thread count of the two hot kernels — the
-    column-blocked walk step and the lane-blocked mixing-set scan (``None``
-    → the ``REPRO_WORKERS`` environment override, default serial; ``0`` →
-    all cores).  Both kernels are bit-identical per column/lane for every
-    value, so the detected communities never depend on it.
+    ``workers`` selects the thread count of the lane-blocked mixing-set
+    search (``None`` → the ``REPRO_WORKERS`` environment override, default
+    serial; ``0`` → all cores); the walk step always runs on the calling
+    thread.  The search is bit-identical per lane for every value, so the
+    detected communities never depend on it.
     """
     seed_tuple = tuple(int(s) for s in seeds)
     if not seed_tuple:
@@ -164,7 +142,6 @@ def _detect_community_batch_impl(
     capture_history: bool = True,
     walk_operator: "sp.csr_matrix | None" = None,
     search: BatchedMixingSetSearch | None = None,
-    walk_factory: Callable[[list[int]], BatchedWalk] | None = None,
 ) -> list[CommunityResult] | tuple[list[CommunityResult], np.ndarray]:
     """The batched multi-seed detection the ``"batched"`` backend executes.
 
@@ -181,14 +158,6 @@ def _detect_community_batch_impl(
     transition operator and batched search instance so repeated calls skip
     their construction; both are deterministic functions of ``(graph,
     parameters, workers, dtype)``, so injecting them changes no float.
-
-    ``walk_factory`` substitutes the walk implementation itself (the
-    :class:`BatchedWalk` protocol): the sharded execution tier builds its
-    row-partitioned walk here while this driver — the δ resolution, the
-    stopping rules, the retain schedule — stays byte-for-byte the code the
-    serial backend runs, which is what makes the cross-tier identity a
-    structural property rather than a numerical accident.  Mutually
-    exclusive with ``walk_operator``.
     """
     seed_list = [int(s) for s in seeds]
     if not seed_list:
@@ -230,18 +199,9 @@ def _detect_community_batch_impl(
             graph, parameters, initial_size, workers=workers, dtype=dtype
         )
     stoppings = [GrowthStoppingRule(delta=delta) for _ in seed_list]
-    if walk_factory is not None:
-        if walk_operator is not None:
-            raise AlgorithmError("walk_factory and walk_operator are mutually exclusive")
-        walk: BatchedWalk = walk_factory(seed_list)
-    else:
-        walk = BatchedWalkDistribution(
-            graph,
-            seed_list,
-            lazy=parameters.lazy_walk,
-            workers=workers,
-            operator=walk_operator,
-        )
+    walk = BatchedWalkDistribution(
+        graph, seed_list, lazy=parameters.lazy_walk, operator=walk_operator
+    )
 
     num_seeds = len(seed_list)
     histories: list[list[LargestMixingSet]] = [[] for _ in range(num_seeds)]
@@ -337,7 +297,7 @@ def detect_communities_batched(
         are ignored and the listed seeds are processed in order — identical
         output to a sequential loop of ``detect_community`` over the list.
     workers:
-        Thread count for the batched kernels (see
+        Thread count for the batched mixing-set search (see
         :func:`detect_community_batch`); results are identical for every
         value.
 
@@ -381,16 +341,14 @@ def _detect_communities_batched_impl(
     capture_history: bool = True,
     walk_operator: "sp.csr_matrix | None" = None,
     search: BatchedMixingSetSearch | None = None,
-    walk_factory: Callable[[list[int]], BatchedWalk] | None = None,
 ) -> DetectionResult | tuple[DetectionResult, np.ndarray]:
     """The batched pool loop the ``"batched"`` backend executes.
 
     With ``capture_distributions`` the return value is ``(detection,
     finals)`` where ``finals[:, i]`` is the final walk distribution of
     ``detection.communities[i]`` (see :func:`detect_community_batch`).
-    ``capture_history`` / ``walk_operator`` / ``search`` /
-    ``walk_factory`` are forwarded to every
-    :func:`_detect_community_batch_impl` round unchanged.
+    ``capture_history`` / ``walk_operator`` / ``search`` are forwarded to
+    every :func:`_detect_community_batch_impl` round unchanged.
     """
     if batch_size < 1:
         raise AlgorithmError(f"batch_size must be >= 1, got {batch_size}")
@@ -409,7 +367,6 @@ def _detect_communities_batched_impl(
             capture_history=capture_history,
             walk_operator=walk_operator,
             search=search,
-            walk_factory=walk_factory,
         )
         if capture_distributions:
             batch_results, batch_finals = outcome

@@ -139,7 +139,7 @@ def detect_communities_parallel(
         Minimum pairwise hop distance between seeds (see
         :func:`select_spread_seeds`).
     workers:
-        Thread count for the shared batched kernels (see
+        Thread count for the batched mixing-set search (see
         :func:`~repro.core.batched.detect_community_batch`); the detected
         communities are identical for every value.
     """

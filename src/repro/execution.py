@@ -1,17 +1,15 @@
 """Shared multi-core execution layer for the batched kernels.
 
-The two hot kernels of the batched CDRW path — the column-blocked walk
-advance of :class:`~repro.randomwalk.batched.BatchedWalkDistribution` and the
-lane-blocked mixing-set search of
-:class:`~repro.core.mixing_set.BatchedMixingSetSearch` — are
-memory-bandwidth-bound on one core.  Both kernels decompose into fully
-independent contiguous blocks (columns of an SpMM, lanes of a deviation
-scan), so they parallelise across threads without any change to the
-per-block arithmetic: scipy's sparse matvec/matmat kernels and numpy's
-elementwise/partition loops release the GIL on large arrays, and every block
-writes a disjoint output slice.
+The hot kernel of the batched CDRW path is the lane-blocked mixing-set
+search of :class:`~repro.core.mixing_set.BatchedMixingSetSearch`; the walk
+step of :class:`~repro.randomwalk.batched.BatchedWalkDistribution` is a
+small share of a detection and always runs on the calling thread.  The
+search decomposes into fully independent contiguous blocks of lanes, so it
+parallelises across threads without any change to the per-lane
+arithmetic: numpy's elementwise and partition loops release the GIL on
+large arrays, and every block writes a disjoint output slice.
 
-This module owns the thread pool those kernels share:
+This module owns the thread pool the search runs on:
 
 * :func:`resolve_workers` turns the user-facing ``workers`` knob (an explicit
   count, ``0`` for "all cores", or ``None`` for the ``REPRO_WORKERS``
@@ -28,8 +26,8 @@ Determinism contract
 ``parallel_map_blocks`` never changes *what* is computed, only *where*: the
 block boundaries depend solely on ``(count, workers)``, results are returned
 in block order, and callers must make per-item results independent of the
-block partition (both batched kernels guarantee exactly that — see their
-docstrings), so any ``workers`` value produces bit-identical output.
+block partition (the batched search guarantees exactly that — see its
+docstring), so any ``workers`` value produces bit-identical output.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ __all__ = [
 
 #: Environment variable overriding the default worker count when the
 #: ``workers`` knob is left at ``None`` (e.g. ``REPRO_WORKERS=2 pytest`` runs
-#: the whole suite through the threaded paths).
+#: the whole suite through the threaded search).
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
 #: Environment variable overriding the default execution tier when the
@@ -61,8 +59,8 @@ WORKERS_ENV_VAR = "REPRO_WORKERS"
 #: shared-memory process pool of :mod:`repro.execution_process`).
 EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 
-#: The in-process tier: batched kernels on the shared thread pool (scipy /
-#: numpy release the GIL on the hot loops).  The default.
+#: The in-process tier: the batched search on the shared thread pool (numpy
+#: releases the GIL on the hot loops).  The default.
 EXECUTOR_THREAD = "thread"
 
 #: The out-of-process tier: seed shards on a worker-process pool sharing the

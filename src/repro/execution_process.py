@@ -191,7 +191,7 @@ class ProcessGraphPool:
 
     One-shot runs create the pool per detection (fork start-up is
     milliseconds): the graph is broadcast, ``workers`` processes attach it,
-    seed batches are sharded with :func:`~repro.execution.block_ranges` and
+    seed batches are split with :func:`~repro.execution.block_ranges` and
     merged in shard order.  :meth:`close` tears down the workers and — when
     the pool owns the broadcast — unlinks the segments.
 
@@ -239,7 +239,7 @@ class ProcessGraphPool:
         dtype: str = "float64",
         capture_history: bool = True,
     ) -> tuple[list[CommunityResult], np.ndarray | None]:
-        """Detect every seed in ``seeds``, sharded across the worker processes.
+        """Detect every seed in ``seeds``, split across the worker processes.
 
         The list is split into ``max(workers, ⌈len/batch_size⌉)`` contiguous
         shards — every worker busy, no shard wider than ``batch_size`` — and
@@ -535,7 +535,7 @@ def detect_batched_process(
 
     Detections (and, when captured, final distributions) are identical to
     :func:`repro.core.batched._detect_communities_batched_impl` with the same
-    knobs: explicit seed lists are sharded directly; pool mode keeps the
+    knobs: explicit seed lists are split directly; pool mode keeps the
     draw loop — and therefore the exact RNG draw sequence — in the parent
     and shards each round's batch.
     """
@@ -591,7 +591,7 @@ def _pool_mode(
     dtype: str,
     capture_history: bool = True,
 ) -> tuple[list[CommunityResult], np.ndarray | None]:
-    """Algorithm 1's pool loop with each round's batch sharded across workers.
+    """Algorithm 1's pool loop with each round's batch split across workers.
 
     The loop itself is the *same* :func:`~repro.core.batched._pool_loop` the
     serial impl runs — the draws happen in the parent against the same
@@ -683,7 +683,7 @@ def detect_parallel_process(
     """The ``"parallel"`` backend on the process tier.
 
     Seed spreading runs in the parent (same draws as the serial path), the
-    ``r`` detections are sharded across the workers with their final
+    ``r`` detections are split across the workers with their final
     distributions captured, and the duplicate-merge / overlap-resolution
     steps run in the parent (see :func:`_run_parallel_on_pool`) — so the
     resolved communities are identical to the serial facade's.

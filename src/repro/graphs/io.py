@@ -27,6 +27,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -289,10 +290,18 @@ def read_csr_layout(path: str | Path) -> CSRFileLayout:
     """Parse and validate the header of a ``.csr`` file (no array data is read)."""
     path = Path(path)
     with open(path, "rb") as stream:
+        file_size = os.fstat(stream.fileno()).st_size
         preamble = stream.read(_CSR_PREAMBLE_BYTES)
         if len(preamble) < _CSR_PREAMBLE_BYTES or preamble[:8] != CSR_MAGIC:
             raise GraphError(f"{path}: not a {CSR_MAGIC.decode('ascii')} CSR graph file")
         header_bytes = int.from_bytes(preamble[8:], "little")
+        # Checked before reading: a garbage length field would otherwise
+        # ask for up to 2**64 bytes (OverflowError or MemoryError).
+        if header_bytes > file_size - _CSR_PREAMBLE_BYTES:
+            raise GraphError(
+                f"{path}: truncated CSR header "
+                f"(header length {header_bytes}, file has {file_size} bytes)"
+            )
         raw_header = stream.read(header_bytes)
     if len(raw_header) < header_bytes:
         raise GraphError(f"{path}: truncated CSR header")
@@ -302,7 +311,7 @@ def read_csr_layout(path: str | Path) -> CSRFileLayout:
         num_vertices = int(header["num_vertices"])
         num_arcs = int(header["num_arcs"])
         dtype = str(header["dtype"])
-    except (ValueError, KeyError, TypeError) as error:
+    except (ValueError, KeyError, TypeError, OverflowError) as error:
         raise GraphError(f"{path}: malformed CSR header: {error}") from None
     if version != CSR_FORMAT_VERSION:
         raise GraphError(
@@ -317,10 +326,10 @@ def read_csr_layout(path: str | Path) -> CSRFileLayout:
     indices_offset = indptr_offset + (num_vertices + 1) * 8
     degrees_offset = indices_offset + num_arcs * 8
     expected_size = degrees_offset + num_vertices * 8
-    if path.stat().st_size < expected_size:
+    if file_size < expected_size:
         raise GraphError(
             f"{path}: truncated CSR file "
-            f"({path.stat().st_size} bytes, header promises {expected_size})"
+            f"({file_size} bytes, header promises {expected_size})"
         )
     return CSRFileLayout(
         num_vertices=num_vertices,

@@ -20,35 +20,14 @@ exact equality step for step; the batched CDRW driver in
 :mod:`repro.core.batched` relies on it to reproduce the sequential
 algorithm's output exactly.
 
-Multi-core stepping
--------------------
-The steady-state SpMM is memory-bandwidth-bound on one core (~3× over the
-scalar loop, see ROADMAP).  The ``workers`` knob (default ``None`` →
-``REPRO_WORKERS`` environment override → ``1``) makes :meth:`step` advance
-contiguous *column blocks* on separate threads of the shared pool
-(:mod:`repro.execution`).  Each block is an independent CSR SpMM over a
-column slice and every output column depends only on its own input column,
-so the per-column accumulation order — and therefore every float — is
-unchanged: any ``workers`` value is bit-identical to the serial path
-(asserted by ``tests/test_execution.py``).
-
-Per-block storage
------------------
-The distributions are stored as a list of per-worker-block **C-contiguous**
-``(n, width_b)`` buffers rather than one ``(n, B)`` matrix.  A column slice
-of a C-order matrix is strided, so scipy's SpMM used to copy every block on
-entry (``other.ravel()`` materialises strided input), and the fresh SpMM
-output then had to be copied *back* into a strided slice of the result
-matrix — two full-matrix copies per threaded step.  With per-block buffers
-each thread's SpMM input is already contiguous (``ravel`` is a view) and its
-output becomes the next block buffer directly; the only remaining copy is
-the lazy ``(n, B)`` assembly — cached per step — when :meth:`probabilities`
-is called, so consumers that read the matrix every step (the batched
-detection driver) still save one full-matrix copy per step net.  With one
-worker there is exactly one block, so the
-serial path is the same zero-copy single-matrix layout as before.  The block
-partition never changes any per-column float (each column's SpMM is
-independent), so the bit-identity guarantee above is unaffected.
+Storage
+-------
+The distributions live in one C-contiguous ``(n, B)`` matrix and each step
+replaces it with ``operator @ matrix``: scipy reads a contiguous operand
+without copying it, and the product is the next matrix.  The walk step is
+a small share of a detection (the mixing-set search dominates), so it runs
+on the calling thread; ``workers`` parallelises the search lanes only
+(:class:`~repro.core.mixing_set.BatchedMixingSetSearch`).
 """
 
 from __future__ import annotations
@@ -59,7 +38,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..exceptions import RandomWalkError
-from ..execution import block_ranges, parallel_map_blocks, resolve_workers
 from ..graphs.graph import Graph
 from .transition import lazy_transition_matrix, reverse_transition_matrix
 
@@ -79,11 +57,6 @@ class BatchedWalkDistribution:
     lazy:
         When ``True`` use the lazy walk (stay put with probability 1/2), as
         in :class:`~repro.randomwalk.distribution.WalkDistribution`.
-    workers:
-        Thread count for the column-blocked step (``None`` → the
-        ``REPRO_WORKERS`` environment override, default serial; ``0`` → all
-        cores).  Results are bit-identical for every value — see the module
-        docstring.
     operator:
         Optional pre-built reverse transition operator (the transposed CSR
         matrix the walk would otherwise construct from ``graph`` and
@@ -98,7 +71,6 @@ class BatchedWalkDistribution:
         graph: Graph,
         sources: Sequence[int],
         lazy: bool = False,
-        workers: int | None = None,
         operator: sp.csr_matrix | None = None,
     ):
         # One vectorized bounds check replaces the former per-element
@@ -118,7 +90,6 @@ class BatchedWalkDistribution:
         self._graph = graph
         self._sources = tuple(source_array.tolist())
         self._lazy = bool(lazy)
-        self._workers = resolve_workers(workers)
         if operator is not None:
             n = graph.num_vertices
             if operator.shape != (n, n):
@@ -131,22 +102,14 @@ class BatchedWalkDistribution:
             self._operator = lazy_transition_matrix(graph).T.tocsr()
         else:
             self._operator = reverse_transition_matrix(graph)
-        self._init_blocks()
+        self._matrix = self._one_hot()
         self._steps = 0
 
-    def _init_blocks(self) -> None:
-        """(Re)build the per-block one-hot buffers for the current sources."""
-        n = self._graph.num_vertices
-        blocks: list[np.ndarray] = []
-        starts: list[int] = []
-        for start, stop in block_ranges(len(self._sources), self._workers):
-            block = np.zeros((n, stop - start), dtype=np.float64)
-            block[list(self._sources[start:stop]), np.arange(stop - start)] = 1.0
-            blocks.append(block)
-            starts.append(start)
-        self._blocks = blocks
-        self._block_starts = np.asarray(starts, dtype=np.int64)
-        self._assembled: np.ndarray | None = None
+    def _one_hot(self) -> np.ndarray:
+        """The length-0 distributions: all of walk ``j``'s mass on ``sources[j]``."""
+        matrix = np.zeros((self._graph.num_vertices, len(self._sources)), dtype=np.float64)
+        matrix[list(self._sources), np.arange(len(self._sources))] = 1.0
+        return matrix
 
     # ------------------------------------------------------------------
     # Accessors
@@ -176,29 +139,9 @@ class BatchedWalkDistribution:
         """Whether the lazy walk is used."""
         return self._lazy
 
-    @property
-    def workers(self) -> int:
-        """The resolved thread count used by the column-blocked step."""
-        return self._workers
-
-    def _locate(self, walk: int) -> tuple[int, int]:
-        """Return ``(block index, local column)`` of global column ``walk``."""
-        index = int(np.searchsorted(self._block_starts, walk, side="right")) - 1
-        return index, walk - int(self._block_starts[index])
-
-    def _materialize(self) -> np.ndarray:
-        """Return the full ``(n, B)`` matrix (a view for one block, else cached)."""
-        if len(self._blocks) == 1:
-            return self._blocks[0]
-        if self._assembled is None:
-            # Concatenation only places the per-block columns side by side;
-            # every column's floats are exactly the block SpMM's output.
-            self._assembled = np.concatenate(self._blocks, axis=1)
-        return self._assembled
-
     def probabilities(self) -> np.ndarray:
         """Return the current ``(n, B)`` distribution matrix (read-only view)."""
-        view = self._materialize().view()
+        view = self._matrix.view()
         view.flags.writeable = False
         return view
 
@@ -208,8 +151,7 @@ class BatchedWalkDistribution:
             raise RandomWalkError(
                 f"walk index {walk} out of range for a batch of {len(self._sources)}"
             )
-        block, local = self._locate(walk)
-        vector = np.ascontiguousarray(self._blocks[block][:, local])
+        vector = np.ascontiguousarray(self._matrix[:, walk])
         vector.flags.writeable = False
         return vector
 
@@ -227,10 +169,7 @@ class BatchedWalkDistribution:
             raise RandomWalkError(
                 f"walk indices {walks!r} out of range for a batch of {len(self._sources)}"
             )
-        matrix = np.empty((self._graph.num_vertices, indices.size), dtype=np.float64)
-        for position, walk in enumerate(indices):
-            block, local = self._locate(int(walk))
-            matrix[:, position] = self._blocks[block][:, local]
+        matrix = self._matrix.take(indices, axis=1)
         matrix.flags.writeable = False
         return matrix
 
@@ -238,40 +177,13 @@ class BatchedWalkDistribution:
     # Stepping
     # ------------------------------------------------------------------
     def step(self, count: int = 1) -> np.ndarray:
-        """Advance all walks by ``count`` steps and return the distribution matrix.
-
-        With ``workers > 1`` each step advances the per-block contiguous
-        buffers on separate threads; per-column results are bit-identical to
-        the serial SpMM (see the module docstring).
-        """
+        """Advance all walks by ``count`` steps and return the distribution matrix."""
         if count < 0:
             raise RandomWalkError(f"cannot step a negative number of times: {count}")
         for _ in range(count):
-            self._advance()
+            self._matrix = self._operator @ self._matrix
             self._steps += 1
         return self.probabilities()
-
-    def _advance(self) -> None:
-        """Replace every block with ``operator @ block``, one thread per block."""
-        blocks = self._blocks
-        if len(blocks) == 1:
-            self._blocks = [self._operator @ blocks[0]]
-        else:
-            advanced: list[np.ndarray | None] = [None] * len(blocks)
-
-            def advance_range(start: int, stop: int) -> None:
-                # Each block is an independent SpMM on a C-contiguous buffer
-                # (scipy's ravel is a view — no strided-entry copy) writing a
-                # fresh output buffer; scipy accumulates every output column
-                # in CSR nonzero order regardless of which other columns
-                # share the call, so the block partition never changes a
-                # single float.
-                for index in range(start, stop):
-                    advanced[index] = self._operator @ blocks[index]
-
-            parallel_map_blocks(advance_range, len(blocks), self._workers)
-            self._blocks = advanced
-        self._assembled = None
 
     def run_to(self, length: int) -> np.ndarray:
         """Advance all walks until their length equals ``length`` (no rewinding)."""
@@ -283,7 +195,7 @@ class BatchedWalkDistribution:
 
     def restart(self) -> None:
         """Reset every walk to length 0 (all mass at its seed)."""
-        self._init_blocks()
+        self._matrix = self._one_hot()
         self._steps = 0
 
     # ------------------------------------------------------------------
@@ -295,29 +207,16 @@ class BatchedWalkDistribution:
         Drivers use this to drop walks whose detection already stopped, so
         later steps spend no flops on finished columns.  The step counter is
         shared by all columns and is unchanged; the surviving columns are
-        repartitioned into fresh contiguous block buffers.
+        copied into a fresh C-contiguous matrix.
         """
         kept = np.asarray([int(w) for w in walks], dtype=np.int64)
         if kept.size == 0:
             raise RandomWalkError("cannot retain an empty set of walks")
-        if kept.size and (kept.min() < 0 or kept.max() >= len(self._sources)):
+        if kept.min() < 0 or kept.max() >= len(self._sources):
             raise RandomWalkError(
                 f"walk indices {walks!r} out of range for a batch of {len(self._sources)}"
             )
-        n = self._graph.num_vertices
-        old_blocks = self._blocks
-        locations = [self._locate(int(w)) for w in kept]
-        blocks: list[np.ndarray] = []
-        starts: list[int] = []
-        for start, stop in block_ranges(kept.size, self._workers):
-            block = np.empty((n, stop - start), dtype=np.float64)
-            for offset, (old_block, local) in enumerate(locations[start:stop]):
-                block[:, offset] = old_blocks[old_block][:, local]
-            blocks.append(block)
-            starts.append(start)
-        self._blocks = blocks
-        self._block_starts = np.asarray(starts, dtype=np.int64)
-        self._assembled = None
+        self._matrix = self._matrix.take(kept, axis=1)
         self._sources = tuple(self._sources[int(w)] for w in kept)
 
     # ------------------------------------------------------------------
@@ -331,7 +230,7 @@ class BatchedWalkDistribution:
         block the pairwise summation differently and drift in the last ulp).
         """
         indices = np.asarray(list(subset), dtype=np.int64)
-        gathered = self._materialize()[indices, :]
+        gathered = self._matrix[indices, :]
         return np.array(
             [float(np.ascontiguousarray(gathered[:, j]).sum()) for j in range(gathered.shape[1])]
         )

@@ -60,6 +60,7 @@ Usage::
 from __future__ import annotations
 
 import asyncio
+import math
 import operator
 import threading
 import time
@@ -216,14 +217,15 @@ class DetectionService:
         failed with :class:`~repro.exceptions.DeadlineExpiredError` at
         wave formation instead of occupying a wave slot.
 
-        The seed is validated synchronously — a bad request never reaches
-        the queue, so it cannot poison a wave for well-formed neighbours.
+        The seed and deadline are validated synchronously — a bad request
+        never reaches the queue, so it cannot poison a wave for well-formed
+        neighbours.  A deadline must be a finite number ``>= 0``; ``0``
+        expires at the next wave formation.
         """
         seed_vertex = self._validate_seed(seed)
-        deadline_at: float | None = None
+        budget = None if deadline is None else self._validate_deadline(deadline)
         now = time.monotonic()
-        if deadline is not None:
-            deadline_at = now + float(deadline)
+        deadline_at = None if budget is None else now + budget
         with self._wake:
             if self._closing or self._closed:
                 raise ServiceClosedError(
@@ -337,6 +339,24 @@ class DetectionService:
                 f"{self._session.graph!r}"
             )
         return seed_vertex
+
+    @staticmethod
+    def _validate_deadline(deadline: float) -> float:
+        # NaN and infinity would never compare as expired, and a bool is an
+        # int to float(): all three would silently mean something else.
+        if isinstance(deadline, bool):
+            raise BackendError("deadline must be a number of seconds, got bool")
+        try:
+            budget = float(deadline)
+        except (TypeError, ValueError):
+            raise BackendError(
+                f"deadline must be a number of seconds, got {type(deadline).__name__}"
+            ) from None
+        if not math.isfinite(budget) or budget < 0:
+            raise BackendError(
+                f"deadline must be a finite number of seconds >= 0, got {deadline!r}"
+            )
+        return budget
 
     def _spawn_dispatcher(self) -> threading.Thread:
         dispatcher = threading.Thread(

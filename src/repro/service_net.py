@@ -69,6 +69,10 @@ __all__ = ["BackgroundServer", "ServiceClient", "ServiceServer", "run_server"]
 
 DEFAULT_HOST = "127.0.0.1"
 
+#: Longest request line the server reads (asyncio's default stream limit,
+#: stated so the oversized-line reply can name it).
+_MAX_LINE_BYTES = 64 * 1024
+
 # Wire error taxonomy: first matching class wins (most specific first).
 _KIND_OF_ERROR: tuple[tuple[type[ReproError], str], ...] = (
     (ServiceOverloadedError, "overloaded"),
@@ -120,7 +124,7 @@ class ServiceServer:
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting connections; returns ``(host, port)``."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=_MAX_LINE_BYTES
         )
         bound = self._server.sockets[0].getsockname()
         self.host, self.port = bound[0], bound[1]
@@ -142,7 +146,19 @@ class ServiceServer:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The line outgrew the stream limit.  Its unread rest
+                    # cannot be re-framed, so answer once and hang up.
+                    error = self._error(
+                        None,
+                        "bad-request",
+                        f"request line exceeds {_MAX_LINE_BYTES} bytes",
+                    )
+                    writer.write(_encode(error))
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -185,7 +201,9 @@ class ServiceServer:
                 ident, "bad-request", "detect needs an integer 'seed' field"
             )
         deadline = message.get("deadline")
-        if deadline is not None and not isinstance(deadline, (int, float)):
+        if deadline is not None and (
+            isinstance(deadline, bool) or not isinstance(deadline, (int, float))
+        ):
             return self._error(
                 ident, "bad-request", "'deadline' must be a number of seconds"
             )

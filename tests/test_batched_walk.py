@@ -18,20 +18,31 @@ def ppm_graph():
     return planted_partition_graph(n, 2, 3 * math.log(n) ** 2 / n, 1.0 / n, seed=7).graph
 
 
+@pytest.fixture(scope="module")
+def ppm4_graph():
+    n = 512
+    return planted_partition_graph(n, 4, 3 * math.log(n) ** 2 / n, 1.0 / n, seed=11).graph
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("lazy", [False, True])
-    def test_matches_scalar_walks_step_for_step(self, ppm_graph, lazy):
-        seeds = [0, 17, 130, 255, 17]  # duplicates allowed
-        batched = BatchedWalkDistribution(ppm_graph, seeds, lazy=lazy)
-        scalars = [WalkDistribution(ppm_graph, s, lazy=lazy) for s in seeds]
-        for _ in range(12):
-            batched.step()
-            for walk in scalars:
-                walk.step()
-            for j, walk in enumerate(scalars):
-                # The SpMM columns are bit-identical to scalar mat-vecs (well
-                # inside the 1e-12 tolerance the equivalence spec requires).
-                assert np.array_equal(batched.column(j), walk.probabilities())
+    def test_matches_scalar_walks_step_for_step(self, ppm_graph, ppm4_graph, lazy):
+        # Duplicate seeds are allowed.
+        for graph, seeds in (
+            (ppm_graph, [0, 17, 130, 255, 17]),
+            (ppm4_graph, [0, 101, 300, 499, 101]),
+        ):
+            batched = BatchedWalkDistribution(graph, seeds, lazy=lazy)
+            scalars = [WalkDistribution(graph, s, lazy=lazy) for s in seeds]
+            for _ in range(12):
+                batched.step()
+                for walk in scalars:
+                    walk.step()
+                for j, walk in enumerate(scalars):
+                    # The SpMM columns are bit-identical to scalar mat-vecs
+                    # (well inside the 1e-12 tolerance the equivalence spec
+                    # requires).
+                    assert np.array_equal(batched.column(j), walk.probabilities())
 
     def test_initial_state_is_indicator(self, two_cliques_graph):
         batched = BatchedWalkDistribution(two_cliques_graph, [2, 9])
@@ -53,13 +64,31 @@ class TestEquivalence:
         for j, walk in enumerate(scalars):
             assert masses[j] == pytest.approx(walk.mass_in(subset), abs=0.0)
 
+    def test_columns_match_column(self, ppm4_graph):
+        batched = BatchedWalkDistribution(ppm4_graph, [3, 7, 11, 13, 17])
+        batched.step(5)
+        selected = batched.columns([4, 0, 2])
+        assert selected.shape == (ppm4_graph.num_vertices, 3)
+        assert selected.flags["C_CONTIGUOUS"]
+        assert not selected.flags.writeable
+        for position, walk in enumerate([4, 0, 2]):
+            assert np.array_equal(selected[:, position], batched.column(walk))
+        with pytest.raises(RandomWalkError):
+            batched.columns([5])
+
     def test_run_to_and_restart(self, two_cliques_graph):
         batched = BatchedWalkDistribution(two_cliques_graph, [0, 5])
+        fresh = BatchedWalkDistribution(two_cliques_graph, [0, 5])
         batched.run_to(4)
         assert batched.steps == 4
         batched.restart()
         assert batched.steps == 0
         assert batched.probabilities()[0, 0] == 1.0
+        assert np.array_equal(batched.probabilities(), fresh.probabilities())
+        # A restarted walk replays the same floats as a fresh one.
+        batched.step(3)
+        fresh.step(3)
+        assert np.array_equal(batched.probabilities(), fresh.probabilities())
 
 
 class TestRetain:
@@ -78,6 +107,8 @@ class TestRetain:
         expected[2].step()
         assert np.array_equal(batched.column(0), expected[0].probabilities())
         assert np.array_equal(batched.column(1), expected[2].probabilities())
+        # One contiguous matrix is what lets the next SpMM read it uncopied.
+        assert batched.probabilities().flags["C_CONTIGUOUS"]
 
     def test_retain_rejects_bad_indices(self, two_cliques_graph):
         batched = BatchedWalkDistribution(two_cliques_graph, [0, 5])

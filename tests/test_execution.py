@@ -1,12 +1,12 @@
 """The multi-core execution layer: pool helpers and worker-count invariance.
 
-The contract under test is the one the threaded kernels are built on
+The contract under test is the one the threaded search is built on
 (:mod:`repro.execution`): the ``workers`` knob may only move wall-clock
-time, never a single output bit.  Batched walks, the batched mixing-set
-search, batched detection and parallel detection are therefore asserted
-**bit-identical** across ``workers ∈ {1, 2, 4}`` and against their scalar
-references; the float32 fast path of the search — explicitly outside the
-exactness guarantee — is asserted ≈-close instead.
+time, never a single output bit.  The batched mixing-set search, batched
+detection and parallel detection are therefore asserted **bit-identical**
+across ``workers ∈ {1, 2, 4}`` and against their scalar references; the
+float32 fast path of the search — explicitly outside the exactness
+guarantee — is asserted ≈-close instead.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.core import (
 from repro.exceptions import AlgorithmError, ReproError
 from repro.execution import WORKERS_ENV_VAR
 from repro.graphs import Graph, planted_partition_graph, ppm_expected_conductance
-from repro.randomwalk import BatchedWalkDistribution, WalkDistribution
+from repro.randomwalk import BatchedWalkDistribution
 from repro.utils import log_size
 
 WORKER_COUNTS = (1, 2, 4)
@@ -121,71 +121,6 @@ class TestParallelMapBlocks:
 
         with pytest.raises(ValueError, match="block failed"):
             parallel_map_blocks(boom, 8, 2)
-
-
-class TestThreadedWalkInvariance:
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_bit_identical_across_workers_and_to_scalar(self, ppm, lazy):
-        seeds = [0, 101, 300, 499, 101]
-        reference = [WalkDistribution(ppm.graph, s, lazy=lazy) for s in seeds]
-        walks = {
-            w: BatchedWalkDistribution(ppm.graph, seeds, lazy=lazy, workers=w)
-            for w in WORKER_COUNTS
-        }
-        for _ in range(10):
-            for walk in reference:
-                walk.step()
-            for w, batched in walks.items():
-                batched.step()
-                assert np.array_equal(
-                    batched.probabilities(), walks[1].probabilities()
-                ), f"workers={w} diverged from the serial path"
-            for j, walk in enumerate(reference):
-                assert np.array_equal(walks[4].column(j), walk.probabilities())
-
-    def test_workers_survive_retain(self, ppm):
-        walk = BatchedWalkDistribution(ppm.graph, [1, 2, 3, 4, 5], workers=4)
-        walk.step(3)
-        walk.retain([0, 2, 4])
-        serial = BatchedWalkDistribution(ppm.graph, [1, 3, 5], workers=1)
-        serial.step(3)
-        walk.step(2)
-        serial.step(2)
-        assert np.array_equal(walk.probabilities(), serial.probabilities())
-
-    def test_per_block_buffers_are_contiguous(self, ppm):
-        """The threaded step must see C-contiguous SpMM inputs.
-
-        The distributions are stored as per-worker-block buffers precisely so
-        scipy's SpMM gets contiguous input (its ``ravel`` is then a view, not
-        a strided-entry copy).  One worker keeps the single-matrix layout.
-        """
-        threaded = BatchedWalkDistribution(ppm.graph, list(range(10)), workers=3)
-        serial = BatchedWalkDistribution(ppm.graph, list(range(10)), workers=1)
-        assert len(threaded._blocks) == 3
-        assert len(serial._blocks) == 1
-        threaded.step(4)
-        serial.step(4)
-        for block in threaded._blocks:
-            assert block.flags["C_CONTIGUOUS"]
-        assert np.array_equal(threaded.probabilities(), serial.probabilities())
-        threaded.retain([1, 4, 7, 9])
-        for block in threaded._blocks:
-            assert block.flags["C_CONTIGUOUS"]
-
-    def test_columns_and_mass_match_across_layouts(self, ppm):
-        threaded = BatchedWalkDistribution(ppm.graph, [3, 7, 11, 13, 17], workers=4)
-        serial = BatchedWalkDistribution(ppm.graph, [3, 7, 11, 13, 17], workers=1)
-        threaded.step(5)
-        serial.step(5)
-        subset = [0, 50, 100, 150]
-        assert np.array_equal(
-            threaded.columns([0, 2, 4]), serial.columns([0, 2, 4])
-        )
-        assert np.array_equal(threaded.mass_in(subset), serial.mass_in(subset))
-        threaded.restart()
-        serial.restart()
-        assert np.array_equal(threaded.probabilities(), serial.probabilities())
 
 
 class TestVectorizedSourceValidation:
@@ -283,7 +218,5 @@ class TestThreadedDetectionInvariance:
 
     def test_env_override_reaches_the_kernels(self, ppm, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        walk = BatchedWalkDistribution(ppm.graph, [1, 2, 3])
-        assert walk.workers == 2
         search = BatchedMixingSetSearch(ppm.graph, initial_size=4)
         assert search.workers == 2

@@ -24,7 +24,7 @@ from repro.graphs import (
     write_edge_list,
     write_graph_json,
 )
-from repro.graphs.io import CSR_MAGIC, read_csr_layout
+from repro.graphs.io import CSR_FORMAT_VERSION, CSR_MAGIC, read_csr_layout
 from repro.graphs.storage import STORAGE_DENSE, STORAGE_MEMMAP, STORAGE_SHM
 
 
@@ -164,6 +164,12 @@ class TestJsonBundle:
             graph_from_dict(document)
 
 
+def _csr_header(header: dict) -> bytes:
+    """A ``.csr`` header-length field plus its JSON header (no arrays)."""
+    encoded = json.dumps(header).encode("ascii")
+    return len(encoded).to_bytes(8, "little") + encoded
+
+
 class TestCsrBinary:
     def test_round_trip_bit_identical(self, two_cliques_graph, tmp_path):
         path = tmp_path / "graph.csr"
@@ -245,6 +251,31 @@ class TestCsrBinary:
         path.write_bytes(CSR_MAGIC[:4])
         with pytest.raises(GraphError):
             read_csr_graph(path)
+
+    @pytest.mark.parametrize(
+        "reader", (read_csr_layout, load_graph_file), ids=("layout", "load")
+    )
+    @pytest.mark.parametrize(
+        "body",
+        (
+            b"\xff" * 8 + b"{}",
+            (2**62).to_bytes(8, "little") + b"{}",
+            _csr_header(
+                {
+                    "version": CSR_FORMAT_VERSION,
+                    "num_vertices": float("inf"),
+                    "num_arcs": 0,
+                    "dtype": "<i8",
+                }
+            ),
+        ),
+        ids=("length-ff", "length-2**62", "vertices-infinity"),
+    )
+    def test_corrupt_header_raises_graph_error(self, tmp_path, reader, body):
+        path = tmp_path / "corrupt.csr"
+        path.write_bytes(CSR_MAGIC + body)
+        with pytest.raises(GraphError):
+            reader(path)
 
 
 class TestSnapEdgeList:

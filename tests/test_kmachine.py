@@ -131,6 +131,43 @@ class TestKMachineNetwork:
             network.route_congest_round(np.array([0]), np.array([1]), repeat=-1)
 
 
+class TestFloodingReconciliation:
+    """One dense flooding round of a walk step on the hash partition.
+
+    Every arc carries one message per walk step.  The simulator's
+    accounting of that pattern must match an independent numpy count of
+    the arcs that cross the partition.
+    """
+
+    @pytest.mark.parametrize("machines", (2, 4))
+    def test_link_loads_match_independent_crossing_count(self, small_ppm, machines):
+        graph = small_ppm.graph
+        partition = RandomVertexPartition(graph.num_vertices, machines, method="hash")
+        assignment = partition.assignment
+        _, heads, _ = graph.csr_arrays()
+        tails = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees())
+        crossing = assignment[tails] != assignment[heads]
+        expected_loads = np.bincount(
+            assignment[tails[crossing]] * machines + assignment[heads[crossing]],
+            minlength=machines * machines,
+        ).reshape(machines, machines)
+
+        network = KMachineNetwork(partition)
+        loads, inter, local = network.link_loads(tails, heads)
+        assert inter == int(crossing.sum()) > 0
+        assert local == int((~crossing).sum())
+        assert inter + local == graph.volume
+        assert np.array_equal(loads, expected_loads)
+        assert network.rounds_for_loads(loads) == int(expected_loads.max())
+
+        steps = 3
+        charged = network.route_congest_round(tails, heads, repeat=steps)
+        cost = network.cost()
+        assert charged == cost.rounds == int(expected_loads.max()) * steps
+        assert cost.inter_machine_messages == inter * steps
+        assert cost.local_messages == local * steps
+
+
 class TestConversionTheorem:
     def test_formula(self):
         value = conversion_theorem_rounds(messages=1000, rounds=10, max_degree=5, num_machines=10)

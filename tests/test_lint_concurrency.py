@@ -674,7 +674,7 @@ class TestProjectScope:
         assert codes_of(path) == []
 
     def test_execution_variants_are_in_scope(self, tmp_path):
-        path = write_module(tmp_path, "repro/execution_sharded.py", self.VIOLATION)
+        path = write_module(tmp_path, "repro/execution_remote.py", self.VIOLATION)
         assert codes_of(path) == ["REP201"]
 
 

@@ -289,6 +289,22 @@ class TestDeadlines:
         # The expired request never occupied a wave slot.
         assert report.metadata["service_wave_size"] == 1
 
+    @pytest.mark.parametrize(
+        "deadline",
+        (math.nan, math.inf, -math.inf, -1.0, True),
+        ids=("nan", "inf", "-inf", "negative", "bool"),
+    )
+    def test_malformed_deadline_rejected_before_admission(self, ppm, deadline):
+        instance, delta = ppm
+        with DetectionService(
+            instance.graph, config=RunConfig(workers=1), delta_hint=delta, start=False
+        ) as service:
+            before = service.metrics()
+            with pytest.raises(BackendError, match="deadline"):
+                service.submit(0, deadline=deadline)
+            # No future was queued and no counter moved.
+            assert service.metrics() == before
+
     def test_generous_deadline_is_served(self, ppm):
         instance, delta = ppm
         with DetectionService(

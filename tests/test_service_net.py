@@ -161,6 +161,38 @@ class TestWireErrors:
             assert response["ok"] is False and response["kind"] == "bad-request"
             assert "integer 'seed'" in response["error"]
 
+    @pytest.mark.parametrize(
+        ("literal", "kind"),
+        (
+            (b"NaN", "invalid-request"),
+            (b"Infinity", "invalid-request"),
+            (b"-1", "invalid-request"),
+            (b"true", "bad-request"),
+        ),
+    )
+    def test_malformed_deadline_is_rejected(self, served, literal, kind):
+        *_rest, host, port, service = served
+        with socket.create_connection((host, port), timeout=30) as raw:
+            raw.sendall(b'{"op": "detect", "seed": 0, "id": 5, "deadline": ' + literal + b"}\n")
+            response = json.loads(raw.makefile("rb").readline())
+        assert response["ok"] is False
+        assert response["kind"] == kind
+        assert "deadline" in response["error"]
+        assert service.metrics()["requests_admitted"] == 0
+
+    def test_oversized_line_is_answered_then_closed(self, served):
+        *_rest, host, port, _service = served
+        with socket.create_connection((host, port), timeout=30) as raw:
+            raw.sendall(b'{"op": "ping", "pad": "' + b"x" * 70_000 + b'"}\n')
+            reader = raw.makefile("rb")
+            response = json.loads(reader.readline())
+            assert reader.readline() == b""  # the server hung up
+        assert response["ok"] is False
+        assert response["kind"] == "bad-request"
+        assert str(64 * 1024) in response["error"]
+        with ServiceClient(host, port) as client:
+            assert client.ping()
+
     def test_client_raises_service_error_when_server_goes_away(self, ppm):
         instance, delta = ppm
         with DetectionService(

@@ -244,7 +244,7 @@ class TestMemmapStorage:
 # ----------------------------------------------------------------------
 class TestReadOnlyHardening:
     @pytest.mark.parametrize(
-        "backend", ["scalar", "batched", "sharded", "congest", "kmachine"]
+        "backend", ["scalar", "batched", "congest", "kmachine"]
     )
     def test_backends_run_on_pinned_arrays(self, ppm, backend):
         """Every backend completes on a graph whose CSR arrays are
