@@ -1,11 +1,12 @@
-"""Benchmark: ablations of the CDRW design choices called out in DESIGN.md.
+"""Benchmark: ablations of the CDRW design choices called out in README.md
+("Deviations from the paper").
 
 Three knobs of Algorithm 1 are ablated on the same PPM instance:
 
 * the candidate-size schedule (geometric ``(1+1/8e)`` growth vs linear +1),
 * the stopping parameter δ (the analytic conductance vs fixed alternatives),
 * the candidate-scan policy (scan-all vs stop-at-first-failure, the literal
-  pseudocode reading — see DESIGN.md §5).
+  pseudocode reading — see README.md, "Deviations from the paper").
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def test_ablation_size_schedule_and_scan_policy(once, capsys):
     # The linear schedule is the exhaustive reference: the geometric schedule
     # must not lose accuracy against it.
     assert scores["paper_defaults"] >= scores["linear_schedule"] - 0.05
-    # The mass condition is what keeps the localized search honest (DESIGN.md §5).
+    # The mass condition is what keeps the localized search honest (README.md,
+    # "Deviations from the paper").
     assert scores["paper_defaults"] >= scores["no_mass_condition"] - 0.01
 
 

@@ -16,9 +16,9 @@ Measures, on a 1M-edge random graph:
   bandwidth, not by call overhead);
 * **batched mixing-set search** — one
   :class:`BatchedMixingSetSearch.largest_mixing_sets` call over ``B``
-  walk columns against ``B`` scalar ``largest_mixing_set`` calls (what the
-  pre-batching ``detect_community_batch`` inner loop paid per step), at
-  ``B ∈ {1, 8, 64}`` on a 250k-edge graph;
+  walk columns against ``B`` one-lane calls of the same kernel (what the
+  scalar backend pays per step for ``B`` seeds; the ``search{B}_scalar_s``
+  rows), at ``B ∈ {1, 8, 64}`` on a 250k-edge graph;
 * **parallel detection** — ``detect_communities_parallel`` (one shared
   batched walk + conflict resolution) against the pre-port scalar per-seed
   loop over the same spread seeds, at ``r ∈ {1, 8, 64}`` on an 8-block PPM;
@@ -50,7 +50,7 @@ Run directly (``python benchmarks/bench_graph_kernel.py``) for the table, or
 through pytest (``pytest benchmarks/bench_graph_kernel.py``) to enforce the
 acceptance thresholds: construction and the 64-seed walk advance must be at
 least 10× faster than the seed scalar path, the 64-column batched
-mixing-set search must beat the per-column loop, on machines with at least
+mixing-set search must beat 64 one-lane calls, on machines with at least
 two cores the threaded search must beat its ``workers=1`` timing by ≥ 1.3×,
 and on machines with at least four cores
 the process tier must beat the serial facade by ≥ 1.5×, the resident
@@ -78,7 +78,7 @@ import numpy as np
 import pytest
 
 from repro.api import RunConfig, RunReport, detect
-from repro.core import BatchedMixingSetSearch, MixingSetSearch
+from repro.core import BatchedMixingSetSearch
 from repro.core.parallel import select_spread_seeds
 from repro.graphs import (
     Graph,
@@ -244,13 +244,14 @@ def run_benchmark() -> dict[str, float]:
     search_walk.step(5)
     distributions = np.array(search_walk.probabilities())
     initial_size = log_size(SEARCH_VERTICES)
-    scalar_search = MixingSetSearch(search_graph, initial_size=initial_size)
     batched_search = BatchedMixingSetSearch(search_graph, initial_size=initial_size)
     for width in BATCH_WIDTHS:
         subset = np.ascontiguousarray(distributions[:, :width])
-        per_column = [np.ascontiguousarray(subset[:, j]) for j in range(width)]
+        per_column = [subset[:, j : j + 1] for j in range(width)]
+        # The "scalar" rows: one one-lane call per column, as the scalar
+        # backend searches one seed at a time.
         results[f"search{width}_scalar_s"] = _best_of(
-            lambda: [scalar_search.largest_mixing_set(c, 5) for c in per_column],
+            lambda: [batched_search.largest_mixing_sets(c, 5)[0] for c in per_column],
             repeats=1,
         )
         results[f"search{width}_batched_s"] = _best_of(
@@ -571,7 +572,7 @@ def test_subset_kernels_faster_than_scalar():
 
 @pytest.mark.perf
 def test_batched_mixing_search_beats_per_column_loop_at_64():
-    """Acceptance: one batched search call must beat 64 sequential scans."""
+    """Acceptance: one 64-lane search call must beat 64 one-lane calls."""
     results = run_benchmark()
     assert results["search64_speedup"] > 1.0, results
 

@@ -11,7 +11,7 @@ round and every message:
    ``x_u`` locally and the seed learns the sum of the ``|S|`` smallest values
    through the binary-search selection over the BFS tree (lines 12-17), plus
    one extra convergecast for the probability mass held by the selected
-   vertices (the mass condition, DESIGN.md §5);
+   vertices (the mass condition; README.md, "Deviations from the paper");
 4. the growth stopping rule (line 18) is evaluated locally at the seed.
 
 The detected community is identical to the one produced by the centralized

@@ -2,13 +2,7 @@
 
 from ..execution import block_ranges, parallel_map_blocks, resolve_workers
 from .parameters import CDRWParameters
-from .mixing_set import (
-    BatchedMixingSetSearch,
-    LargestMixingSet,
-    MixingSetSearch,
-    deviation_values,
-    mixing_deficit_for_size,
-)
+from .mixing_set import BatchedMixingSetSearch, LargestMixingSet, deviation_values
 from .stopping import GrowthStoppingRule, StoppingDecision
 from .result import CommunityResult, DetectionResult
 from .cdrw import detect_communities, detect_community
@@ -22,9 +16,7 @@ __all__ = [
     "resolve_workers",
     "BatchedMixingSetSearch",
     "LargestMixingSet",
-    "MixingSetSearch",
     "deviation_values",
-    "mixing_deficit_for_size",
     "GrowthStoppingRule",
     "StoppingDecision",
     "CommunityResult",

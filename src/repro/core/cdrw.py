@@ -35,7 +35,7 @@ from ..exceptions import AlgorithmError
 from ..graphs.graph import Graph
 from ..randomwalk.distribution import WalkDistribution
 from ..utils import as_rng
-from .mixing_set import LargestMixingSet, MixingSetSearch
+from .mixing_set import BatchedMixingSetSearch, LargestMixingSet
 from .parameters import CDRWParameters
 from .result import CommunityResult, DetectionResult
 from .stopping import GrowthStoppingRule
@@ -120,15 +120,7 @@ def _detect_community_impl(
     initial_size = parameters.resolve_initial_size(graph)
     max_walk_length = parameters.resolve_max_walk_length(graph)
 
-    search = MixingSetSearch(
-        graph,
-        initial_size=initial_size,
-        mixing_threshold=parameters.mixing_threshold,
-        growth_factor=parameters.growth_factor,
-        schedule=parameters.size_schedule,
-        stop_at_first_failure=parameters.stop_at_first_failure,
-        min_mass=parameters.min_mass,
-    )
+    search = BatchedMixingSetSearch.from_parameters(graph, parameters, initial_size)
     stopping = GrowthStoppingRule(delta=delta)
     walk = WalkDistribution(graph, seed_vertex, lazy=parameters.lazy_walk)
 
@@ -139,7 +131,7 @@ def _detect_community_impl(
 
     for length in range(1, max_walk_length + 1):
         walk.step()
-        current = search.largest_mixing_set(walk.probabilities(), length)
+        current = search.largest_mixing_sets(walk.probabilities()[:, None], length)[0]
         if capture_history:
             history.append(current)
         if current.found:

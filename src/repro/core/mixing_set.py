@@ -10,21 +10,27 @@ This implements lines 12-17 of Algorithm 1.  Given the walk distribution
 2. the seed collects the ``|S|`` smallest ``x_u`` values (distributedly this
    is done by binary search over a BFS tree — see
    :mod:`repro.congest.aggregation`) and accepts the size when their sum is
-   below the threshold ``1/(2e)``;
+   below the threshold ``1/(2e)`` and the selected vertices hold walk mass at
+   least ``1 − 2ε``;
 3. candidate sizes grow geometrically by ``(1 + 1/8e)`` starting from
-   ``R = log n``; the search stops at the first size that fails and reports
-   the largest accepted size together with the vertices attaining it.
+   ``R = log n``; the largest accepted size over the whole schedule is
+   reported together with the vertices attaining it.
 
-The function here is the *centralized executor* of this search: it performs
-the same arithmetic as the CONGEST node programs and is what the accuracy
-experiments run (the distributed implementation produces identical sets —
-asserted by integration tests).
+Points 2 (the mass condition) and 3 (the whole-schedule scan) depart from the
+literal pseudocode; README.md, "Deviations from the paper", says why.
+
+:class:`BatchedMixingSetSearch` is the *centralized executor* of this search
+and the only implementation of its size schedule: every backend calls it,
+one walk column per lane (the scalar and k-machine backends pass one column).
+It performs the same arithmetic as the CONGEST node programs (the distributed
+implementation produces identical sets up to the selection among tied
+deviations — asserted by integration tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import DTypeLike
@@ -38,11 +44,9 @@ if TYPE_CHECKING:
     from .parameters import CDRWParameters
 
 __all__ = [
-    "MixingSetSearch",
     "BatchedMixingSetSearch",
     "LargestMixingSet",
     "deviation_values",
-    "mixing_deficit_for_size",
 ]
 
 #: Per-block working-array budget of the batched search (bytes).  One block
@@ -102,33 +106,59 @@ def deviation_values(graph: Graph, distribution: np.ndarray, subset_size: int) -
     return np.abs(distribution - targets)
 
 
-def mixing_deficit_for_size(
-    graph: Graph, distribution: np.ndarray, subset_size: int
-) -> tuple[float, float, np.ndarray]:
-    """Return ``(deficit, mass, members)`` for one candidate size.
+class BatchedMixingSetSearch:
+    """The largest-mixing-set search of Algorithm 1, for ``B`` walks at once.
 
-    ``deficit`` is the sum of the ``subset_size`` smallest ``x_u`` values,
-    ``mass`` is the walk probability held by the selected vertices and
-    ``members`` are the vertices attaining the smallest deviations (ties
-    broken by vertex id, mirroring the paper's tie-break of adding a
-    vanishing perturbation).
-    """
-    deviations = deviation_values(graph, distribution, subset_size)
-    distribution = np.asarray(distribution, dtype=np.float64)
-    if subset_size >= graph.num_vertices:
-        members = np.arange(graph.num_vertices, dtype=np.int64)
-        return float(deviations.sum()), float(distribution.sum()), members
-    # argpartition gives the smallest `subset_size` entries in O(n).
-    chosen = np.argpartition(deviations, subset_size - 1)[:subset_size]
-    chosen = np.sort(chosen)
-    return float(deviations[chosen].sum()), float(distribution[chosen].sum()), chosen
+    The search object precomputes the candidate-size schedule and the degree
+    vector once per graph, so repeated calls (one per walk length) stay
+    cheap.  For every candidate size the targets ``d(u)/µ'(S)`` are computed
+    once, the deviation matrix ``|P − targets|`` over all active lanes is
+    formed in one elementwise pass, and one per-lane ``np.argpartition``
+    selects every lane's smallest deviations.  Distributions are laid out one
+    per row (the matrix is transposed once per call), so every argpartition
+    lane is contiguous in memory.  A one-column call is the same kernel with
+    one lane.
 
+    Per-column guarantee
+    --------------------
+    A column's result is independent of the batch width, of the other lanes
+    and of ``workers``: ``largest_mixing_sets(P, ℓ)[j]`` equals
+    ``largest_mixing_sets(P[:, j:j + 1], ℓ)[0]`` (dataclass equality: same
+    members, same deficit/mass floats, same ``sizes_examined``).
 
-class MixingSetSearch:
-    """Runs the largest-mixing-set search of Algorithm 1 for one graph.
+    * deviations are elementwise IEEE operations, identical regardless of
+      memory layout;
+    * numpy's introselect is deterministic in the value sequence of each
+      lane, so a lane's selection does not depend on its neighbours;
+    * deficits and masses are summed along each lane's *contiguous* gather,
+      so numpy's pairwise summation blocks as for a 1-D vector (an axis-0
+      reduction would block differently and drift in the last ulp — the same
+      pitfall :meth:`BatchedWalkDistribution.mass_in` avoids).
 
-    The search object precomputes the candidate-size schedule once so that
-    repeated calls (one per walk length) stay cheap.
+    Selection rule: the members of a size are the ``|S|`` entries
+    ``np.argpartition`` places first — the smallest deviations, but among
+    deviations tied at the ``|S|``-th value, whichever introselect returns,
+    *not* the lowest vertex ids (README.md, "Deviations from the paper").
+    ``tests/test_batched_mixing_set.py`` checks every column against a plain
+    per-size argpartition oracle and against its own width-1 call.
+
+    Multi-core search
+    -----------------
+    The ``workers`` knob (``None`` → ``REPRO_WORKERS`` environment override →
+    serial; ``0`` → all cores) splits the lanes across threads of the shared
+    pool (:mod:`repro.execution`) by contiguous *lane block*.  Every lane's
+    results are computed from that lane's row alone, so the per-column
+    guarantee holds for every ``workers`` value.
+
+    float32 fast path
+    -----------------
+    ``dtype=np.float32`` halves the memory traffic of the deviation scan —
+    the knob for searches that are bandwidth-bound, not precision-bound.  It
+    is explicitly **not** float64-exact: deviations, deficits and masses are
+    computed in single precision (then widened for the threshold
+    comparisons), so reported floats are only ≈-close to the float64 path
+    and argpartition near-ties may select different members.  Tests assert
+    closeness, never equality, against float64.
     """
 
     def __init__(
@@ -140,6 +170,9 @@ class MixingSetSearch:
         schedule: str = "geometric",
         stop_at_first_failure: bool = False,
         min_mass: float | None = None,
+        *,
+        workers: int | None = None,
+        dtype: DTypeLike = np.float64,
     ) -> None:
         if initial_size < 1:
             raise AlgorithmError(f"initial size must be >= 1, got {initial_size}")
@@ -158,10 +191,6 @@ class MixingSetSearch:
             min_mass = max(0.0, 1.0 - 2.0 * mixing_threshold)
         if not (0.0 <= min_mass <= 1.0):
             raise AlgorithmError(f"min_mass must be in [0, 1], got {min_mass}")
-        self._graph = graph
-        self._threshold = mixing_threshold
-        self._min_mass = min_mass
-        self._stop_at_first_failure = bool(stop_at_first_failure)
         initial = min(initial_size, graph.num_vertices)
         if schedule == "geometric":
             self._sizes = geometric_sizes(initial, graph.num_vertices, growth_factor)
@@ -169,134 +198,26 @@ class MixingSetSearch:
             self._sizes = linear_sizes(initial, graph.num_vertices)
         else:
             raise AlgorithmError(f"unknown schedule: {schedule!r}")
-
-    @property
-    def candidate_sizes(self) -> list[int]:
-        """The candidate-size schedule (read-only copy)."""
-        return list(self._sizes)
-
-    def largest_mixing_set(self, distribution: np.ndarray, walk_length: int) -> LargestMixingSet:
-        """Return the largest mixing set for the given walk distribution.
-
-        Candidate sizes are examined in increasing order and the *largest*
-        size whose ``|S|`` smallest deviations sum below the threshold wins
-        (Algorithm 1 line 17: "the largest set S which satisfies the mixing
-        condition").  By default the whole schedule is scanned: with the
-        localized average-volume proxy ``µ'(S)`` the acceptance predicate is
-        not monotone in ``|S|`` — in dense graphs no set smaller than roughly
-        the seed's degree can mix even though community-sized sets do — so
-        stopping at the first failing size (the literal pseudocode reading,
-        available via ``stop_at_first_failure=True``) can miss every mixing
-        set.  This deviation is recorded in DESIGN.md.
-        """
-        best_size = 0
-        best_members: np.ndarray | None = None
-        best_deficit = 0.0
-        best_mass = 0.0
-        examined = 0
-        for size in self._sizes:
-            examined += 1
-            deficit, mass, members = mixing_deficit_for_size(self._graph, distribution, size)
-            if deficit < self._threshold and mass >= self._min_mass:
-                best_size = size
-                best_members = members
-                best_deficit = deficit
-                best_mass = mass
-            elif deficit >= self._threshold and self._stop_at_first_failure:
-                break
-        members_set = (
-            frozenset(int(v) for v in best_members) if best_members is not None else frozenset()
-        )
-        return LargestMixingSet(
-            walk_length=walk_length,
-            size=best_size,
-            members=members_set,
-            deficit=best_deficit,
-            mass=best_mass,
-            sizes_examined=examined,
-        )
-
-
-class BatchedMixingSetSearch(MixingSetSearch):
-    """The largest-mixing-set search evaluated for ``B`` walks at once.
-
-    The scalar :class:`MixingSetSearch` spends one full pass over the graph
-    per candidate size *per walk column*: recomputing the per-vertex targets
-    ``d(u)/µ'(S)``, forming the deviation vector and argpartitioning it.  At
-    batch width ``B`` the per-step cost of
-    :func:`repro.core.batched.detect_community_batch` is therefore dominated
-    by ``B`` sequential scans rather than the shared SpMM walk advance.  This
-    class batches the search itself: for every candidate size, the targets
-    are computed once, the deviation *matrix* ``|P − targets|`` over all
-    active columns is formed in one elementwise pass, and one per-lane
-    ``np.argpartition`` selects every column's smallest deviations
-    simultaneously.  Internally the distributions are laid out one per row
-    (the matrix is transposed once per call) so every argpartition lane is
-    contiguous in memory.
-
-    Exact-equivalence guarantee
-    ---------------------------
-    For every column ``j`` of ``distributions``,
-    ``largest_mixing_sets(distributions, ℓ)[j]`` is **equal** (dataclass
-    equality: same members, same deficit/mass floats, same
-    ``sizes_examined``) to
-    ``largest_mixing_set(np.ascontiguousarray(distributions[:, j]), ℓ)``:
-
-    * deviations are elementwise IEEE operations, identical regardless of
-      memory layout;
-    * numpy's introselect is deterministic in the value sequence of each
-      lane, so the per-lane result of the batched argpartition — including
-      the resolution of ties — matches the scalar 1-D argpartition, and both
-      paths sort the selected indices by vertex id afterwards;
-    * deficits and masses are summed from *contiguous* per-column gathers so
-      numpy's pairwise summation blocks exactly as in the scalar path
-      (a 2-D axis-0 reduction would block differently and drift in the last
-      ulp — the same pitfall :meth:`BatchedWalkDistribution.mass_in` avoids).
-
-    ``tests/test_batched_mixing_set.py`` asserts the equivalence on random
-    and tie-heavy distributions for every schedule/flag combination.
-
-    Multi-core search
-    -----------------
-    At n ≳ 50k the batched scan is memory-bound on one core (ROADMAP).  The
-    ``workers`` knob (``None`` → ``REPRO_WORKERS`` environment override →
-    serial; ``0`` → all cores) splits the per-lane work across threads of
-    the shared pool (:mod:`repro.execution`) by contiguous *lane block*.
-    Every lane's deviations, argpartition and contiguous gather-sums are
-    computed from that lane's row alone, independent of which other lanes
-    share a block, so the exact-equivalence guarantee above holds for every
-    ``workers`` value (asserted by ``tests/test_execution.py``).
-
-    float32 fast path
-    -----------------
-    ``dtype=np.float32`` halves the memory traffic of the deviation scan —
-    the knob for searches that are bandwidth-bound, not precision-bound.  It
-    is explicitly **not** covered by the exactness guarantee: deviations,
-    deficits and masses are computed in single precision (then widened for
-    the threshold comparisons), so reported floats are only ≈-close to the
-    float64 path and argpartition near-ties may select different members.
-    Tests assert closeness, never equality, for this path.
-    """
-
-    def __init__(
-        self,
-        *args: Any,
-        workers: int | None = None,
-        dtype: DTypeLike = np.float64,
-        **kwargs: Any,
-    ) -> None:
-        super().__init__(*args, **kwargs)
         self._dtype = np.dtype(dtype)
         if self._dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise AlgorithmError(
                 f"batched search dtype must be float64 or float32, got {dtype!r}"
             )
+        self._graph = graph
+        self._threshold = mixing_threshold
+        self._min_mass = min_mass
+        self._stop_at_first_failure = bool(stop_at_first_failure)
         self._workers = resolve_workers(workers)
-        # Shared per-call constants, hoisted out of the size loop.  The
-        # average volume is computed as (volume/n)·size — the same float
-        # sequence as deviation_values — so targets stay bit-identical.
-        self._degrees = self._graph.degrees().astype(self._dtype)
-        self._volume_per_vertex = self._graph.volume / self._graph.num_vertices
+        # Per-graph constants, hoisted out of the size loop.  The average
+        # volume is computed as (volume/n)·size — the same float sequence as
+        # deviation_values — so targets stay bit-identical to it.
+        self._degrees = graph.degrees().astype(self._dtype)
+        self._volume_per_vertex = graph.volume / graph.num_vertices
+
+    @property
+    def candidate_sizes(self) -> list[int]:
+        """The candidate-size schedule (read-only copy)."""
+        return list(self._sizes)
 
     @property
     def workers(self) -> int:
@@ -317,7 +238,7 @@ class BatchedMixingSetSearch(MixingSetSearch):
         workers: int | None = None,
         dtype: DTypeLike = np.float64,
     ) -> "BatchedMixingSetSearch":
-        """Build a batched search from a :class:`CDRWParameters` instance."""
+        """Build a search from a :class:`CDRWParameters` instance."""
         return cls(
             graph,
             initial_size=initial_size,
@@ -335,11 +256,23 @@ class BatchedMixingSetSearch(MixingSetSearch):
     ) -> list[LargestMixingSet]:
         """Return the largest mixing set of every column of ``distributions``.
 
+        Candidate sizes are examined in increasing order and the *largest*
+        size whose ``|S|`` smallest deviations sum below the threshold (with
+        enough mass) wins (Algorithm 1 line 17: "the largest set S which
+        satisfies the mixing condition").  By default the whole schedule is
+        scanned: with the localized average-volume proxy ``µ'(S)`` the
+        acceptance predicate is not monotone in ``|S|`` — in dense graphs no
+        set smaller than roughly the seed's degree can mix even though
+        community-sized sets do — so stopping at the first failing size (the
+        literal pseudocode reading, available via
+        ``stop_at_first_failure=True``) can miss every mixing set.
+
         Parameters
         ----------
         distributions:
             ``(n, B)`` matrix whose columns are walk distributions (e.g.
-            ``BatchedWalkDistribution.probabilities()``).
+            ``BatchedWalkDistribution.probabilities()``, or ``p[:, None]``
+            for one walk).
         walk_length:
             The walk length ``ℓ`` recorded in every returned result.
         """
@@ -354,17 +287,10 @@ class BatchedMixingSetSearch(MixingSetSearch):
         num_vertices, width = matrix.shape
         if width == 0:
             return []
-        if width == 1 and self._dtype == np.dtype(np.float64):
-            # A one-walk batch gains nothing from the transpose and block
-            # bookkeeping; the scalar search is the same computation.  (The
-            # float32 fast path must still go through the batched scan so
-            # its precision is dtype-consistent at every width.)
-            column = np.ascontiguousarray(matrix[:, 0])
-            return [self.largest_mixing_set(column, walk_length)]
         # Work row-major with one distribution per *row*: the per-lane
         # introselect of the argpartition below then runs over contiguous
         # memory.  (Partitioning the (n, B) matrix along axis 0 walks lanes
-        # with stride 8B bytes — measured 6x slower than the scalar loop at
+        # with stride 8B bytes — measured 6x slower than a per-column loop at
         # B = 64 on a 50k-vertex graph.)  The transpose changes layout only,
         # never the per-lane value sequence, so results are unaffected; the
         # float32 fast path casts here, in the same pass.
@@ -378,9 +304,9 @@ class BatchedMixingSetSearch(MixingSetSearch):
 
         # Lanes are processed in cache-sized blocks, each scanning the whole
         # candidate schedule before the next block starts: the block's rows
-        # stay hot across all sizes (the scalar loop's one cache advantage),
-        # while targets and the elementwise/argpartition passes amortize over
-        # the block.  One (lanes, n) array per _SEARCH_BLOCK_BYTES.
+        # stay hot across all sizes, while targets and the
+        # elementwise/argpartition passes amortize over the block.  One
+        # (lanes, n) array per _SEARCH_BLOCK_BYTES.
         block_width = max(
             1, min(width, _SEARCH_BLOCK_BYTES // max(1, num_vertices * rows.itemsize))
         )
@@ -408,14 +334,11 @@ class BatchedMixingSetSearch(MixingSetSearch):
         results: list[LargestMixingSet] = []
         for column in range(width):
             members = best_members[column]
-            members_set = (
-                frozenset(int(v) for v in members) if members is not None else frozenset()
-            )
             results.append(
                 LargestMixingSet(
                     walk_length=walk_length,
                     size=best_size[column],
-                    members=members_set,
+                    members=frozenset(members.tolist()) if members is not None else frozenset(),
                     deficit=best_deficit[column],
                     mass=best_mass[column],
                     sizes_examined=examined[column],
@@ -441,36 +364,38 @@ class BatchedMixingSetSearch(MixingSetSearch):
         never touched, which is what makes the blocks thread-safe.
         """
         num_vertices = rows.shape[1]
+        threshold = self._threshold
+        min_mass = self._min_mass
         # Global column ids of the lanes still scanning the schedule; only
-        # stop_at_first_failure ever removes a lane early (mirroring the
-        # scalar `break`).
-        columns = np.arange(start, stop)
+        # stop_at_first_failure ever removes a lane early.
+        columns = list(range(start, stop))
         lanes = rows[start:stop]
         deviations = np.empty_like(lanes)
-        for size in self._sizes:
-            average_volume = self._volume_per_vertex * size
-            targets = self._degrees / average_volume
-            np.subtract(lanes, targets[None, :], out=deviations)
+        # Flat index of each lane's first entry: `chosen + offsets` gathers
+        # every lane's selection with one `take` over the flattened block.
+        offsets = np.arange(0, lanes.size, num_vertices)[:, None]
+        for index, size in enumerate(self._sizes, start=1):
+            targets = self._degrees / (self._volume_per_vertex * size)
+            np.subtract(lanes, targets, out=deviations)
             np.absolute(deviations, out=deviations)
             if size >= num_vertices:
                 chosen = None
-                deficits = deviations.sum(axis=1)
-                masses = lanes.sum(axis=1)
+                deficits = deviations.sum(axis=1).tolist()
+                masses = lanes.sum(axis=1).tolist()
             else:
                 chosen = np.argpartition(deviations, size - 1, axis=1)[:, :size]
                 chosen.sort(axis=1)
-                # take_along_axis gathers contiguously in vertex-id order
-                # and the last-axis reduction applies the same pairwise
-                # blocking as the scalar 1-D `deviations[chosen].sum()`.
-                deficits = np.take_along_axis(deviations, chosen, axis=1).sum(axis=1)
-                masses = np.take_along_axis(lanes, chosen, axis=1).sum(axis=1)
+                # The gathers are contiguous per lane in vertex-id order, so
+                # the last-axis reduction applies the same pairwise blocking
+                # as a 1-D `deviations[chosen].sum()`.
+                flat = chosen + offsets
+                deficits = deviations.take(flat).sum(axis=1).tolist()
+                masses = lanes.take(flat).sum(axis=1).tolist()
             failed: list[int] = []
-            for position in range(columns.size):
-                column = int(columns[position])
-                examined[column] += 1
-                deficit = float(deficits[position])
-                mass = float(masses[position])
-                if deficit < self._threshold and mass >= self._min_mass:
+            for position, column in enumerate(columns):
+                deficit = deficits[position]
+                mass = masses[position]
+                if deficit < threshold and mass >= min_mass:
                     best_size[column] = size
                     best_members[column] = (
                         np.arange(num_vertices, dtype=np.int64)
@@ -481,12 +406,16 @@ class BatchedMixingSetSearch(MixingSetSearch):
                     )
                     best_deficit[column] = deficit
                     best_mass[column] = mass
-                elif deficit >= self._threshold and self._stop_at_first_failure:
+                elif deficit >= threshold and self._stop_at_first_failure:
+                    examined[column] = index
                     failed.append(position)
             if failed:
-                keep = np.delete(np.arange(columns.size), failed)
-                if keep.size == 0:
-                    break
-                columns = columns[keep]
+                keep = np.delete(np.arange(len(columns)), failed)
+                columns = [columns[position] for position in keep]
+                if not columns:
+                    return
                 lanes = np.ascontiguousarray(lanes[keep])
                 deviations = np.empty_like(lanes)
+                offsets = offsets[: len(columns)]
+        for column in columns:
+            examined[column] = len(self._sizes)

@@ -60,13 +60,14 @@ class CDRWParameters:
         violates the mixing condition (the literal reading of Algorithm 1
         line 12-17).  The default ``False`` scans the whole schedule and keeps
         the largest satisfying size, which is required on dense graphs where
-        sizes below the seed's degree never mix (see DESIGN.md §5).
+        sizes below the seed's degree never mix (see README.md, "Deviations
+        from the paper").
     min_mass:
         Minimum walk probability a candidate set must hold to be accepted.
         ``None`` (default) uses ``1 − 2·mixing_threshold``; Definition 2
         implies a true local mixing set holds mass at least ``1 − ε``, a
         property the localized ``µ'(S)`` proxy does not preserve on its own
-        (see DESIGN.md §5).
+        (see README.md, "Deviations from the paper").
     min_delta:
         Lower bound applied to the resolved δ so the stopping rule never
         degenerates to "stop only on exactly equal sizes" when the analytic

@@ -29,6 +29,7 @@ import io
 import json
 import os
 import re
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -100,7 +101,7 @@ def read_edge_list(path: str | Path, num_vertices: int | None = None) -> Graph:
     slow-marked round trip).
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = _read_utf8(path)
     header_vertices: int | None = None
     headers = _HEADER_PATTERN.findall(text)
     if headers:
@@ -182,7 +183,10 @@ def graph_from_dict(document: dict[str, Any]) -> tuple[Graph, Partition | None, 
                 f"partition length {len(labels)} does not match vertex count {num_vertices}"
             )
         partition = Partition.from_labels(labels)
-    metadata = dict(document.get("metadata", {}))
+    try:
+        metadata = dict(document.get("metadata", {}))
+    except (TypeError, ValueError) as error:
+        raise GraphError(f"malformed graph document metadata: {error}") from error
     return graph, partition, metadata
 
 
@@ -199,7 +203,10 @@ def write_graph_json(
 
 def read_graph_json(path: str | Path) -> tuple[Graph, Partition | None, dict[str, Any]]:
     """Read a graph bundle written by :func:`write_graph_json`."""
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        document = json.loads(_read_utf8(path))
+    except json.JSONDecodeError as error:
+        raise GraphError(f"{path}: malformed JSON: {error}") from error
     return graph_from_dict(document)
 
 
@@ -428,14 +435,27 @@ def read_snap_edge_list(path: str | Path) -> SnapEdgeList:
     )
 
 
+def _read_utf8(path: str | Path) -> str:
+    """Read a UTF-8 text file; undecodable bytes raise :class:`GraphError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        raise GraphError(f"{path}: not UTF-8 text: {error}") from error
+
+
 def _read_maybe_gzip(path: str | Path) -> str:
     """Read a text file, transparently decompressing gzip (sniffed by magic)."""
     with open(path, "rb") as stream:
         magic = stream.read(2)
-    if magic == b"\x1f\x8b":
+    if magic != b"\x1f\x8b":
+        return _read_utf8(path)
+    try:
         with gzip.open(path, "rt", encoding="utf-8") as compressed:
             return str(compressed.read())
-    return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        raise GraphError(f"{path}: not UTF-8 text: {error}") from error
+    except (EOFError, gzip.BadGzipFile, zlib.error) as error:
+        raise GraphError(f"{path}: truncated or corrupt gzip stream: {error}") from error
 
 
 def load_graph_file(
@@ -449,7 +469,9 @@ def load_graph_file(
     lists — the repo's own headered format via :func:`read_edge_list` when
     the ``# vertices:`` header is present, SNAP-style (gzip, arbitrary ids)
     otherwise.  Returns ``(graph, partition-or-None, info)`` where ``info``
-    records the detected format for reporting.
+    records the detected format for reporting.  A malformed file of any
+    format raises :class:`GraphError`; only a file that cannot be opened
+    raises :class:`OSError`.
     """
     path = Path(path)
     with open(path, "rb") as stream:
@@ -464,9 +486,7 @@ def load_graph_file(
         if metadata:
             info["metadata"] = metadata
         return graph, partition, info
-    if magic[:2] != b"\x1f\x8b" and _HEADER_PATTERN.search(
-        Path(path).read_text(encoding="utf-8")
-    ):
+    if magic[:2] != b"\x1f\x8b" and _HEADER_PATTERN.search(_read_utf8(path)):
         return read_edge_list(path), None, {"format": "edge-list"}
     snap = read_snap_edge_list(path)
     return (

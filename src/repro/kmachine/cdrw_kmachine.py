@@ -12,7 +12,7 @@ full cost accounting:
   which charges ``⌈max link load / bandwidth⌉`` k-machine rounds per CONGEST
   round, and
 * the detected community is computed with the same arithmetic as the
-  centralized executor (:class:`~repro.core.mixing_set.MixingSetSearch`), so
+  centralized executor (:class:`~repro.core.mixing_set.BatchedMixingSetSearch`), so
   accuracy is identical across the three execution models.
 
 Experiments compare the measured k-machine rounds against the Conversion
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.mixing_set import LargestMixingSet, MixingSetSearch
+from ..core.mixing_set import BatchedMixingSetSearch, LargestMixingSet
 from ..core.parameters import CDRWParameters
 from ..core.result import CommunityResult, DetectionResult
 from ..core.stopping import GrowthStoppingRule
@@ -138,15 +138,7 @@ def detect_community_kmachine(
     # instead of ceiling a float log.
     selection_iterations = max(1, ceil_log2(max(reached_count, 2)))
 
-    search = MixingSetSearch(
-        graph,
-        initial_size=initial_size,
-        mixing_threshold=parameters.mixing_threshold,
-        growth_factor=parameters.growth_factor,
-        schedule=parameters.size_schedule,
-        stop_at_first_failure=parameters.stop_at_first_failure,
-        min_mass=parameters.min_mass,
-    )
+    search = BatchedMixingSetSearch.from_parameters(graph, parameters, initial_size)
     stopping = GrowthStoppingRule(delta=delta)
     walk = WalkDistribution(graph, seed_vertex, lazy=parameters.lazy_walk)
     degrees = graph.degrees()
@@ -177,7 +169,7 @@ def detect_community_kmachine(
         # broadcast/count convergecast iterations, the final qualification
         # broadcast, the selected-sum convergecast and the mass convergecast —
         # is routed over the BFS-tree edges.
-        current = search.largest_mixing_set(walk.probabilities(), length)
+        current = search.largest_mixing_sets(walk.probabilities()[:, None], length)[0]
         history.append(current)
         if current.found:
             last_found = current

@@ -31,6 +31,10 @@ social graph" shape:
   and, by default, drains every pending request before releasing the
   session; ``close(drain=False)`` fails pending requests with
   :class:`~repro.exceptions.ServiceClosedError` instead.
+* **Failed waves.**  A wave that raises fails each of its requests with a
+  typed :class:`~repro.exceptions.ReproError` (anything else is wrapped in
+  :class:`~repro.exceptions.ServiceError`, the original as ``__cause__``),
+  counts one ``wave_failures`` and leaves the service serving.
 
 Two client surfaces share the same queue:
 
@@ -74,7 +78,9 @@ from .exceptions import (
     AlgorithmError,
     BackendError,
     DeadlineExpiredError,
+    ReproError,
     ServiceClosedError,
+    ServiceError,
     ServiceOverloadedError,
 )
 from .graphs.graph import Graph
@@ -414,7 +420,13 @@ class DetectionService:
         try:
             wave_report = self._session.detect_batch(tuple(unique_seeds))
             singles = split_batched_report(wave_report)
-        except Exception as error:  # typed repro errors and anything else
+        except Exception as error:
+            # Callers only ever see typed errors: anything else is wrapped,
+            # with the original kept as the cause.
+            if not isinstance(error, ReproError):
+                wrapped = ServiceError(f"wave failed: {type(error).__name__}: {error}")
+                wrapped.__cause__ = error
+                error = wrapped
             for request in live:
                 request.future.set_exception(error)
             with self._lock:

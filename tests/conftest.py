@@ -56,3 +56,24 @@ def medium_ppm():
     p = 2 * math.log(n) ** 2 / n
     q = p / (1.2 * math.log2(n) ** 2)
     return planted_partition_graph(n, 4, p, q, seed=13)
+
+
+@pytest.fixture()
+def first_split_fails(monkeypatch):
+    """Make the service's first wave raise an untyped ``RuntimeError``.
+
+    The fault sits in the report slicing the dispatcher runs after every
+    wave; later waves slice normally.
+    """
+    import repro.service
+    from repro.api import split_batched_report
+
+    calls = []
+
+    def flaky(report):
+        calls.append(report)
+        if len(calls) == 1:
+            raise RuntimeError("injected split failure")
+        return split_batched_report(report)
+
+    monkeypatch.setattr(repro.service, "split_batched_report", flaky)

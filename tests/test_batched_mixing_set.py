@@ -1,20 +1,74 @@
-"""Exact-equivalence suite: BatchedMixingSetSearch vs the scalar MixingSetSearch.
+"""Differential suite: the mixing-set search kernel against a reference oracle.
 
-The batched search must produce **byte-identical** ``LargestMixingSet``
-results for every column — same members (including tie-breaks), same deficit
-and mass floats, same ``sizes_examined`` — for every schedule and flag
-combination.  Dataclass equality covers all of that at once.
+:class:`BatchedMixingSetSearch` is the only implementation of the size
+schedule.  Its reference semantics live here, in
+:func:`oracle_largest_mixing_set`: a plain per-size loop that selects each
+size's smallest deviations with a 1-D ``argpartition``, sorts the selection
+and sums the gathered deviations and masses.  Every kernel column must equal
+the oracle **exactly** — same members (including which tied vertices were
+chosen), same deficit and mass floats, same ``sizes_examined`` — and must
+equal the same column searched alone at width 1.  Dataclass equality covers
+all of that at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.core import BatchedMixingSetSearch, CDRWParameters, MixingSetSearch
+from repro.core import BatchedMixingSetSearch, CDRWParameters, LargestMixingSet
 from repro.exceptions import AlgorithmError
-from repro.graphs import Graph
+from repro.graphs import Graph, gnp_random_graph
 from repro.randomwalk import BatchedWalkDistribution
+from repro.utils import GROWTH_FACTOR, MIXING_THRESHOLD, geometric_sizes, linear_sizes
+
+
+def oracle_largest_mixing_set(
+    graph: Graph,
+    distribution: np.ndarray,
+    walk_length: int,
+    *,
+    initial_size: int,
+    mixing_threshold: float = MIXING_THRESHOLD,
+    growth_factor: float = GROWTH_FACTOR,
+    schedule: str = "geometric",
+    stop_at_first_failure: bool = False,
+    min_mass: float | None = None,
+) -> LargestMixingSet:
+    """The search of Algorithm 1 lines 12-17, one size at a time on a 1-D vector."""
+    n = graph.num_vertices
+    initial = min(initial_size, n)
+    sizes = (
+        geometric_sizes(initial, n, growth_factor)
+        if schedule == "geometric"
+        else linear_sizes(initial, n)
+    )
+    if min_mass is None:
+        min_mass = max(0.0, 1.0 - 2.0 * mixing_threshold)
+    distribution = np.ascontiguousarray(distribution, dtype=np.float64)
+    degrees = graph.degrees().astype(np.float64)
+    best = LargestMixingSet(walk_length, 0, frozenset(), 0.0, 0.0, 0)
+    examined = 0
+    for size in sizes:
+        examined += 1
+        deviations = np.abs(distribution - degrees / (graph.volume / n * size))
+        if size >= n:
+            chosen = np.arange(n)
+        else:
+            chosen = np.sort(np.argpartition(deviations, size - 1)[:size])
+        deficit = float(deviations[chosen].sum())
+        mass = float(distribution[chosen].sum())
+        if deficit < mixing_threshold and mass >= min_mass:
+            best = LargestMixingSet(
+                walk_length, size, frozenset(chosen.tolist()), deficit, mass, 0
+            )
+        elif deficit >= mixing_threshold and stop_at_first_failure:
+            break
+    return LargestMixingSet(
+        best.walk_length, best.size, best.members, best.deficit, best.mass, examined
+    )
 
 
 def random_distribution_matrix(num_vertices: int, width: int, seed: int) -> np.ndarray:
@@ -33,23 +87,76 @@ def tie_heavy_distribution_matrix(num_vertices: int, width: int, seed: int) -> n
     return matrix / sums
 
 
-@pytest.fixture(scope="module")
-def cycle_graph() -> Graph:
-    """A 24-cycle: every vertex has degree 2, so deviation ties are pervasive."""
-    n = 24
+def cycle(n: int) -> Graph:
+    """An n-cycle: every vertex has degree 2, so deviation ties are pervasive."""
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def assert_columns_equivalent(graph: Graph, matrix: np.ndarray, **search_kwargs) -> None:
-    """Every batched column result must equal the scalar result exactly."""
-    scalar = MixingSetSearch(graph, **search_kwargs)
-    batched = BatchedMixingSetSearch(graph, **search_kwargs)
+@pytest.fixture(scope="module")
+def cycle_graph() -> Graph:
+    return cycle(24)
+
+
+def assert_matches_oracle(
+    graph: Graph, matrix: np.ndarray, *, workers: int = 1, **search_kwargs
+) -> None:
+    """Every kernel column equals the oracle and its own width-1 search."""
+    search = BatchedMixingSetSearch(graph, workers=workers, **search_kwargs)
     walk_length = 3
-    batch_results = batched.largest_mixing_sets(matrix, walk_length)
-    assert len(batch_results) == matrix.shape[1]
-    for j in range(matrix.shape[1]):
-        column = np.ascontiguousarray(matrix[:, j])
-        assert batch_results[j] == scalar.largest_mixing_set(column, walk_length)
+    results = search.largest_mixing_sets(matrix, walk_length)
+    assert len(results) == matrix.shape[1]
+    for j, result in enumerate(results):
+        expected = oracle_largest_mixing_set(graph, matrix[:, j], walk_length, **search_kwargs)
+        assert result == expected, f"column {j} diverged from the oracle"
+        assert search.largest_mixing_sets(matrix[:, j : j + 1], walk_length) == [result]
+
+
+class TestDifferential:
+    @given(
+        graph_kind=st.sampled_from(["random", "cycle"]),
+        num_vertices=st.integers(6, 40),
+        graph_seed=st.integers(0, 2**16),
+        distribution_kind=st.sampled_from(["random", "tie-heavy"]),
+        width=st.integers(1, 5),
+        initial_size=st.integers(1, 6),
+        schedule=st.sampled_from(["geometric", "linear"]),
+        stop_at_first_failure=st.booleans(),
+        min_mass=st.sampled_from([None, 0.0, 0.5, 1.0]),
+        workers=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_columns_match_oracle_and_width_one(
+        self,
+        graph_kind,
+        num_vertices,
+        graph_seed,
+        distribution_kind,
+        width,
+        initial_size,
+        schedule,
+        stop_at_first_failure,
+        min_mass,
+        workers,
+    ):
+        if graph_kind == "cycle":
+            graph = cycle(num_vertices)
+        else:
+            graph = gnp_random_graph(num_vertices, 0.3, seed=graph_seed)
+        assume(graph.num_edges > 0)
+        make = (
+            random_distribution_matrix
+            if distribution_kind == "random"
+            else tie_heavy_distribution_matrix
+        )
+        assert_matches_oracle(
+            graph,
+            make(num_vertices, width, graph_seed),
+            workers=workers,
+            initial_size=initial_size,
+            schedule=schedule,
+            stop_at_first_failure=stop_at_first_failure,
+            min_mass=min_mass,
+        )
 
 
 class TestEquivalenceRandomDistributions:
@@ -57,23 +164,21 @@ class TestEquivalenceRandomDistributions:
     def test_random_columns_on_ppm(self, small_ppm, width):
         n = small_ppm.graph.num_vertices
         matrix = random_distribution_matrix(n, width, seed=width)
-        assert_columns_equivalent(small_ppm.graph, matrix, initial_size=5)
+        assert_matches_oracle(small_ppm.graph, matrix, initial_size=5)
 
     @pytest.mark.parametrize("width", [1, 4])
     def test_random_columns_on_two_cliques(self, two_cliques_graph, width):
         matrix = random_distribution_matrix(10, width, seed=10 + width)
-        assert_columns_equivalent(two_cliques_graph, matrix, initial_size=2)
+        assert_matches_oracle(two_cliques_graph, matrix, initial_size=2)
 
     def test_linear_schedule(self, two_cliques_graph):
         matrix = random_distribution_matrix(10, 3, seed=1)
-        assert_columns_equivalent(
-            two_cliques_graph, matrix, initial_size=2, schedule="linear"
-        )
+        assert_matches_oracle(two_cliques_graph, matrix, initial_size=2, schedule="linear")
 
     def test_stop_at_first_failure(self, small_ppm):
         n = small_ppm.graph.num_vertices
         matrix = random_distribution_matrix(n, 5, seed=2)
-        assert_columns_equivalent(
+        assert_matches_oracle(
             small_ppm.graph, matrix, initial_size=5, stop_at_first_failure=True
         )
 
@@ -81,29 +186,25 @@ class TestEquivalenceRandomDistributions:
     def test_min_mass_variants(self, small_ppm, min_mass):
         n = small_ppm.graph.num_vertices
         matrix = random_distribution_matrix(n, 3, seed=3)
-        assert_columns_equivalent(
-            small_ppm.graph, matrix, initial_size=5, min_mass=min_mass
-        )
+        assert_matches_oracle(small_ppm.graph, matrix, initial_size=5, min_mass=min_mass)
 
 
 class TestEquivalenceTieHeavyDistributions:
     @pytest.mark.parametrize("width", [1, 6])
     def test_quantized_columns_on_cycle(self, cycle_graph, width):
         matrix = tie_heavy_distribution_matrix(24, width, seed=width)
-        assert_columns_equivalent(cycle_graph, matrix, initial_size=2)
+        assert_matches_oracle(cycle_graph, matrix, initial_size=2)
 
     def test_uniform_columns_maximal_ties(self, cycle_graph):
         # All deviations identical within a column: the argpartition tie-break
         # is fully exercised.
         matrix = np.full((24, 4), 1.0 / 24)
-        assert_columns_equivalent(cycle_graph, matrix, initial_size=2)
-        assert_columns_equivalent(
-            cycle_graph, matrix, initial_size=2, schedule="linear"
-        )
+        assert_matches_oracle(cycle_graph, matrix, initial_size=2)
+        assert_matches_oracle(cycle_graph, matrix, initial_size=2, schedule="linear")
 
     def test_quantized_columns_with_first_failure(self, cycle_graph):
         matrix = tie_heavy_distribution_matrix(24, 5, seed=9)
-        assert_columns_equivalent(
+        assert_matches_oracle(
             cycle_graph, matrix, initial_size=2, stop_at_first_failure=True
         )
 
@@ -113,13 +214,14 @@ class TestEquivalenceWalkDistributions:
         graph = small_ppm.graph
         seeds = [0, 17, 100, 17, 250]
         walk = BatchedWalkDistribution(graph, seeds)
-        scalar = MixingSetSearch(graph, initial_size=5)
-        batched = BatchedMixingSetSearch(graph, initial_size=5)
+        search = BatchedMixingSetSearch(graph, initial_size=5)
         for length in range(1, 6):
             walk.step()
-            batch_results = batched.largest_mixing_sets(walk.probabilities(), length)
+            batch_results = search.largest_mixing_sets(walk.probabilities(), length)
             for column in range(len(seeds)):
-                expected = scalar.largest_mixing_set(walk.column(column), length)
+                expected = oracle_largest_mixing_set(
+                    graph, walk.column(column), length, initial_size=5
+                )
                 assert batch_results[column] == expected
 
     def test_from_parameters_matches_explicit_construction(self, small_ppm):
@@ -157,13 +259,3 @@ class TestValidationAndEdgeCases:
         batched = BatchedMixingSetSearch(Graph(3, []), initial_size=1)
         with pytest.raises(AlgorithmError):
             batched.largest_mixing_sets(np.full((3, 2), 1.0 / 3.0), 1)
-
-    def test_inherits_scalar_interface(self, two_cliques_graph):
-        # The batched search is a MixingSetSearch: the scalar entry point and
-        # the schedule are shared, so drivers can use either interchangeably.
-        batched = BatchedMixingSetSearch(two_cliques_graph, initial_size=2)
-        scalar = MixingSetSearch(two_cliques_graph, initial_size=2)
-        assert batched.candidate_sizes == scalar.candidate_sizes
-        matrix = random_distribution_matrix(10, 1, seed=0)
-        column = np.ascontiguousarray(matrix[:, 0])
-        assert batched.largest_mixing_set(column, 2) == scalar.largest_mixing_set(column, 2)

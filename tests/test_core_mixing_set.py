@@ -1,4 +1,8 @@
-"""Tests for the localized largest-mixing-set search and CDRW parameters."""
+"""Tests for the localized largest-mixing-set search and CDRW parameters.
+
+The search runs one walk distribution at a time here, as the scalar and
+k-machine backends do: a one-column call of :class:`BatchedMixingSetSearch`.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import CDRWParameters, MixingSetSearch, deviation_values, mixing_deficit_for_size
+from repro.core import BatchedMixingSetSearch, CDRWParameters, deviation_values
 from repro.exceptions import AlgorithmError
 from repro.graphs import Graph
 from repro.randomwalk import WalkDistribution, stationary_distribution
@@ -93,23 +97,33 @@ class TestDeviationValues:
             deviation_values(Graph(3, []), np.zeros(3), 1)
 
 
+def search_one(search: BatchedMixingSetSearch, distribution: np.ndarray, length: int):
+    """Search one walk distribution (a width-1 call, as the scalar backend makes)."""
+    return search.largest_mixing_sets(np.asarray(distribution)[:, None], length)[0]
+
+
 class TestMixingDeficitForSize:
     def test_full_size_at_stationarity_has_zero_deficit(self, two_cliques_graph):
-        pi = stationary_distribution(two_cliques_graph)
-        deficit, mass, members = mixing_deficit_for_size(two_cliques_graph, pi, 10)
-        assert deficit == pytest.approx(0.0, abs=1e-12)
-        assert mass == pytest.approx(1.0)
-        assert len(members) == 10
+        # initial_size = n leaves the full vertex set as the only candidate.
+        search = BatchedMixingSetSearch(two_cliques_graph, initial_size=10)
+        result = search_one(search, stationary_distribution(two_cliques_graph), 1)
+        assert result.sizes_examined == 1
+        assert result.deficit == pytest.approx(0.0, abs=1e-12)
+        assert result.mass == pytest.approx(1.0)
+        assert len(result.members) == 10
 
     def test_selects_smallest_deviations(self, two_cliques_graph):
-        walk = WalkDistribution(two_cliques_graph, 0)
-        walk.run_to(6)
-        deficit, mass, members = mixing_deficit_for_size(
-            two_cliques_graph, walk.probabilities(), 5
-        )
-        values = deviation_values(two_cliques_graph, walk.probabilities(), 5)
-        assert deficit == pytest.approx(np.sort(values)[:5].sum())
-        assert len(members) == 5
+        walk = WalkDistribution(two_cliques_graph, 1)
+        walk.run_to(3)
+        p = walk.probabilities()
+        result = search_one(BatchedMixingSetSearch(two_cliques_graph, initial_size=2), p, 3)
+        assert result.size == 5
+        values = deviation_values(two_cliques_graph, p, result.size)
+        members = sorted(result.members)
+        outside = sorted(set(range(10)) - result.members)
+        assert values[members].max() <= values[outside].min()
+        assert result.deficit == pytest.approx(np.sort(values)[:5].sum())
+        assert result.mass == pytest.approx(p[members].sum())
 
 
 class TestMixingSetSearch:
@@ -117,12 +131,12 @@ class TestMixingSetSearch:
         # Start from a non-bridge vertex: the walk mixes inside its 5-clique
         # within a few steps, and some walk length must exhibit a mixing set
         # covering (at least) that clique.
-        search = MixingSetSearch(two_cliques_graph, initial_size=2)
+        search = BatchedMixingSetSearch(two_cliques_graph, initial_size=2)
         walk = WalkDistribution(two_cliques_graph, 1)
         best = None
         for length in range(1, 12):
             walk.step()
-            result = search.largest_mixing_set(walk.probabilities(), length)
+            result = search_one(search, walk.probabilities(), length)
             if result.found and (best is None or result.size > best.size):
                 best = result
         assert best is not None
@@ -131,30 +145,30 @@ class TestMixingSetSearch:
         assert best.mass >= 0.5
 
     def test_finds_whole_graph_at_stationarity(self, two_cliques_graph):
-        search = MixingSetSearch(two_cliques_graph, initial_size=2)
-        result = search.largest_mixing_set(stationary_distribution(two_cliques_graph), 100)
+        search = BatchedMixingSetSearch(two_cliques_graph, initial_size=2)
+        result = search_one(search, stationary_distribution(two_cliques_graph), 100)
         assert result.size == 10
 
     def test_initial_distribution_finds_nothing(self, two_cliques_graph):
-        search = MixingSetSearch(two_cliques_graph, initial_size=2)
+        search = BatchedMixingSetSearch(two_cliques_graph, initial_size=2)
         walk = WalkDistribution(two_cliques_graph, 0)
-        result = search.largest_mixing_set(walk.probabilities(), 0)
+        result = search_one(search, walk.probabilities(), 0)
         assert not result.found
         assert result.members == frozenset()
 
     def test_mass_condition_rejects_low_mass_sets(self, two_cliques_graph):
         # With min_mass=1.0 nothing short of the full stationary distribution passes.
-        search = MixingSetSearch(two_cliques_graph, initial_size=2, min_mass=1.0)
+        search = BatchedMixingSetSearch(two_cliques_graph, initial_size=2, min_mass=1.0)
         walk = WalkDistribution(two_cliques_graph, 0)
         walk.run_to(4)
-        strict = search.largest_mixing_set(walk.probabilities(), 4)
-        relaxed = MixingSetSearch(two_cliques_graph, initial_size=2, min_mass=0.0)
-        loose = relaxed.largest_mixing_set(walk.probabilities(), 4)
+        strict = search_one(search, walk.probabilities(), 4)
+        relaxed = BatchedMixingSetSearch(two_cliques_graph, initial_size=2, min_mass=0.0)
+        loose = search_one(relaxed, walk.probabilities(), 4)
         assert strict.size <= loose.size
 
     def test_candidate_sizes_schedules(self, two_cliques_graph):
-        geometric = MixingSetSearch(two_cliques_graph, initial_size=2)
-        linear = MixingSetSearch(two_cliques_graph, initial_size=2, schedule="linear")
+        geometric = BatchedMixingSetSearch(two_cliques_graph, initial_size=2)
+        linear = BatchedMixingSetSearch(two_cliques_graph, initial_size=2, schedule="linear")
         assert geometric.candidate_sizes[0] == 2
         assert geometric.candidate_sizes[-1] == 10
         assert linear.candidate_sizes == list(range(2, 11))
@@ -162,10 +176,10 @@ class TestMixingSetSearch:
     def test_geometric_and_linear_agree_on_small_graph(self, two_cliques_graph):
         walk = WalkDistribution(two_cliques_graph, 0)
         walk.run_to(6)
-        geometric = MixingSetSearch(two_cliques_graph, initial_size=2)
-        linear = MixingSetSearch(two_cliques_graph, initial_size=2, schedule="linear")
-        a = geometric.largest_mixing_set(walk.probabilities(), 6)
-        b = linear.largest_mixing_set(walk.probabilities(), 6)
+        geometric = BatchedMixingSetSearch(two_cliques_graph, initial_size=2)
+        linear = BatchedMixingSetSearch(two_cliques_graph, initial_size=2, schedule="linear")
+        a = search_one(geometric, walk.probabilities(), 6)
+        b = search_one(linear, walk.probabilities(), 6)
         # The linear schedule examines every size, so it can only find an
         # equal or larger mixing set.
         assert b.size >= a.size
@@ -174,18 +188,21 @@ class TestMixingSetSearch:
         graph = small_ppm.graph
         walk = WalkDistribution(graph, 0)
         walk.run_to(3)
-        scan_all = MixingSetSearch(graph, initial_size=5)
-        first_failure = MixingSetSearch(graph, initial_size=5, stop_at_first_failure=True)
-        a = scan_all.largest_mixing_set(walk.probabilities(), 3)
-        b = first_failure.largest_mixing_set(walk.probabilities(), 3)
+        scan_all = BatchedMixingSetSearch(graph, initial_size=5)
+        first_failure = BatchedMixingSetSearch(graph, initial_size=5, stop_at_first_failure=True)
+        a = search_one(scan_all, walk.probabilities(), 3)
+        b = search_one(first_failure, walk.probabilities(), 3)
         assert b.size <= a.size
+        assert b.sizes_examined <= a.sizes_examined == len(scan_all.candidate_sizes)
 
     def test_invalid_construction(self, two_cliques_graph):
         with pytest.raises(AlgorithmError):
-            MixingSetSearch(two_cliques_graph, initial_size=0)
+            BatchedMixingSetSearch(two_cliques_graph, initial_size=0)
         with pytest.raises(AlgorithmError):
-            MixingSetSearch(two_cliques_graph, initial_size=2, schedule="bogus")
+            BatchedMixingSetSearch(two_cliques_graph, initial_size=2, schedule="bogus")
         with pytest.raises(AlgorithmError):
-            MixingSetSearch(two_cliques_graph, initial_size=2, min_mass=2.0)
+            BatchedMixingSetSearch(two_cliques_graph, initial_size=2, min_mass=2.0)
         with pytest.raises(AlgorithmError):
-            MixingSetSearch(Graph(0, []), initial_size=1)
+            BatchedMixingSetSearch(two_cliques_graph, initial_size=2, mixing_threshold=2.0)
+        with pytest.raises(AlgorithmError):
+            BatchedMixingSetSearch(Graph(0, []), initial_size=1)

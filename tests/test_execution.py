@@ -4,7 +4,8 @@ The contract under test is the one the threaded search is built on
 (:mod:`repro.execution`): the ``workers`` knob may only move wall-clock
 time, never a single output bit.  The batched mixing-set search, batched
 detection and parallel detection are therefore asserted **bit-identical**
-across ``workers ∈ {1, 2, 4}`` and against their scalar references; the
+across ``workers ∈ {1, 2, 4}`` and against their scalar references (for the
+search: the width-1 call the scalar backend makes, column by column); the
 float32 fast path of the search — explicitly outside the exactness
 guarantee — is asserted ≈-close instead.
 """
@@ -18,7 +19,6 @@ import pytest
 
 from repro.core import (
     BatchedMixingSetSearch,
-    MixingSetSearch,
     block_ranges,
     detect_communities_parallel,
     detect_community,
@@ -146,11 +146,12 @@ class TestThreadedSearchInvariance:
     def test_equal_across_workers_and_to_scalar(self, search_case, stop_at_first_failure):
         graph, distributions = search_case
         initial = log_size(graph.num_vertices)
-        scalar = MixingSetSearch(
+        # The scalar backend's call: one serial width-1 search per column.
+        scalar = BatchedMixingSetSearch(
             graph, initial_size=initial, stop_at_first_failure=stop_at_first_failure
         )
         reference = [
-            scalar.largest_mixing_set(np.ascontiguousarray(distributions[:, j]), 6)
+            scalar.largest_mixing_sets(distributions[:, j : j + 1], 6)[0]
             for j in range(distributions.shape[1])
         ]
         for workers in WORKER_COUNTS:
@@ -161,7 +162,7 @@ class TestThreadedSearchInvariance:
                 workers=workers,
             )
             assert batched.largest_mixing_sets(distributions, 6) == reference, (
-                f"workers={workers} diverged from the scalar search"
+                f"workers={workers} diverged from the width-1 search"
             )
 
     def test_float32_fast_path_is_close_not_exact(self, search_case):

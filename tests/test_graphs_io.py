@@ -400,3 +400,38 @@ class TestLoadGraphFile:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_graph_file(tmp_path / "missing.csr")
+
+
+#: Malformed inputs that used to escape ``load_graph_file`` as raw exceptions.
+MALFORMED_FILES = {
+    "json-syntax": ("bundle.json", b'{"num_vertices": 3, "edges": [[0, 1]'),
+    "json-non-utf8": ("bundle.json", b'{"num_vertices": 3, "edges": [], "x": "\xff"}'),
+    "edge-list-non-utf8": ("graph.edges", b"# vertices: 3\n0 1\n\xff\xfe 2\n"),
+    "gzip-truncated": ("snap.txt.gz", gzip.compress(b"0 1\n1 2\n" * 64)[:-12]),
+    "json-metadata-not-object": (
+        "bundle.json",
+        json.dumps({"num_vertices": 2, "edges": [[0, 1]], "metadata": 5}).encode(),
+    ),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+    def test_load_raises_graph_error(self, tmp_path, case):
+        name, payload = MALFORMED_FILES[case]
+        path = tmp_path / name
+        path.write_bytes(payload)
+        with pytest.raises(GraphError):
+            load_graph_file(path)
+
+    @pytest.mark.parametrize("case", ["gzip-truncated", "json-syntax"])
+    def test_cli_exits_2_with_one_line(self, tmp_path, capsys, case):
+        from repro.cli import main
+
+        name, payload = MALFORMED_FILES[case]
+        path = tmp_path / name
+        path.write_bytes(payload)
+        assert main(["detect", "--graph-file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro detect: ")
+        assert err.count("\n") == 1

@@ -22,6 +22,7 @@ from repro.exceptions import (
     BackendError,
     DeadlineExpiredError,
     ServiceClosedError,
+    ServiceError,
     ServiceOverloadedError,
 )
 from repro.graphs import planted_partition_graph, ppm_expected_conductance
@@ -531,6 +532,20 @@ class TestConcurrencyRegressions:
         service.close()
         assert service.closed
         assert "closed" in repr(service)
+
+
+class TestWaveFailure:
+    def test_untyped_wave_failure_is_a_service_error(self, ppm, first_split_fails):
+        instance, delta = ppm
+        with DetectionService(
+            instance.graph, config=RunConfig(workers=1), delta_hint=delta
+        ) as service:
+            with pytest.raises(ServiceError, match="injected split failure") as caught:
+                service.submit(0).result(timeout=600)
+            assert isinstance(caught.value.__cause__, RuntimeError)
+            assert service.metrics()["wave_failures"] == 1
+            report = service.submit(40).result(timeout=600)
+            assert report.detection.communities[0].seed == 40
 
 
 # ----------------------------------------------------------------------

@@ -207,6 +207,18 @@ class TestWireErrors:
                 client.detect(0)
             client.close()
 
+    def test_wave_failure_is_typed_and_keeps_the_connection(self, ppm, first_split_fails):
+        instance, delta = ppm
+        with DetectionService(
+            instance.graph, config=RunConfig(workers=1), delta_hint=delta
+        ) as service:
+            with BackgroundServer(service) as server:
+                with ServiceClient(server.host, server.port) as client:
+                    with pytest.raises(ServiceError, match="injected split failure"):
+                        client.detect(0)
+                    assert client.ping()
+                    assert client.detect(0).detection.communities[0].seed == 0
+
     def test_bad_request_maps_to_backend_error(self, served):
         *_rest, host, port, _service = served
         with ServiceClient(host, port) as client:
