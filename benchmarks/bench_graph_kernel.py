@@ -10,7 +10,7 @@ Measures, on a 1M-edge random graph:
   CSR SpMM per step) against the seed scalar path, which pays one operator
   construction (``transition_matrix(G).T.tocsr()``, exactly as the seed
   ``WalkDistribution.__init__`` did) plus one mat-vec *per seed* — that is
-  what 64 sequential ``detect_community`` calls cost per walk step;
+  what 64 sequential ``"scalar"`` detections cost per walk step;
 * **steady-state step** — batched vs scalar stepping with operators already
   built, reported for transparency (the win here is bounded by memory
   bandwidth, not by call overhead);
@@ -19,7 +19,7 @@ Measures, on a 1M-edge random graph:
   walk columns against ``B`` one-lane calls of the same kernel (what the
   scalar backend pays per step for ``B`` seeds; the ``search{B}_scalar_s``
   rows), at ``B ∈ {1, 8, 64}`` on a 250k-edge graph;
-* **parallel detection** — ``detect_communities_parallel`` (one shared
+* **parallel detection** — the ``"parallel"`` backend (one shared
   batched walk + conflict resolution) against the pre-port scalar per-seed
   loop over the same spread seeds, at ``r ∈ {1, 8, 64}`` on an 8-block PPM;
 * **worker scaling** — the B=64 batched mixing-set search at

@@ -111,9 +111,6 @@ from .core import (
     CDRWParameters,
     CommunityResult,
     DetectionResult,
-    detect_communities,
-    detect_communities_parallel,
-    detect_community,
 )
 from .api import (
     Backend,
@@ -129,7 +126,7 @@ from .metrics import average_f_score, score_detection
 from .service import DetectionService
 from .session import DetectionSession
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -175,9 +172,6 @@ __all__ = [
     "CDRWParameters",
     "CommunityResult",
     "DetectionResult",
-    "detect_community",
-    "detect_communities",
-    "detect_communities_parallel",
     # metrics
     "average_f_score",
     "score_detection",

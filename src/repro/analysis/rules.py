@@ -501,15 +501,14 @@ class RegistryDisciplineRule(Rule):
                             context,
                             node,
                             f"{alias.name} is a module-private backend "
-                            "implementation; call repro.api.detect (or the "
-                            "public shim) instead",
+                            "implementation; call repro.api.detect instead",
                         )
             elif isinstance(node, ast.Attribute) and _IMPL_NAME_RE.match(node.attr):
                 yield self.report(
                     context,
                     node,
                     f"{node.attr} is a module-private backend implementation; "
-                    "call repro.api.detect (or the public shim) instead",
+                    "call repro.api.detect instead",
                 )
 
 

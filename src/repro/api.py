@@ -25,12 +25,13 @@ This module makes the executors *backends* behind a single stable surface:
   sum — ``sum(report.phase_costs.values())`` — to the backend's total
   cost), wall-clock timings, and backend metadata.
 
-The seven legacy entry points (``detect_community``, ``detect_communities``,
-``detect_community_batch``, ``detect_communities_batched``,
-``detect_communities_parallel``, ``detect_communities_congest``,
-``detect_communities_kmachine``) survive as thin shims that route through
-this registry with **identical** outputs — same RNG draw sequences, same
-communities, same cost reports — asserted by ``tests/test_api.py``.
+:func:`detect` is the only detection entry point: the CLI, the
+experiments, the benchmarks, the examples, the resident session and the
+service all run through it.  Every CDRW backend that draws seeds from the
+pool runs the one pool loop of Algorithm 1,
+:func:`repro.core.cdrw._pool_loop`, so the RNG draw sequence is shared by
+construction; ``tests/test_api.py`` pins it to the draws recorded before the
+registry existed.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .exceptions import BackendError
 from .graphs.graph import Graph
 from .graphs.partition import Partition
 from .kmachine.simulator import KMachineCost
+from .utils import as_rng
 
 if TYPE_CHECKING:
     from .session import DetectionSession
@@ -98,7 +100,7 @@ class RunConfig:
         and the listed seeds are processed in order (scalar, batched, congest
         and kmachine backends).
     max_seeds:
-        Optional cap on the number of seeds processed.
+        Optional cap on the number of seeds processed (``>= 0``).
     batch_size:
         Seeds per batched pass (batched backend; ``1`` reproduces the scalar
         pool loop RNG-exactly).
@@ -182,6 +184,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.seeds is not None:
             object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if self.max_seeds is not None and self.max_seeds < 0:
+            raise BackendError(f"max_seeds must be >= 0, got {self.max_seeds}")
         if self.dtype not in ("float64", "float32"):
             raise BackendError(
                 f"dtype must be 'float64' or 'float32', got {self.dtype!r}"
@@ -657,9 +661,10 @@ def detect(
     and ``"parallel"``).  ``params`` / ``config`` / ``delta_hint`` default
     to the session's own when omitted.
 
-    Returns a :class:`RunReport`; the detected communities are identical to
-    what the corresponding legacy entry point produces for the same knobs
-    (RNG-sequence-preserving — asserted by ``tests/test_api.py``).
+    Returns a :class:`RunReport`.  With the same knobs, pool-mode backends
+    draw the seeds the pre-registry entry points drew (pinned by
+    ``tests/test_api.py``), and every CDRW backend reports for a seed the
+    community the ``"scalar"`` backend reports for it.
     """
     entry = get_backend(backend)
     if session is not None:
@@ -721,31 +726,27 @@ def _scalar_runner(
     config: RunConfig,
     delta_hint: float | None,
 ) -> BackendOutcome:
-    from .core.cdrw import _detect_communities_impl, _detect_community_impl
+    from .core.cdrw import _detect_community_impl, _pool_loop
 
-    if config.seeds is not None:
-        seed_list = list(config.seeds)
-        if config.max_seeds is not None:
-            seed_list = seed_list[: config.max_seeds]
-        communities = tuple(
+    def run_batch(seeds: list[int]) -> list[CommunityResult]:
+        return [
             _detect_community_impl(
                 graph, s, params, delta_hint, capture_history=config.capture_history
             )
-            for s in seed_list
-        )
-        detection = DetectionResult(
-            num_vertices=graph.num_vertices, communities=communities
-        )
+            for s in seeds
+        ]
+
+    if config.seeds is not None:
+        results = run_batch(list(config.seeds)[: config.max_seeds])
     else:
-        detection = _detect_communities_impl(
-            graph,
-            params,
-            delta_hint,
-            seed=config.seed,
-            max_seeds=config.max_seeds,
-            capture_history=config.capture_history,
+        results = _pool_loop(
+            graph, as_rng(config.seed), 1, config.max_seeds, run_batch
         )
-    return BackendOutcome(detection=detection)
+    return BackendOutcome(
+        detection=DetectionResult(
+            num_vertices=graph.num_vertices, communities=tuple(results)
+        )
+    )
 
 
 def _distribution_rows(finals: np.ndarray) -> list[list[float]]:
@@ -821,8 +822,8 @@ def _batched_runner(
     else:
         detection = result
     # The raw (n, k) matrix rides along as the (unserialized) native result
-    # so in-memory consumers — detect_community_batch — read it back without
-    # re-parsing the list artifact.
+    # so in-memory consumers read it back without re-parsing the list
+    # artifact.
     return BackendOutcome(
         detection=detection,
         extras={"executor": executor},

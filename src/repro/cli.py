@@ -472,11 +472,25 @@ def _run_detect(arguments: argparse.Namespace) -> int:
             print(f"{name:<28} {get_backend(name).description}")
         return 0
 
-    # Validate the backend name *before* generating the graph: a typo should
-    # fail in milliseconds with the full registry listed, not after paying
-    # for a PPM instance.
+    # Validate the backend name and the run config *before* generating the
+    # graph: a typo should fail in milliseconds with the full registry
+    # listed, not after paying for a PPM instance.
     try:
         get_backend(arguments.backend)
+        config = RunConfig(
+            seed=arguments.seed,
+            max_seeds=arguments.max_seeds,
+            batch_size=arguments.batch_size,
+            workers=arguments.workers,
+            executor=arguments.executor,
+            dtype=arguments.dtype,
+            num_communities=(
+                arguments.num_communities
+                if arguments.num_communities is not None
+                else arguments.blocks
+            ),
+            num_machines=arguments.machines,
+        )
     except BackendError as error:
         print(f"repro detect: {error}", file=sys.stderr)
         return 2
@@ -485,21 +499,6 @@ def _run_detect(arguments: argparse.Namespace) -> int:
     if resolved is None:
         return 2
     graph, truth, delta, graph_line = resolved
-    blocks = arguments.blocks
-    config = RunConfig(
-        seed=arguments.seed,
-        max_seeds=arguments.max_seeds,
-        batch_size=arguments.batch_size,
-        workers=arguments.workers,
-        executor=arguments.executor,
-        dtype=arguments.dtype,
-        num_communities=(
-            arguments.num_communities
-            if arguments.num_communities is not None
-            else blocks
-        ),
-        num_machines=arguments.machines,
-    )
     repeats = arguments.session_repeat
     if repeats is not None and repeats < 1:
         print(

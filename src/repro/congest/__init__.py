@@ -7,7 +7,6 @@ from .aggregation import broadcast, convergecast, select_k_smallest, tree_edge_c
 from .cdrw_congest import (
     CongestCommunityResult,
     CongestDetectionResult,
-    detect_communities_congest,
     detect_community_congest,
 )
 from .complexity import (
@@ -32,7 +31,6 @@ __all__ = [
     "tree_edge_count",
     "CongestCommunityResult",
     "CongestDetectionResult",
-    "detect_communities_congest",
     "detect_community_congest",
     "expected_edges",
     "message_bound_all_communities",

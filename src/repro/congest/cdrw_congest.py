@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.cdrw import _pool_loop
 from ..core.mixing_set import LargestMixingSet, deviation_values
 from ..core.parameters import CDRWParameters
 from ..core.result import CommunityResult, DetectionResult
@@ -33,13 +34,12 @@ from ..core.stopping import GrowthStoppingRule
 from ..exceptions import SimulationError
 from ..graphs.graph import Graph
 from ..randomwalk.distribution import WalkDistribution
-from ..utils import geometric_sizes, linear_sizes, seed_pool_schedule
+from ..utils import as_rng, geometric_sizes, linear_sizes
 from .aggregation import convergecast, select_k_smallest, tree_edge_count
 from .bfs import distributed_bfs, distributed_bfs_counted
 from .network import CongestNetwork, CostReport
 
-__all__ = ["CongestCommunityResult", "CongestDetectionResult", "detect_community_congest",
-           "detect_communities_congest"]
+__all__ = ["CongestCommunityResult", "CongestDetectionResult", "detect_community_congest"]
 
 
 @dataclass(frozen=True)
@@ -209,35 +209,6 @@ def detect_community_congest(
     return CongestCommunityResult(community=community, cost=cost, bfs_depth=tree.depth())
 
 
-def detect_communities_congest(
-    graph: Graph,
-    parameters: CDRWParameters | None = None,
-    delta_hint: float | None = None,
-    seed: int | np.random.Generator | None = None,
-    max_seeds: int | None = None,
-    count_only: bool = True,
-) -> CongestDetectionResult:
-    """Run the full pool loop of Algorithm 1 in the CONGEST model.
-
-    The loop structure matches :func:`repro.core.cdrw.detect_communities`;
-    each seed's detection is charged to a shared network so the total cost
-    corresponds to Theorem 6 (all ``r`` communities detected one by one).
-    This is a thin shim over the ``"congest"`` backend of :mod:`repro.api`;
-    communities and cost reports are identical to the pre-registry
-    implementation.
-    """
-    from ..api import RunConfig, detect
-
-    report = detect(
-        graph,
-        backend="congest",
-        params=parameters,
-        delta_hint=delta_hint,
-        config=RunConfig(seed=seed, max_seeds=max_seeds, count_only=count_only),
-    )
-    return report.native_result
-
-
 def _detect_communities_congest_impl(
     graph: Graph,
     parameters: CDRWParameters | None = None,
@@ -247,33 +218,35 @@ def _detect_communities_congest_impl(
     count_only: bool = True,
     seeds: tuple[int, ...] | None = None,
 ) -> CongestDetectionResult:
-    """The CONGEST pool loop the ``"congest"`` backend executes.
+    """The pool loop of Algorithm 1 in the CONGEST model (``"congest"`` backend).
 
-    ``seeds`` (facade-only) skips the pool drawing and detects the listed
-    seed vertices in order on one shared network.
+    Seeds are drawn by the shared :func:`~repro.core.cdrw._pool_loop` at
+    width 1, or taken from ``seeds`` in order; every detection is charged to
+    one shared network, so the total cost corresponds to Theorem 6 (all
+    ``r`` communities detected one by one).
     """
-    parameters = parameters or CDRWParameters()
     network = CongestNetwork(graph)
-
     per_community: list[CongestCommunityResult] = []
-    results: list[CommunityResult] = []
-    for seed_vertex, pool in seed_pool_schedule(
-        graph.num_vertices, seed, max_seeds, seeds, results
-    ):
-        outcome = detect_community_congest(
-            graph,
-            seed_vertex,
-            parameters,
-            delta_hint=delta_hint,
-            count_only=count_only,
-            network=network,
-        )
-        per_community.append(outcome)
-        results.append(outcome.community)
-        if pool is not None:
-            pool.difference_update(outcome.community.community)
-            pool.discard(seed_vertex)
 
+    def run_batch(batch_seeds: list[int]) -> list[CommunityResult]:
+        outcomes = [
+            detect_community_congest(
+                graph,
+                seed_vertex,
+                parameters,
+                delta_hint=delta_hint,
+                count_only=count_only,
+                network=network,
+            )
+            for seed_vertex in batch_seeds
+        ]
+        per_community.extend(outcomes)
+        return [outcome.community for outcome in outcomes]
+
+    if seeds is not None:
+        results = run_batch(list(seeds)[:max_seeds])
+    else:
+        results = _pool_loop(graph, as_rng(seed), 1, max_seeds, run_batch)
     detection = DetectionResult(num_vertices=graph.num_vertices, communities=tuple(results))
     return CongestDetectionResult(
         detection=detection,

@@ -1,13 +1,14 @@
-"""CDRW core: the paper's community detection algorithm and its building blocks."""
+"""CDRW core: the building blocks of the paper's community detection algorithm.
+
+The algorithm itself runs through :func:`repro.api.detect`.
+"""
 
 from ..execution import block_ranges, parallel_map_blocks, resolve_workers
 from .parameters import CDRWParameters
 from .mixing_set import BatchedMixingSetSearch, LargestMixingSet, deviation_values
 from .stopping import GrowthStoppingRule, StoppingDecision
 from .result import CommunityResult, DetectionResult
-from .cdrw import detect_communities, detect_community
-from .batched import detect_communities_batched, detect_community_batch
-from .parallel import detect_communities_parallel, select_spread_seeds
+from .parallel import select_spread_seeds
 
 __all__ = [
     "CDRWParameters",
@@ -21,10 +22,5 @@ __all__ = [
     "StoppingDecision",
     "CommunityResult",
     "DetectionResult",
-    "detect_communities",
-    "detect_communities_batched",
-    "detect_community",
-    "detect_community_batch",
-    "detect_communities_parallel",
     "select_spread_seeds",
 ]

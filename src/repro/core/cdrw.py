@@ -1,15 +1,20 @@
 """CDRW — Community Detection by Random Walks (Algorithm 1 of the paper).
 
-Two entry points are provided:
+This module holds the two halves of Algorithm 1 that every CDRW backend of
+:func:`repro.api.detect` shares:
 
-* :func:`detect_community` finds the community containing one seed vertex
-  (the inner body of Algorithm 1, lines 5-20), and
-* :func:`detect_communities` runs the full pool loop: repeatedly pick a random
-  seed from the pool of not-yet-assigned vertices, detect its community, and
-  remove the detected vertices from the pool (lines 1-4 and 21-23).
+* :func:`_detect_community_impl` finds the community containing one seed
+  vertex (the inner body, lines 5-20) on one scalar walk; it is what the
+  ``"scalar"`` backend runs per seed and the reference the identity suites
+  compare every other path against;
+* :func:`_pool_loop` is the pool loop (lines 1-4 and 21-23): repeatedly draw
+  seeds from the pool of not-yet-assigned vertices, detect their
+  communities, and remove the detected vertices from the pool.  The
+  ``"scalar"``, ``"congest"`` and ``"kmachine"`` backends run it at width 1;
+  the ``"batched"`` backend and the process tier run it at ``batch_size``.
 
-This module is the *centralized executor*: it performs exactly the arithmetic
-the CONGEST node programs perform (the distribution update of lines 9-11, the
+This is the *centralized executor*: it performs exactly the arithmetic the
+CONGEST node programs perform (the distribution update of lines 9-11, the
 ``x_u`` ranking of lines 12-17 and the growth test of line 18) without paying
 the cost of simulating individual messages, which keeps the accuracy
 experiments of Figures 2-4 fast.  The message-level implementations live in
@@ -18,72 +23,24 @@ equivalence on small graphs is covered by integration tests.
 
 For many seeds at once, :mod:`repro.core.batched` runs several detections on
 one shared batched walk (one sparse matrix–matrix product per step) and
-produces results identical to the entry points here.
-
-Both public functions are thin shims over the ``"scalar"`` backend of the
-unified detection engine (:mod:`repro.api`); the implementations live in the
-module-private ``_impl`` functions the registry calls.  The shims' outputs
-are identical to the pre-registry behaviour — same RNG draw sequence, same
-communities (asserted by ``tests/test_api.py``).
+produces results identical to :func:`_detect_community_impl`.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 from ..exceptions import AlgorithmError
 from ..graphs.graph import Graph
 from ..randomwalk.distribution import WalkDistribution
-from ..utils import as_rng
 from .mixing_set import BatchedMixingSetSearch, LargestMixingSet
 from .parameters import CDRWParameters
-from .result import CommunityResult, DetectionResult
+from .result import CommunityResult
 from .stopping import GrowthStoppingRule
 
-__all__ = ["detect_community", "detect_communities"]
-
-
-def detect_community(
-    graph: Graph,
-    seed_vertex: int,
-    parameters: CDRWParameters | None = None,
-    delta_hint: float | None = None,
-) -> CommunityResult:
-    """Detect the community containing ``seed_vertex``.
-
-    Routes through the ``"scalar"`` backend of :mod:`repro.api` with an
-    explicit one-seed list; the output is identical to the pre-registry
-    implementation.
-
-    Parameters
-    ----------
-    graph:
-        The input graph.
-    seed_vertex:
-        The seed ``s`` whose community is to be found.
-    parameters:
-        Algorithm parameters; defaults to the paper's values.
-    delta_hint:
-        Optional externally-known conductance ``Φ_G`` used for the stopping
-        parameter δ when ``parameters.delta`` is not set.  The paper assumes
-        ``Φ_G`` is given as input or computed by a separate distributed
-        algorithm; experiments pass the analytic PPM conductance here.
-
-    Returns
-    -------
-    CommunityResult
-        The detected community together with the per-step trace.
-    """
-    from ..api import RunConfig, detect
-
-    report = detect(
-        graph,
-        backend="scalar",
-        params=parameters,
-        delta_hint=delta_hint,
-        config=RunConfig(seeds=(seed_vertex,)),
-    )
-    return report.detection.communities[0]
+__all__: list[str] = []
 
 
 def _detect_community_impl(
@@ -168,92 +125,61 @@ def _detect_community_impl(
     )
 
 
-def detect_communities(
+def _pool_loop(
     graph: Graph,
-    parameters: CDRWParameters | None = None,
-    delta_hint: float | None = None,
-    seed: int | np.random.Generator | None = None,
-    max_seeds: int | None = None,
-) -> DetectionResult:
-    """Detect all communities of ``graph`` with the pool loop of Algorithm 1.
+    rng: np.random.Generator,
+    batch_size: int,
+    max_seeds: int | None,
+    run_batch: Callable[[list[int]], list[CommunityResult]],
+) -> list[CommunityResult]:
+    """Algorithm 1's pool loop: draw up to ``batch_size`` seeds per round.
 
-    Routes through the ``"scalar"`` backend of :mod:`repro.api`; the RNG
-    draw sequence and every detected community are identical to the
-    pre-registry implementation.
+    ``run_batch(round_seeds)`` executes one round and returns its
+    :class:`CommunityResult` list in seed order.  This single definition
+    serves every backend — the scalar, CONGEST and k-machine backends run
+    it at width 1, the batched backend runs each round in-process, the
+    process tier (:mod:`repro.execution_process`) shards it across the
+    worker pool — so the drawn seed sequence (and with it the cross-backend
+    identity guarantee) cannot diverge between them.
 
-    Parameters
-    ----------
-    seed:
-        Random seed (or generator) controlling the order in which seed
-        vertices are drawn from the pool.
-    max_seeds:
-        Optional cap on the number of seeds processed, useful when only the
-        dominant communities are of interest; ``None`` runs until the pool is
-        empty (the paper's behaviour).
-
-    Returns
-    -------
-    DetectionResult
-        One :class:`CommunityResult` per processed seed.  Detected communities
-        may overlap (each detection sees the whole graph); only the seed pool
-        shrinks, exactly as in Algorithm 1.
+    The pool is a boolean membership array: drawing a seed is one O(n)
+    ``flatnonzero``.  Its candidates must stay in ascending vertex order,
+    because the recorded draw sequences in ``tests/test_api.py`` and
+    ``tests/test_batched_detection.py`` depend on it.  Draws within one
+    round exclude the seeds already drawn in that round but (necessarily)
+    not their still-unknown communities; with ``batch_size=1`` every draw
+    sees the whole pool state.
     """
-    from ..api import RunConfig, detect
-
-    report = detect(
-        graph,
-        backend="scalar",
-        params=parameters,
-        delta_hint=delta_hint,
-        config=RunConfig(seed=seed, max_seeds=max_seeds),
-    )
-    return report.detection
-
-
-def _detect_communities_impl(
-    graph: Graph,
-    parameters: CDRWParameters | None = None,
-    delta_hint: float | None = None,
-    seed: int | np.random.Generator | None = None,
-    max_seeds: int | None = None,
-    *,
-    capture_history: bool = True,
-) -> DetectionResult:
-    """The pool loop the ``"scalar"`` backend executes."""
-    parameters = parameters or CDRWParameters()
-    rng = as_rng(seed)
-
-    # The pool of not-yet-assigned vertices is a boolean membership array:
-    # drawing a seed is one O(n) flatnonzero instead of the former
-    # O(n log n) `sorted(set)` per draw.  `np.flatnonzero` yields candidates
-    # in ascending order, exactly like `sorted(pool)` did, so the RNG draw
-    # sequence (and therefore every detected community) is unchanged — this
-    # is regression-tested against a recorded seed order.
     pool = np.ones(graph.num_vertices, dtype=bool)
     remaining = graph.num_vertices
     results: list[CommunityResult] = []
     while remaining > 0:
         if max_seeds is not None and len(results) >= max_seeds:
             break
-        seed_vertex = int(rng.choice(np.flatnonzero(pool)))
-        result = _detect_community_impl(
-            graph,
-            seed_vertex,
-            parameters,
-            delta_hint=delta_hint,
-            capture_history=capture_history,
-        )
-        results.append(result)
-        remaining -= _remove_detected(pool, result)
-    return DetectionResult(num_vertices=graph.num_vertices, communities=tuple(results))
+        width = min(batch_size, remaining)
+        if max_seeds is not None:
+            width = min(width, max_seeds - len(results))
+        round_seeds: list[int] = []
+        for _ in range(width):
+            candidates = np.flatnonzero(pool)
+            if candidates.size == 0:
+                break
+            drawn = int(rng.choice(candidates))
+            round_seeds.append(drawn)
+            pool[drawn] = False
+            remaining -= 1
+        if not round_seeds:
+            break
+        for result in run_batch(round_seeds):
+            results.append(result)
+            remaining -= _remove_detected(pool, result)
+    return results
 
 
 def _remove_detected(pool: np.ndarray, result: CommunityResult) -> int:
     """Clear a detected community (and always its seed) from the pool mask.
 
-    Returns the number of vertices actually removed.  Shared by the
-    sequential and batched pool drivers so their bookkeeping cannot diverge —
-    the batch_size=1 output-identity guarantee depends on it.
+    Returns the number of vertices actually removed.
     """
     detected = result.community if result.community else frozenset({result.seed})
     removal = np.fromiter(detected, dtype=np.int64, count=len(detected))

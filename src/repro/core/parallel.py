@@ -8,12 +8,12 @@ even faster (by finding communities in parallel), assuming we know an
    within a small hop distance of each other, which makes it likely that the
    seeds land in distinct blocks),
 2. run the ``r`` detections simultaneously on one shared batched walk
-   (:func:`repro.core.batched.detect_community_batch`): one sparse
+   (:func:`repro.core.batched._detect_community_batch_impl`): one sparse
    matrix–matrix product and one batched mixing-set search per walk step
    instead of ``r`` independent scalar runs — an ``r``-fold reduction of
    redundant walk work that mirrors the distributed round-complexity saving,
    while each per-seed result stays identical to the scalar
-   :func:`~repro.core.cdrw.detect_community`,
+   :func:`~repro.core.cdrw._detect_community_impl`,
 3. resolve conflicts: when two detected communities overlap heavily they were
    seeded in the same block, so the duplicates are merged (the earlier seed
    survives); every vertex still claimed by multiple *surviving* communities
@@ -22,6 +22,10 @@ even faster (by finding communities in parallel), assuming we know an
    community always keeps its own seed).  The final distributions are already
    available from the shared batch, so resolution costs no extra walk steps,
    and the returned communities are pairwise disjoint.
+
+The ``"parallel"`` backend of :func:`repro.api.detect` runs these steps
+(``RunConfig(num_communities=r, seed_min_distance=...,
+overlap_merge_threshold=...)``).
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ if TYPE_CHECKING:
 
     from .mixing_set import BatchedMixingSetSearch
 
-__all__ = ["select_spread_seeds", "detect_communities_parallel"]
+__all__ = ["select_spread_seeds"]
 
 
 def select_spread_seeds(
@@ -105,60 +109,6 @@ def select_spread_seeds(
         extra = rng.choice(remaining, size=count - len(chosen), replace=False)
         chosen.extend(int(v) for v in extra)
     return chosen
-
-
-def detect_communities_parallel(
-    graph: Graph,
-    num_communities: int,
-    parameters: CDRWParameters | None = None,
-    delta_hint: float | None = None,
-    seed: int | np.random.Generator | None = None,
-    overlap_merge_threshold: float = 0.5,
-    seed_min_distance: int = 2,
-    workers: int | None = None,
-) -> DetectionResult:
-    """Detect ``num_communities`` communities from simultaneously started seeds.
-
-    All seeds share one batched walk (one SpMM + one batched mixing-set
-    search per step), so the wall-clock cost is close to a single detection
-    rather than ``r`` sequential ones; each raw per-seed result is identical
-    to what :func:`~repro.core.cdrw.detect_community` returns for that seed.
-    After duplicate-merge, overlaps between surviving communities are
-    resolved with the final walk distributions (see the module docstring,
-    step 3), so the returned communities are pairwise disjoint.
-
-    Parameters
-    ----------
-    num_communities:
-        The (estimate of the) number of blocks ``r``.
-    overlap_merge_threshold:
-        Two detected communities whose Jaccard overlap exceeds this value are
-        considered duplicates of the same block and merged (the one detected
-        from the earlier seed survives).
-    seed_min_distance:
-        Minimum pairwise hop distance between seeds (see
-        :func:`select_spread_seeds`).
-    workers:
-        Thread count for the batched mixing-set search (see
-        :func:`~repro.core.batched.detect_community_batch`); the detected
-        communities are identical for every value.
-    """
-    from ..api import RunConfig, detect
-
-    report = detect(
-        graph,
-        backend="parallel",
-        params=parameters,
-        delta_hint=delta_hint,
-        config=RunConfig(
-            seed=seed,
-            num_communities=num_communities,
-            overlap_merge_threshold=overlap_merge_threshold,
-            seed_min_distance=seed_min_distance,
-            workers=workers,
-        ),
-    )
-    return report.detection
 
 
 def _detect_communities_parallel_impl(

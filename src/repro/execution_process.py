@@ -64,7 +64,8 @@ from .graphs.graph import Graph
 from .graphs.storage import AttachedCSR, SharedCSRHandle, SharedCSRStorage
 from .utils import as_rng
 
-from .core.batched import _detect_community_batch_impl, _pool_loop
+from .core.batched import _detect_community_batch_impl
+from .core.cdrw import _pool_loop
 from .core.parallel import _merge_and_resolve, select_spread_seeds
 from .execution import block_ranges, resolve_workers
 
@@ -593,7 +594,7 @@ def _pool_mode(
 ) -> tuple[list[CommunityResult], np.ndarray | None]:
     """Algorithm 1's pool loop with each round's batch split across workers.
 
-    The loop itself is the *same* :func:`~repro.core.batched._pool_loop` the
+    The loop itself is the *same* :func:`~repro.core.cdrw._pool_loop` the
     serial impl runs — the draws happen in the parent against the same
     shrinking membership mask with the same generator, only each round's
     batch executes on the worker pool — so the drawn seed sequence (and with

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.cdrw import detect_communities
+from ..api import RunConfig, detect
 from ..core.parameters import CDRWParameters
 from ..exceptions import ExperimentError
 from ..graphs.generators import gnp_random_graph, planted_partition_graph
@@ -108,7 +108,9 @@ def cdrw_f_score_on_gnp(
     ``r = 1`` special case of Section IV).
     """
     graph = gnp_random_graph(n, p, seed=rng)
-    detection = detect_communities(graph, parameters, delta_hint=0.0, seed=rng)
+    detection = detect(
+        graph, "scalar", parameters, RunConfig(seed=rng), delta_hint=0.0
+    ).detection
     truth = Partition.single_community(n)
     return average_f_score(detection, truth)
 
@@ -124,7 +126,9 @@ def cdrw_f_score_on_ppm(
     """Generate one PPM graph, run CDRW and return the F-score."""
     ppm = planted_partition_graph(n, num_blocks, p, q, seed=rng)
     delta = ppm_expected_conductance(n, num_blocks, p, q)
-    detection = detect_communities(ppm.graph, parameters, delta_hint=delta, seed=rng)
+    detection = detect(
+        ppm.graph, "scalar", parameters, RunConfig(seed=rng), delta_hint=delta
+    ).detection
     return average_f_score(detection, ppm.partition)
 
 

@@ -1,14 +1,14 @@
 """Throughput scaling of the parallel (multi-seed, shared-walk) detection path.
 
-:func:`repro.core.parallel.detect_communities_parallel` runs all ``r`` seed
+The ``"parallel"`` backend of :func:`repro.api.detect` runs all ``r`` seed
 detections on one batched walk and resolves overlaps with the final walk
 distributions.  This experiment quantifies the effect per seed count: for
 each ``r`` it draws the same spread seeds the parallel path will draw, runs
-the pre-port behaviour (one scalar :func:`~repro.core.cdrw.detect_community`
-per seed) as the baseline, then times the batched parallel path, reporting
-seconds, speedup, the number of surviving communities, whether the survivors
-are pairwise disjoint (they always are — the conflict-resolution step
-guarantees it), and accuracy against the planted partition.
+the pre-port behaviour (one ``"scalar"`` detection per seed) as the
+baseline, then times the batched parallel path, reporting seconds, speedup,
+the number of surviving communities, whether the survivors are pairwise
+disjoint (they always are — the conflict-resolution step guarantees it), and
+accuracy against the planted partition.
 """
 
 from __future__ import annotations

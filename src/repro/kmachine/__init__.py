@@ -10,7 +10,6 @@ from .conversion import (
 from .cdrw_kmachine import (
     KMachineCommunityResult,
     KMachineDetectionResult,
-    detect_communities_kmachine,
     detect_community_kmachine,
 )
 
@@ -24,6 +23,5 @@ __all__ = [
     "dominant_term",
     "KMachineCommunityResult",
     "KMachineDetectionResult",
-    "detect_communities_kmachine",
     "detect_community_kmachine",
 ]

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.cdrw import _pool_loop
 from ..core.mixing_set import BatchedMixingSetSearch, LargestMixingSet
 from ..core.parameters import CDRWParameters
 from ..core.result import CommunityResult, DetectionResult
@@ -34,7 +35,7 @@ from ..exceptions import MachineError
 from ..graphs.graph import Graph
 from ..graphs.traversal import bfs_tree
 from ..randomwalk.distribution import WalkDistribution
-from ..utils import ceil_log2, seed_pool_schedule
+from ..utils import as_rng, ceil_log2
 from .partition import RandomVertexPartition
 from .simulator import KMachineCost, KMachineNetwork
 
@@ -42,7 +43,6 @@ __all__ = [
     "KMachineCommunityResult",
     "KMachineDetectionResult",
     "detect_community_kmachine",
-    "detect_communities_kmachine",
 ]
 
 
@@ -216,38 +216,6 @@ def detect_community_kmachine(
     )
 
 
-def detect_communities_kmachine(
-    graph: Graph,
-    num_machines: int,
-    parameters: CDRWParameters | None = None,
-    delta_hint: float | None = None,
-    seed: int | np.random.Generator | None = None,
-    partition_seed: int | None = None,
-    max_seeds: int | None = None,
-) -> KMachineDetectionResult:
-    """Detect all communities on ``num_machines`` machines (pool loop of Algorithm 1).
-
-    This is a thin shim over the ``"kmachine"`` backend of :mod:`repro.api`;
-    communities and cost reports are identical to the pre-registry
-    implementation.
-    """
-    from ..api import RunConfig, detect
-
-    report = detect(
-        graph,
-        backend="kmachine",
-        params=parameters,
-        delta_hint=delta_hint,
-        config=RunConfig(
-            seed=seed,
-            max_seeds=max_seeds,
-            num_machines=num_machines,
-            partition_seed=partition_seed,
-        ),
-    )
-    return report.native_result
-
-
 def _detect_communities_kmachine_impl(
     graph: Graph,
     num_machines: int,
@@ -258,36 +226,37 @@ def _detect_communities_kmachine_impl(
     max_seeds: int | None = None,
     seeds: tuple[int, ...] | None = None,
 ) -> KMachineDetectionResult:
-    """The k-machine pool loop the ``"kmachine"`` backend executes.
+    """Algorithm 1's pool loop on ``num_machines`` machines (``"kmachine"`` backend).
 
-    ``seeds`` (facade-only) skips the pool drawing and detects the listed
-    seed vertices in order on one shared network.
+    Seeds are drawn by the shared :func:`~repro.core.cdrw._pool_loop` at
+    width 1, or taken from ``seeds`` in order; every detection is charged to
+    one shared network over one random vertex partition.
     """
-    parameters = parameters or CDRWParameters()
     partition = RandomVertexPartition(
         graph.num_vertices, num_machines, method="hash", seed=partition_seed
     )
     network = KMachineNetwork(partition)
-
     per_community: list[KMachineCommunityResult] = []
-    results: list[CommunityResult] = []
-    for seed_vertex, pool in seed_pool_schedule(
-        graph.num_vertices, seed, max_seeds, seeds, results
-    ):
-        outcome = detect_community_kmachine(
-            graph,
-            seed_vertex,
-            num_machines,
-            parameters,
-            delta_hint=delta_hint,
-            network=network,
-        )
-        per_community.append(outcome)
-        results.append(outcome.community)
-        if pool is not None:
-            pool.difference_update(outcome.community.community)
-            pool.discard(seed_vertex)
 
+    def run_batch(batch_seeds: list[int]) -> list[CommunityResult]:
+        outcomes = [
+            detect_community_kmachine(
+                graph,
+                seed_vertex,
+                num_machines,
+                parameters,
+                delta_hint=delta_hint,
+                network=network,
+            )
+            for seed_vertex in batch_seeds
+        ]
+        per_community.extend(outcomes)
+        return [outcome.community for outcome in outcomes]
+
+    if seeds is not None:
+        results = run_batch(list(seeds)[:max_seeds])
+    else:
+        results = _pool_loop(graph, as_rng(seed), 1, max_seeds, run_batch)
     detection = DetectionResult(num_vertices=graph.num_vertices, communities=tuple(results))
     return KMachineDetectionResult(
         detection=detection,

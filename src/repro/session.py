@@ -24,7 +24,7 @@ social graph, where per-call setup dwarfs the per-call work.
   deterministic functions of the graph and the knobs, so reuse changes no
   float.
 * **Request coalescing.**  :meth:`DetectionSession.detect_batch` folds many
-  single-seed requests into one ``detect_community_batch`` shard wave —
+  single-seed requests into one explicit-seed ``"batched"`` shard wave —
   the batched kernels make width nearly free, and per-seed results are
   independent of batch composition, so the coalesced answers are identical
   to one-at-a-time calls.

@@ -7,7 +7,7 @@ experiment harness.  They are deliberately dependency-light (numpy only).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .exceptions import ReproError
 
 __all__ = [
     "as_rng",
-    "seed_pool_schedule",
     "spawn_rngs",
     "log_size",
     "geometric_sizes",
@@ -37,38 +36,6 @@ MIXING_THRESHOLD: float = 1.0 / (2.0 * math.e)
 #: the paper uses (1 + 1/8e) instead of doubling so that the geometric
 #: search cannot skip over the true largest mixing set.
 GROWTH_FACTOR: float = 1.0 + 1.0 / (8.0 * math.e)
-
-
-def seed_pool_schedule(
-    num_vertices: int,
-    seed: "int | np.random.Generator | None",
-    max_seeds: int | None,
-    seeds: "tuple[int, ...] | None",
-    detected: list,
-) -> "Iterator[tuple[int, set[int] | None]]":
-    """Yield ``(seed_vertex, pool)`` pairs driving a pool loop of Algorithm 1.
-
-    With explicit ``seeds`` the listed vertices (truncated to ``max_seeds``)
-    are yielded in order with ``pool=None``; otherwise vertices are drawn
-    uniformly from the shrinking pool of not-yet-assigned vertices, and the
-    caller must remove each detected community from the yielded ``pool``
-    before resuming the iteration.  ``detected`` is the caller's running
-    result list, read only for its length (the ``max_seeds`` cap applies to
-    results actually produced, exactly as the pool loops it deduplicates).
-    """
-    if seeds is not None:
-        seed_list = [int(s) for s in seeds]
-        if max_seeds is not None:
-            seed_list = seed_list[:max_seeds]
-        for vertex in seed_list:
-            yield vertex, None
-        return
-    rng = as_rng(seed)
-    pool = set(range(num_vertices))
-    while pool:
-        if max_seeds is not None and len(detected) >= max_seeds:
-            return
-        yield int(rng.choice(sorted(pool))), pool
 
 
 def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:

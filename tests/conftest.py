@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.api import RunConfig, detect
 from repro.graphs import Graph, gnp_random_graph, planted_partition_graph
 
 
@@ -56,6 +57,19 @@ def medium_ppm():
     p = 2 * math.log(n) ** 2 / n
     q = p / (1.2 * math.log2(n) ** 2)
     return planted_partition_graph(n, 4, p, q, seed=13)
+
+
+@pytest.fixture(scope="session")
+def scalar_community():
+    """``run(graph, seed_vertex, params=None, delta_hint=None)``: one seed's
+    :class:`~repro.core.result.CommunityResult` from the ``"scalar"``
+    backend — the reference every other detection path is compared to."""
+
+    def run(graph, seed_vertex, params=None, delta_hint=None):
+        config = RunConfig(seeds=(seed_vertex,))
+        return detect(graph, "scalar", params, config, delta_hint).detection.communities[0]
+
+    return run
 
 
 @pytest.fixture()

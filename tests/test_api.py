@@ -5,10 +5,10 @@ Three contracts are pinned here:
 * **registry** — unknown backends fail with a message listing every
   registered name, duplicate registration raises, and custom backends can be
   registered/unregistered;
-* **behaviour neutrality** — ``detect(graph, backend=b)`` is identical to the
-  corresponding legacy entry point for every registered backend, and the
-  legacy entry points themselves still produce their *pre-redesign* outputs
-  (RNG draw sequences recorded on a fixed PPM before the registry landed);
+* **behaviour neutrality** — every pool-mode backend of
+  ``detect(graph, backend=b)`` still produces the *pre-redesign* outputs of
+  the entry points it replaced (RNG draw sequences and cost totals recorded
+  on a fixed PPM before the registry landed);
 * **reporting** — ``RunReport`` round-trips through JSON, and the per-phase
   cost reports sum to the backend's total cost.
 """
@@ -30,21 +30,13 @@ from repro.api import (
     register_backend,
     unregister_backend,
 )
-from repro.congest import detect_communities_congest
-from repro.core import (
-    detect_communities,
-    detect_communities_batched,
-    detect_communities_parallel,
-    detect_community,
-    detect_community_batch,
-)
+from repro.core.cdrw import _detect_community_impl
 from repro.core.result import DetectionResult
 from repro.exceptions import AlgorithmError, BackendError
-from repro.kmachine import detect_communities_kmachine
 
 #: RNG-sequence expectations recorded on the ``small_ppm`` fixture (n=256,
-#: 2 blocks, seed=7) *before* the registry redesign.  They pin the facade —
-#: and the legacy shims routed through it — to the pre-redesign behaviour.
+#: 2 blocks, seed=7) *before* the registry redesign.  They pin the facade to
+#: the pre-redesign behaviour.
 PRE_REDESIGN_SCALAR_SEEDS = [34, 143]
 PRE_REDESIGN_SCALAR_SIZES = [139, 145]
 PRE_REDESIGN_PARALLEL_SEEDS = [207, 18]
@@ -118,6 +110,14 @@ class TestRunConfig:
         assert config.seeds == (3, 1, 4)
         assert all(isinstance(s, int) for s in config.seeds)
 
+    @pytest.mark.parametrize("backend", ("scalar", "batched", "congest", "kmachine"))
+    def test_negative_max_seeds_rejected(self, small_ppm, backend):
+        # A negative cap used to act as a slice bound: seeds[:-1] silently
+        # dropped the last explicit seed, and pool mode detected nothing.
+        for config in (RunConfig(seeds=(0, 70, 5)), RunConfig(seed=1)):
+            with pytest.raises(BackendError, match="max_seeds must be >= 0"):
+                detect(small_ppm.graph, backend, config=config, max_seeds=-1)
+
     def test_with_overrides(self):
         config = RunConfig(seed=1)
         updated = config.with_overrides(batch_size=32, workers=2)
@@ -136,65 +136,71 @@ class TestRunConfig:
 
 
 class TestFacadeMatchesLegacyEntryPoints:
-    """Acceptance: detect(graph, backend=b) ≡ the legacy entry point for every b."""
+    """Acceptance: detect(graph, backend=b) draws what the legacy entry points drew.
+
+    Each pool-mode backend runs against the constants recorded before the
+    registry existed; none of them has been re-pinned since.
+    """
 
     def test_scalar_pool_loop(self, small_ppm):
-        legacy = detect_communities(small_ppm.graph, delta_hint=0.05, seed=11)
         report = detect(
             small_ppm.graph, backend="scalar", delta_hint=0.05,
             config=RunConfig(seed=11),
         )
-        assert report.detection == legacy
+        assert report.detection.seeds() == PRE_REDESIGN_SCALAR_SEEDS
+        assert [r.size for r in report.detection.communities] == PRE_REDESIGN_SCALAR_SIZES
         assert report.phase_costs == {}
         assert report.total_cost is None
-        # ... and the legacy shim still reproduces its pre-redesign RNG draws.
-        assert legacy.seeds() == PRE_REDESIGN_SCALAR_SEEDS
-        assert [r.size for r in legacy.communities] == PRE_REDESIGN_SCALAR_SIZES
 
     def test_scalar_explicit_seeds(self, small_ppm):
-        listed = [detect_community(small_ppm.graph, s, delta_hint=0.05) for s in (0, 99)]
         report = detect(
             small_ppm.graph, backend="scalar", delta_hint=0.05,
             config=RunConfig(seeds=(0, 99)),
         )
-        assert list(report.detection.communities) == listed
+        assert list(report.detection.communities) == [
+            _detect_community_impl(small_ppm.graph, s, delta_hint=0.05) for s in (0, 99)
+        ]
 
-    def test_batched_pool_loop(self, small_ppm):
-        legacy = detect_communities_batched(
-            small_ppm.graph, delta_hint=0.05, seed=11, batch_size=4
-        )
+    def test_batched_pool_loop(self, small_ppm, scalar_community):
         report = detect(
             small_ppm.graph, backend="batched", delta_hint=0.05,
             config=RunConfig(seed=11, batch_size=4),
         )
-        assert report.detection == legacy
+        # The first draw sees the full pool at any width.
+        assert report.detection.seeds()[0] == PRE_REDESIGN_SCALAR_SEEDS[0]
+        for result in report.detection.communities:
+            assert result == scalar_community(small_ppm.graph, result.seed, delta_hint=0.05)
 
     def test_batched_batch_size_one_is_rng_identical_to_scalar(self, small_ppm):
-        scalar = detect_communities(small_ppm.graph, delta_hint=0.05, seed=11)
+        scalar = detect(
+            small_ppm.graph, backend="scalar", delta_hint=0.05,
+            config=RunConfig(seed=11),
+        )
         report = detect(
             small_ppm.graph, backend="batched", delta_hint=0.05,
             config=RunConfig(seed=11, batch_size=1),
         )
-        assert report.detection == scalar
+        assert report.detection.seeds() == PRE_REDESIGN_SCALAR_SEEDS
+        assert [r.size for r in report.detection.communities] == PRE_REDESIGN_SCALAR_SIZES
+        assert report.detection == scalar.detection
 
     def test_batched_explicit_seed_batch(self, small_ppm):
-        legacy = detect_community_batch(small_ppm.graph, [5, 40, 5], delta_hint=0.05)
         report = detect(
             small_ppm.graph, backend="batched", delta_hint=0.05,
             config=RunConfig(seeds=(5, 40, 5), batch_size=3),
         )
-        assert list(report.detection.communities) == legacy
+        scalar = detect(
+            small_ppm.graph, backend="scalar", delta_hint=0.05,
+            config=RunConfig(seeds=(5, 40, 5)),
+        )
+        assert report.detection == scalar.detection
 
     def test_parallel(self, small_ppm):
-        legacy = detect_communities_parallel(
-            small_ppm.graph, 2, delta_hint=0.05, seed=3
-        )
         report = detect(
             small_ppm.graph, backend="parallel", delta_hint=0.05,
             config=RunConfig(seed=3, num_communities=2),
         )
-        assert report.detection == legacy
-        assert legacy.seeds() == PRE_REDESIGN_PARALLEL_SEEDS
+        assert report.detection.seeds() == PRE_REDESIGN_PARALLEL_SEEDS
 
     def test_parallel_requires_num_communities(self, small_ppm):
         with pytest.raises(BackendError, match="num_communities"):
@@ -208,33 +214,23 @@ class TestFacadeMatchesLegacyEntryPoints:
             )
 
     def test_congest(self, small_ppm):
-        legacy = detect_communities_congest(
-            small_ppm.graph, delta_hint=0.05, seed=5, max_seeds=2
-        )
         report = detect(
             small_ppm.graph, backend="congest", delta_hint=0.05,
             config=RunConfig(seed=5, max_seeds=2),
         )
-        assert report.detection == legacy.detection
-        assert report.total_cost == legacy.total_cost
-        assert report.native_result == legacy
-        # Pre-redesign RNG draws and cost accounting preserved.
-        assert legacy.detection.seeds() == PRE_REDESIGN_CONGEST_SEEDS
-        assert legacy.total_cost.rounds == PRE_REDESIGN_CONGEST_ROUNDS
-        assert legacy.total_cost.messages == PRE_REDESIGN_CONGEST_MESSAGES
+        assert report.detection.seeds() == PRE_REDESIGN_CONGEST_SEEDS
+        assert report.total_cost.rounds == PRE_REDESIGN_CONGEST_ROUNDS
+        assert report.total_cost.messages == PRE_REDESIGN_CONGEST_MESSAGES
+        assert report.native_result.total_cost == report.total_cost
 
     def test_kmachine(self, small_ppm):
-        legacy = detect_communities_kmachine(
-            small_ppm.graph, 4, delta_hint=0.05, seed=5, partition_seed=1, max_seeds=2
-        )
         report = detect(
             small_ppm.graph, backend="kmachine", delta_hint=0.05,
             config=RunConfig(seed=5, max_seeds=2, num_machines=4, partition_seed=1),
         )
-        assert report.detection == legacy.detection
-        assert report.total_cost == legacy.total_cost
-        assert legacy.detection.seeds() == PRE_REDESIGN_CONGEST_SEEDS
-        assert legacy.total_cost.rounds == PRE_REDESIGN_KMACHINE_ROUNDS
+        assert report.detection.seeds() == PRE_REDESIGN_CONGEST_SEEDS
+        assert report.total_cost.rounds == PRE_REDESIGN_KMACHINE_ROUNDS
+        assert report.native_result.total_cost == report.total_cost
 
     def test_baseline_backends_match_direct_calls(self, small_ppm):
         from repro.baselines import label_propagation, spectral_clustering

@@ -6,8 +6,8 @@ import math
 
 import pytest
 
+from repro.api import RunConfig, detect
 from repro.congest import (
-    detect_communities_congest,
     detect_community_congest,
     expected_edges,
     message_bound_all_communities,
@@ -15,20 +15,20 @@ from repro.congest import (
     round_bound_all_communities,
     round_bound_single_community,
 )
-from repro.core import CDRWParameters, detect_community
+from repro.core import CDRWParameters
 from repro.exceptions import SimulationError
 from repro.graphs import ppm_expected_conductance
 from repro.metrics import average_f_score
 
 
 class TestCongestDetection:
-    def test_matches_centralized_community(self, small_ppm):
+    def test_matches_centralized_community(self, small_ppm, scalar_community):
         graph = small_ppm.graph
         delta = ppm_expected_conductance(
             graph.num_vertices, 2, small_ppm.intra_probability, small_ppm.inter_probability
         )
         congest = detect_community_congest(graph, 5, delta_hint=delta)
-        centralized = detect_community(graph, 5, delta_hint=delta)
+        centralized = scalar_community(graph, 5, delta_hint=delta)
         assert congest.community.size == centralized.size
         assert congest.community.walk_length == centralized.walk_length
         assert congest.community.community == centralized.community
@@ -61,7 +61,8 @@ class TestCongestDetection:
         delta = ppm_expected_conductance(
             graph.num_vertices, 2, small_ppm.intra_probability, small_ppm.inter_probability
         )
-        result = detect_communities_congest(graph, delta_hint=delta, seed=1)
+        report = detect(graph, "congest", config=RunConfig(seed=1), delta_hint=delta)
+        result = report.native_result
         assert average_f_score(result.detection, truth) > 0.85
         per_community_total = sum(c.cost.rounds for c in result.per_community)
         assert result.total_cost.rounds == per_community_total

@@ -17,12 +17,10 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import RunConfig, detect
 from repro.core import (
     BatchedMixingSetSearch,
     block_ranges,
-    detect_communities_parallel,
-    detect_community,
-    detect_community_batch,
     parallel_map_blocks,
     resolve_workers,
 )
@@ -195,24 +193,27 @@ class TestThreadedSearchInvariance:
 
 
 class TestThreadedDetectionInvariance:
-    def test_batched_detection_matches_scalar_at_every_worker_count(self, ppm):
+    def test_batched_detection_matches_scalar_at_every_worker_count(
+        self, ppm, scalar_community
+    ):
         delta = ppm_expected_conductance(512, 4, 3 * math.log(512) ** 2 / 512, 1.0 / 512)
-        seeds = [7, 130, 260, 400, 505]
-        reference = [
-            detect_community(ppm.graph, s, delta_hint=delta) for s in seeds
-        ]
+        seeds = (7, 130, 260, 400, 505)
+        reference = [scalar_community(ppm.graph, s, delta_hint=delta) for s in seeds]
         for workers in WORKER_COUNTS:
-            results = detect_community_batch(
-                ppm.graph, seeds, delta_hint=delta, workers=workers
-            )
+            config = RunConfig(seeds=seeds, batch_size=len(seeds), workers=workers)
+            report = detect(ppm.graph, "batched", config=config, delta_hint=delta)
+            results = list(report.detection.communities)
             assert results == reference, f"workers={workers} changed a detection"
 
     def test_parallel_detection_identical_across_worker_counts(self, ppm):
         delta = ppm_expected_conductance(512, 4, 3 * math.log(512) ** 2 / 512, 1.0 / 512)
         detections = [
-            detect_communities_parallel(
-                ppm.graph, 4, delta_hint=delta, seed=3, workers=workers
-            )
+            detect(
+                ppm.graph,
+                "parallel",
+                config=RunConfig(seed=3, num_communities=4, workers=workers),
+                delta_hint=delta,
+            ).detection
             for workers in WORKER_COUNTS
         ]
         assert detections[0] == detections[1] == detections[2]

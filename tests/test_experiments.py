@@ -240,6 +240,13 @@ class TestReportingAndCli:
         for name in ("scalar", "batched", "parallel"):
             assert name in captured.err
 
+    def test_cli_detect_negative_max_seeds_exits_2(self, capsys):
+        exit_code = main(["detect", "--n", "64", "--max-seeds", "-1"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out == ""
+        assert captured.err == "repro detect: max_seeds must be >= 0, got -1\n"
+
     def test_cli_seed_accepted_after_subcommand(self, capsys):
         """`repro detect --seed 5` used to die with 'unrecognized arguments'."""
         exit_code = main(["detect", "--seed", "5", "--n", "128", "--blocks", "2"])

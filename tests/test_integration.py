@@ -20,8 +20,9 @@ import pytest
 from repro import (
     CDRWParameters,
     Partition,
+    RunConfig,
     average_f_score,
-    detect_communities,
+    detect,
     gnp_random_graph,
     planted_partition_graph,
 )
@@ -35,7 +36,7 @@ class TestHeadlineClaims:
     def test_random_graph_is_one_community(self):
         n = 512
         graph = gnp_random_graph(n, 2 * math.log(n) / n, seed=21)
-        detection = detect_communities(graph, delta_hint=0.0, seed=21)
+        detection = detect(graph, "scalar", config=RunConfig(seed=21), delta_hint=0.0).detection
         f_score = average_f_score(detection, Partition.single_community(n))
         assert f_score > 0.95
 
@@ -45,7 +46,7 @@ class TestHeadlineClaims:
         q = 0.6 / n
         ppm = planted_partition_graph(n, r, p, q, seed=8)
         delta = ppm_expected_conductance(n, r, p, q)
-        detection = detect_communities(ppm.graph, delta_hint=delta, seed=8)
+        detection = detect(ppm.graph, "scalar", config=RunConfig(seed=8), delta_hint=delta).detection
         assert average_f_score(detection, ppm.partition) > 0.9
 
     def test_accuracy_degrades_as_q_grows(self):
@@ -55,7 +56,8 @@ class TestHeadlineClaims:
         for q in (0.1 / n, math.log(n) ** 2 / n):
             ppm = planted_partition_graph(n, r, p, q, seed=9)
             delta = ppm_expected_conductance(n, r, p, q)
-            detection = detect_communities(ppm.graph, delta_hint=delta, seed=9)
+            config = RunConfig(seed=9)
+            detection = detect(ppm.graph, "scalar", config=config, delta_hint=delta).detection
             scores.append(average_f_score(detection, ppm.partition))
         assert scores[0] > scores[1]
 
@@ -71,15 +73,13 @@ class TestHeadlineClaims:
 
 
 class TestExecutionModelAgreement:
-    def test_centralized_congest_kmachine_agree(self, small_ppm):
+    def test_centralized_congest_kmachine_agree(self, small_ppm, scalar_community):
         graph = small_ppm.graph
         delta = ppm_expected_conductance(
             graph.num_vertices, 2, small_ppm.intra_probability, small_ppm.inter_probability
         )
         seed_vertex = 17
-        from repro.core import detect_community
-
-        centralized = detect_community(graph, seed_vertex, delta_hint=delta)
+        centralized = scalar_community(graph, seed_vertex, delta_hint=delta)
         congest = detect_community_congest(graph, seed_vertex, delta_hint=delta)
         kmachine = detect_community_kmachine(
             graph, seed_vertex, 4, delta_hint=delta, partition_seed=0
@@ -92,7 +92,7 @@ class TestExecutionModelAgreement:
         delta = ppm_expected_conductance(
             graph.num_vertices, 2, small_ppm.intra_probability, small_ppm.inter_probability
         )
-        detection = detect_communities(graph, delta_hint=delta, seed=30)
+        detection = detect(graph, "scalar", config=RunConfig(seed=30), delta_hint=delta).detection
         partition = detection.to_partition()
         assert normalized_mutual_information(partition, truth) > 0.7
 
@@ -103,12 +103,14 @@ class TestParameterAblations:
         delta = ppm_expected_conductance(
             graph.num_vertices, 2, small_ppm.intra_probability, small_ppm.inter_probability
         )
-        geometric = detect_communities(
-            graph, CDRWParameters(size_schedule="geometric"), delta_hint=delta, seed=4
-        )
-        linear = detect_communities(
-            graph, CDRWParameters(size_schedule="linear"), delta_hint=delta, seed=4
-        )
+        geometric = detect(
+            graph, "scalar", CDRWParameters(size_schedule="geometric"), RunConfig(seed=4),
+            delta_hint=delta,
+        ).detection
+        linear = detect(
+            graph, "scalar", CDRWParameters(size_schedule="linear"), RunConfig(seed=4),
+            delta_hint=delta,
+        ).detection
         assert abs(
             average_f_score(geometric, truth) - average_f_score(linear, truth)
         ) < 0.1
@@ -118,19 +120,17 @@ class TestParameterAblations:
         delta = ppm_expected_conductance(
             graph.num_vertices, 2, small_ppm.intra_probability, small_ppm.inter_probability
         )
-        detection = detect_communities(
-            graph, CDRWParameters(lazy_walk=True, walk_length_factor=8), delta_hint=delta, seed=4
-        )
+        detection = detect(
+            graph, "scalar", CDRWParameters(lazy_walk=True, walk_length_factor=8),
+            RunConfig(seed=4), delta_hint=delta,
+        ).detection
         assert average_f_score(detection, truth) > 0.75
 
     def test_larger_delta_stops_earlier(self, small_ppm):
         graph = small_ppm.graph
-        small_delta = detect_communities(
-            graph, CDRWParameters(delta=0.02), seed=6, max_seeds=1
-        )
-        large_delta = detect_communities(
-            graph, CDRWParameters(delta=5.0), seed=6, max_seeds=1
-        )
+        config = RunConfig(seed=6, max_seeds=1)
+        small_delta = detect(graph, "scalar", CDRWParameters(delta=0.02), config).detection
+        large_delta = detect(graph, "scalar", CDRWParameters(delta=5.0), config).detection
         assert (
             large_delta.communities[0].walk_length
             <= small_delta.communities[0].walk_length

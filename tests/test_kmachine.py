@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import RunConfig, detect
 from repro.exceptions import MachineError
 from repro.graphs import ppm_expected_conductance
 from repro.kmachine import (
@@ -12,7 +13,6 @@ from repro.kmachine import (
     RandomVertexPartition,
     cdrw_kmachine_round_bound,
     conversion_theorem_rounds,
-    detect_communities_kmachine,
     detect_community_kmachine,
     dominant_term,
 )
@@ -203,7 +203,8 @@ class TestKMachineCdrw:
         delta = ppm_expected_conductance(
             graph.num_vertices, 2, small_ppm.intra_probability, small_ppm.inter_probability
         )
-        result = detect_communities_kmachine(graph, 4, delta_hint=delta, seed=1, partition_seed=0)
+        config = RunConfig(seed=1, num_machines=4, partition_seed=0)
+        result = detect(graph, "kmachine", config=config, delta_hint=delta).native_result
         assert average_f_score(result.detection, truth) > 0.85
         assert result.num_machines == 4
 

@@ -2,8 +2,7 @@
 
 Covers the regression for the previously missing overlap-resolution step
 (surviving communities must be pairwise disjoint), exact equivalence of the
-ported ``detect_communities_parallel`` with a scalar reference
-implementation, the ``capture_distributions`` plumbing, and the
+ported ``"parallel"`` backend with a scalar reference implementation, the ``capture_distributions`` plumbing, and the
 ``select_spread_seeds`` fallback fixes.
 """
 
@@ -12,13 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    CDRWParameters,
-    detect_communities_parallel,
-    detect_community,
-    detect_community_batch,
-    select_spread_seeds,
-)
+from repro.api import RunConfig, detect
+from repro.core import CDRWParameters, select_spread_seeds
 from repro.core.result import CommunityResult, DetectionResult
 from repro.graphs import Graph, ppm_expected_conductance
 from repro.graphs.traversal import shortest_path_length
@@ -57,7 +51,11 @@ def reference_parallel(
     seeds = select_spread_seeds(
         graph, num_communities, min_distance=seed_min_distance, seed=rng
     )
-    raw = [detect_community(graph, s, delta_hint=delta_hint) for s in seeds]
+    raw = [
+        detect(graph, "scalar", config=RunConfig(seeds=(s,)), delta_hint=delta_hint)
+        .detection.communities[0]
+        for s in seeds
+    ]
 
     survivors: list[int] = []
     for index, result in enumerate(raw):
@@ -108,14 +106,13 @@ class TestOverlapResolutionRegression:
         through the bridge vertices).  Resolution must make them disjoint.
         """
         for seed in range(6):
-            detection = detect_communities_parallel(
+            detection = detect(
                 two_cliques_graph,
-                num_communities=4,
-                parameters=CDRWParameters(initial_size=2),
+                "parallel",
+                CDRWParameters(initial_size=2),
+                RunConfig(seed=seed, num_communities=4, seed_min_distance=0),
                 delta_hint=1 / 21,
-                seed=seed,
-                seed_min_distance=0,
-            )
+            ).detection
             assert_pairwise_disjoint(detection)
 
     def test_disjoint_on_ppm_with_excess_seeds(self, small_ppm):
@@ -124,16 +121,14 @@ class TestOverlapResolutionRegression:
             graph.num_vertices, 2, small_ppm.intra_probability, small_ppm.inter_probability
         )
         for seed in (0, 4, 9):
-            detection = detect_communities_parallel(
-                graph, num_communities=4, delta_hint=delta, seed=seed
-            )
+            config = RunConfig(seed=seed, num_communities=4)
+            detection = detect(graph, "parallel", config=config, delta_hint=delta).detection
             assert_pairwise_disjoint(detection)
 
     def test_every_surviving_community_keeps_its_seed(self, small_ppm):
         graph = small_ppm.graph
-        detection = detect_communities_parallel(
-            graph, num_communities=4, delta_hint=0.05, seed=3
-        )
+        config = RunConfig(seed=3, num_communities=4)
+        detection = detect(graph, "parallel", config=config, delta_hint=0.05).detection
         for result in detection.communities:
             assert result.seed in result.community
 
@@ -144,9 +139,8 @@ class TestOverlapResolutionRegression:
         )
         from repro.metrics import average_f_score
 
-        detection = detect_communities_parallel(
-            graph, num_communities=2, delta_hint=delta, seed=4
-        )
+        config = RunConfig(seed=4, num_communities=2)
+        detection = detect(graph, "parallel", config=config, delta_hint=delta).detection
         assert average_f_score(detection, truth) > 0.8
 
 
@@ -157,61 +151,52 @@ class TestPortedParallelEquivalence:
         graph = small_ppm.graph
         delta = 0.05
         expected = reference_parallel(graph, 3, delta, seed)
-        actual = detect_communities_parallel(
-            graph, num_communities=3, delta_hint=delta, seed=seed
-        )
-        assert actual == expected
+        config = RunConfig(seed=seed, num_communities=3)
+        actual = detect(graph, "parallel", config=config, delta_hint=delta)
+        assert actual.detection == expected
 
     def test_identical_to_scalar_reference_on_two_cliques(self, two_cliques_graph):
         for seed in range(4):
             expected = reference_parallel(
                 two_cliques_graph, 2, 1 / 21, seed, seed_min_distance=0
             )
-            actual = detect_communities_parallel(
-                two_cliques_graph,
-                num_communities=2,
-                delta_hint=1 / 21,
-                seed=seed,
-                seed_min_distance=0,
-            )
+            config = RunConfig(seed=seed, num_communities=2, seed_min_distance=0)
+            actual = detect(two_cliques_graph, "parallel", config=config, delta_hint=1 / 21)
             # The reference rebuilds every CommunityResult via replace(); the
             # ported path keeps untouched results identical as well.
-            assert actual == expected
+            assert actual.detection == expected
 
 
 class TestCaptureDistributions:
     def test_final_distributions_match_scalar_walks(self, small_ppm):
         graph = small_ppm.graph
-        seeds = [0, 40, 200]
-        results, finals = detect_community_batch(
-            graph, seeds, delta_hint=0.05, capture_distributions=True
-        )
+        seeds = (0, 40, 200)
+        config = RunConfig(seeds=seeds, batch_size=len(seeds), capture_distributions=True)
+        report = detect(graph, "batched", config=config, delta_hint=0.05)
+        finals = report.native_result
         assert finals.shape == (graph.num_vertices, len(seeds))
-        for j, result in enumerate(results):
+        for j, result in enumerate(report.detection.communities):
             walk = WalkDistribution(graph, result.seed)
             walk.run_to(result.walk_length)
             assert np.array_equal(finals[:, j], walk.probabilities())
 
     def test_edgeless_graph_one_hot(self):
         graph = Graph(4, [])
-        results, finals = detect_community_batch(
-            graph, [0, 3], capture_distributions=True
-        )
-        assert [r.community for r in results] == [frozenset({0}), frozenset({3})]
+        config = RunConfig(seeds=(0, 3), batch_size=2, capture_distributions=True)
+        report = detect(graph, "batched", config=config)
+        assert [r.community for r in report.detection.communities] == [
+            frozenset({0}),
+            frozenset({3}),
+        ]
         expected = np.zeros((4, 2))
         expected[0, 0] = expected[3, 1] = 1.0
-        assert np.array_equal(finals, expected)
+        assert np.array_equal(report.native_result, expected)
 
     def test_empty_seed_list(self, two_cliques_graph):
-        results, finals = detect_community_batch(
-            two_cliques_graph, [], capture_distributions=True
-        )
-        assert results == []
-        assert finals.shape == (10, 0)
-
-    def test_default_return_type_unchanged(self, two_cliques_graph):
-        results = detect_community_batch(two_cliques_graph, [0], delta_hint=0.1)
-        assert isinstance(results, list)
+        config = RunConfig(seeds=(), capture_distributions=True)
+        report = detect(two_cliques_graph, "batched", config=config)
+        assert report.detection.communities == ()
+        assert report.native_result.shape == (10, 0)
 
 
 class TestSpreadSeedFallbackFixes:

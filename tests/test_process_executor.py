@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.api import RunConfig, RunReport, detect
-from repro.core.batched import detect_community_batch
 from repro.exceptions import AlgorithmError, BackendError, ReproError
 from repro.execution import resolve_executor
 from repro.execution_process import (
@@ -328,21 +327,6 @@ class TestProcessEntryPoints:
             detect_parallel_process(two_cliques_graph, 0)
         with pytest.raises(AlgorithmError):
             detect_parallel_process(two_cliques_graph, 2, overlap_merge_threshold=0.0)
-
-    def test_shim_capture_matches_direct_impl(self, ppm):
-        from repro.core.batched import _detect_community_batch_impl
-
-        instance, delta = ppm
-        seeds = [0, 17, 40]
-        direct_results, direct_finals = _detect_community_batch_impl(
-            instance.graph, seeds, None, delta, capture_distributions=True
-        )
-        shim_results, shim_finals = detect_community_batch(
-            instance.graph, seeds, delta_hint=delta, capture_distributions=True
-        )
-        assert shim_results == direct_results
-        assert np.array_equal(shim_finals, direct_finals)
-        assert shim_finals.shape == (instance.graph.num_vertices, len(seeds))
 
     def test_pool_reuse_across_batches(self, ppm):
         """One pool serves several batches without re-broadcasting the graph."""

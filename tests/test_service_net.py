@@ -9,9 +9,12 @@ the same exception class the in-process surface raises.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import socket
+import struct
 import threading
+import time
 
 import pytest
 
@@ -218,6 +221,56 @@ class TestWireErrors:
                         client.detect(0)
                     assert client.ping()
                     assert client.detect(0).detection.communities[0].seed == 0
+
+    @pytest.mark.parametrize("abort", (False, True), ids=("close", "reset"))
+    def test_client_vanishing_mid_wave_leaves_the_server_serving(self, ppm, caplog, abort):
+        instance, delta = ppm
+        config = RunConfig(workers=1)
+        caplog.set_level(logging.DEBUG, logger="asyncio")
+
+        def settle(predicate):
+            deadline = time.monotonic() + 60
+            while not predicate(service.metrics()):
+                assert time.monotonic() < deadline, service.metrics()
+                time.sleep(0.01)
+
+        with DetectionService(
+            instance.graph, config=config, delta_hint=delta, start=False
+        ) as service:
+            with BackgroundServer(service) as server:
+                raw = socket.create_connection((server.host, server.port), timeout=30)
+                raw.sendall(b'{"op": "detect", "seed": 0, "id": 1}\n')
+                settle(lambda metrics: metrics["pending"] == 1)
+                if abort:  # RST instead of FIN
+                    raw.setsockopt(
+                        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                    )
+                raw.close()
+                # The client is gone before its wave has even formed.
+                service.start()
+                settle(lambda metrics: metrics["requests_served"] == 1)
+                with ServiceClient(server.host, server.port) as client:
+                    reply = client.detect(40)
+                settle(
+                    lambda metrics: metrics["pending"] == 0
+                    and metrics["requests_served"] == metrics["requests_admitted"]
+                )
+                metrics = service.metrics()
+        one_shot = detect(
+            instance.graph,
+            "batched",
+            config=config.with_overrides(seeds=(40,)),
+            delta_hint=delta,
+        )
+        assert payload(reply) == payload(one_shot)
+        assert metrics["requests_admitted"] == metrics["requests_served"] == 2
+        assert metrics["wave_failures"] == 0
+        loop_records = [
+            record
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.WARNING
+        ]
+        assert loop_records == []
 
     def test_bad_request_maps_to_backend_error(self, served):
         *_rest, host, port, _service = served
