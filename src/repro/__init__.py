@@ -126,7 +126,7 @@ from .metrics import average_f_score, score_detection
 from .service import DetectionService
 from .session import DetectionSession
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 __all__ = [
     "__version__",

@@ -36,6 +36,7 @@ registry existed.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -602,14 +603,47 @@ def _detection_to_dict(detection: DetectionResult, include_history: bool) -> dic
     return {"num_vertices": detection.num_vertices, "communities": communities}
 
 
+@functools.lru_cache(maxsize=1)
+def _vertex_ids(num_vertices: int) -> tuple[int, ...]:
+    """One shared ``int`` object per vertex id of a ``num_vertices`` graph.
+
+    Decoded replies map their member ids through this table, so every
+    decoded community and history entry of one graph shares the same id
+    objects instead of holding fresh ones per reply.
+    """
+    return tuple(range(num_vertices))
+
+
+def _decode_members(ids: tuple[int, ...], members: object) -> frozenset[int]:
+    """Map a serialized member list onto the shared ids, rejecting bad ids.
+
+    Indexing the table rejects non-integer ids (``TypeError``) and ids
+    ``>= n`` (``IndexError``); a negative id would silently wrap around it,
+    so the minimum is checked as well.
+    """
+    if isinstance(members, list):
+        try:
+            decoded = frozenset([ids[member] for member in members])
+        except (IndexError, TypeError):
+            pass
+        else:
+            if not members or min(members) >= 0:
+                return decoded
+    raise BackendError(f"members must be vertex ids in [0, {len(ids)}), got {members!r:.80}")
+
+
 def _detection_from_dict(data: Mapping) -> DetectionResult:
+    num_vertices = data["num_vertices"]
+    if type(num_vertices) is not int or num_vertices < 0:
+        raise BackendError(f"num_vertices must be an int >= 0, got {num_vertices!r}")
+    ids = _vertex_ids(num_vertices)
     communities = []
     for entry in data.get("communities", ()):
         history = tuple(
             LargestMixingSet(
                 walk_length=item["walk_length"],
                 size=item["size"],
-                members=frozenset(item["members"]),
+                members=_decode_members(ids, item["members"]),
                 deficit=item["deficit"],
                 mass=item["mass"],
                 sizes_examined=item["sizes_examined"],
@@ -619,16 +653,14 @@ def _detection_from_dict(data: Mapping) -> DetectionResult:
         communities.append(
             CommunityResult(
                 seed=entry["seed"],
-                community=frozenset(entry["community"]),
+                community=_decode_members(ids, entry["community"]),
                 walk_length=entry["walk_length"],
                 history=history,
                 stop_reason=entry["stop_reason"],
                 delta=entry["delta"],
             )
         )
-    return DetectionResult(
-        num_vertices=data["num_vertices"], communities=tuple(communities)
-    )
+    return DetectionResult(num_vertices=num_vertices, communities=tuple(communities))
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,11 @@ against the current working tree — and flags the regressions:
   ``session_broadcasts``, byte counters): any change is flagged — these
   encode correctness gates and deterministic traffic counts, not timings;
 * keys present in the old run but missing from the new one are flagged
-  (a silently dropped measurement must not read as "no regression").
+  (a silently dropped measurement must not read as "no regression");
+* when the two documents record different ``machine.cpu_count`` values, the
+  ``*_s`` and ``*_speedup`` keys are **not comparable**: they are listed but
+  never count as regressions (a parallel tier timed on one core says nothing
+  about two), while identity keys stay gated.
 
 Timing noise cuts both ways, which is why only *worsenings* beyond the
 threshold fail; improvements are reported but never fatal.  The CLI
@@ -61,6 +65,9 @@ class KeyDelta:
     #: Identities use 0.0 (match) or ``inf`` (mismatch).
     worsening: float
     regressed: bool
+    #: False for timing and speedup keys of runs on different core counts:
+    #: listed, but never a regression.
+    comparable: bool = True
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,9 @@ class BenchComparison:
     missing_keys: tuple[str, ...]
     #: Keys new to this run (informational — new coverage, never fatal).
     added_keys: tuple[str, ...]
+    #: ``(old, new)`` core counts when they differ (timings then not
+    #: comparable), else ``None``.
+    core_counts: tuple[int, int] | None = None
 
     @property
     def regressions(self) -> tuple[KeyDelta, ...]:
@@ -127,13 +137,23 @@ def compare_documents(
         for key, value in new.get("results", {}).items()
         if isinstance(value, (int, float))
     }
+    old_cores = old.get("machine", {}).get("cpu_count")
+    new_cores = new.get("machine", {}).get("cpu_count")
+    core_counts = (
+        (old_cores, new_cores)
+        if old_cores is not None and new_cores is not None and old_cores != new_cores
+        else None
+    )
     deltas: list[KeyDelta] = []
     for key in sorted(old_results):
         if key not in new_results:
             continue
         kind = _key_kind(key)
         before, after = old_results[key], new_results[key]
-        if kind == "timing":
+        comparable = kind == "identity" or core_counts is None
+        if not comparable:
+            worsening, regressed = 0.0, False
+        elif kind == "timing":
             worsening = (after - before) / before if before > 0 else 0.0
             regressed = worsening > threshold
         elif kind == "speedup":
@@ -151,6 +171,7 @@ def compare_documents(
                 new=after,
                 worsening=worsening,
                 regressed=regressed,
+                comparable=comparable,
             )
         )
     missing = tuple(sorted(set(old_results) - set(new_results)))
@@ -161,6 +182,7 @@ def compare_documents(
         deltas=tuple(deltas),
         missing_keys=missing,
         added_keys=added,
+        core_counts=core_counts,
     )
 
 
@@ -181,29 +203,40 @@ def compare_files(
 def render_comparison(comparison: BenchComparison, *, verbose: bool = False) -> str:
     """Render the diff as the table ``repro bench --compare`` prints.
 
-    Regressions and dropped keys always print; unchanged/improved keys only
-    with ``verbose``.
+    Regressions, not-comparable keys and dropped keys always print;
+    unchanged/improved keys only with ``verbose``.
     """
     lines = [
         f"benchmark {comparison.benchmark}: "
         f"{len(comparison.deltas)} keys compared, "
         f"threshold {comparison.threshold:.0%}"
     ]
+    if comparison.core_counts is not None:
+        old_cores, new_cores = comparison.core_counts
+        lines.append(
+            f"core counts differ ({old_cores} vs {new_cores}): timing and speedup "
+            "keys are not comparable and never count as regressions; "
+            "identity keys are still gated"
+        )
     shown = [
         delta
         for delta in comparison.deltas
-        if verbose or delta.regressed
+        if verbose or delta.regressed or not delta.comparable
     ]
     if shown:
         lines.append(f"{'key':34s} {'old':>12s} {'new':>12s} {'change':>9s}  verdict")
     for delta in shown:
-        if delta.kind == "identity":
+        if not delta.comparable:
+            change = "-"
+        elif delta.kind == "identity":
             change = "changed" if delta.regressed else "same"
         else:
             # Sign from the reader's perspective: + is worse for timings
             # (slower) and for speedups (lost ratio) alike.
             change = f"{delta.worsening:+.1%}"
-        verdict = "REGRESSED" if delta.regressed else "ok"
+        verdict = (
+            "REGRESSED" if delta.regressed else "ok" if delta.comparable else "not comparable"
+        )
         lines.append(
             f"{delta.key:34s} {delta.old:12.4f} {delta.new:12.4f} "
             f"{change:>9s}  {verdict}"

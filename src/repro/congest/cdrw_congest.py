@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.cdrw import _pool_loop
+from ..core.cdrw import _edgeless_community, _pool_loop
 from ..core.mixing_set import LargestMixingSet, deviation_values
 from ..core.parameters import CDRWParameters
 from ..core.result import CommunityResult, DetectionResult
@@ -94,6 +94,12 @@ def detect_community_congest(
     """
     if seed_vertex not in graph:
         raise SimulationError(f"seed vertex {seed_vertex} is not a vertex of {graph!r}")
+    if graph.num_edges == 0:
+        return CongestCommunityResult(
+            community=_edgeless_community(seed_vertex),
+            cost=CostReport(rounds=0, messages=0),
+            bfs_depth=0,
+        )
     parameters = parameters or CDRWParameters()
     network = network or CongestNetwork(graph)
     start_cost = network.cost_report()
@@ -225,6 +231,13 @@ def _detect_communities_congest_impl(
     one shared network, so the total cost corresponds to Theorem 6 (all
     ``r`` communities detected one by one).
     """
+    if graph.num_vertices == 0 and not seeds:
+        # An empty pool: nothing to detect, nothing to charge.
+        return CongestDetectionResult(
+            detection=DetectionResult(num_vertices=0, communities=()),
+            per_community=(),
+            total_cost=CostReport(rounds=0, messages=0),
+        )
     network = CongestNetwork(graph)
     per_community: list[CongestCommunityResult] = []
 

@@ -43,7 +43,7 @@ from ..exceptions import AlgorithmError
 from ..graphs.graph import Graph
 from ..randomwalk.batched import BatchedWalkDistribution
 from ..utils import as_rng
-from .cdrw import _ensure_seed, _pool_loop
+from .cdrw import _edgeless_community, _ensure_seed, _pool_loop
 from .mixing_set import BatchedMixingSetSearch, LargestMixingSet
 from .parameters import CDRWParameters
 from .result import CommunityResult, DetectionResult
@@ -93,18 +93,7 @@ def _detect_community_batch_impl(
         if seed_vertex not in graph:
             raise AlgorithmError(f"seed vertex {seed_vertex} is not a vertex of {graph!r}")
     if graph.num_edges == 0:
-        # Isolated seeds trivially form their own communities (scalar fast path).
-        results = [
-            CommunityResult(
-                seed=seed_vertex,
-                community=frozenset({seed_vertex}),
-                walk_length=0,
-                history=(),
-                stop_reason="graph has no edges",
-                delta=0.0,
-            )
-            for seed_vertex in seed_list
-        ]
+        results = [_edgeless_community(seed_vertex) for seed_vertex in seed_list]
         if capture_distributions:
             finals = np.zeros((graph.num_vertices, len(seed_list)), dtype=np.float64)
             finals[seed_list, np.arange(len(seed_list))] = 1.0

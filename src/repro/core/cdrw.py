@@ -62,15 +62,7 @@ def _detect_community_impl(
     if seed_vertex not in graph:
         raise AlgorithmError(f"seed vertex {seed_vertex} is not a vertex of {graph!r}")
     if graph.num_edges == 0:
-        # An isolated seed trivially forms its own community.
-        return CommunityResult(
-            seed=seed_vertex,
-            community=frozenset({seed_vertex}),
-            walk_length=0,
-            history=(),
-            stop_reason="graph has no edges",
-            delta=0.0,
-        )
+        return _edgeless_community(seed_vertex)
     parameters = parameters or CDRWParameters()
 
     delta = parameters.resolve_delta(graph, delta_hint)
@@ -189,6 +181,23 @@ def _remove_detected(pool: np.ndarray, result: CommunityResult) -> int:
         pool[result.seed] = False
         removed += 1
     return removed
+
+
+def _edgeless_community(seed_vertex: int) -> CommunityResult:
+    """The community of a seed in a graph with no edges: the seed alone.
+
+    Every CDRW backend returns this without walking or searching (and the
+    simulators charge no cost for it): with no edge the walk never leaves
+    the seed and no mixing set exists.
+    """
+    return CommunityResult(
+        seed=seed_vertex,
+        community=frozenset({seed_vertex}),
+        walk_length=0,
+        history=(),
+        stop_reason="graph has no edges",
+        delta=0.0,
+    )
 
 
 def _ensure_seed(members: frozenset[int], seed_vertex: int) -> frozenset[int]:

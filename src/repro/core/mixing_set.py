@@ -14,10 +14,13 @@ This implements lines 12-17 of Algorithm 1.  Given the walk distribution
    least ``1 − 2ε``;
 3. candidate sizes grow geometrically by ``(1 + 1/8e)`` starting from
    ``R = log n``; the largest accepted size over the whole schedule is
-   reported together with the vertices attaining it.
+   reported together with the vertices attaining it.  The kernel finds it by
+   scanning the schedule from the top and stopping at the first accepted
+   size, while the reported cost stays the paper's ascending schedule.
 
-Points 2 (the mass condition) and 3 (the whole-schedule scan) depart from the
-literal pseudocode; README.md, "Deviations from the paper", says why.
+Points 2 (the mass condition) and 3 (the largest size over the whole
+schedule) depart from the literal pseudocode; README.md, "Deviations from
+the paper", says why.
 
 :class:`BatchedMixingSetSearch` is the *centralized executor* of this search
 and the only implementation of its size schedule: every backend calls it,
@@ -74,7 +77,12 @@ class LargestMixingSet:
     mass:
         The total walk probability currently held by the accepted set.
     sizes_examined:
-        How many candidate sizes were evaluated (for complexity accounting).
+        How many candidate sizes the paper's ascending schedule charges for
+        this search (for complexity accounting): the whole schedule, or the
+        sizes up to and including the first failure when
+        ``stop_at_first_failure`` is set.  It is the paper's cost, not the
+        number of sizes the kernel evaluated (the default top-down scan
+        usually evaluates fewer).
     """
 
     walk_length: int
@@ -111,10 +119,13 @@ class BatchedMixingSetSearch:
 
     The search object precomputes the candidate-size schedule and the degree
     vector once per graph, so repeated calls (one per walk length) stay
-    cheap.  For every candidate size the targets ``d(u)/µ'(S)`` are computed
-    once, the deviation matrix ``|P − targets|`` over all active lanes is
-    formed in one elementwise pass, and one per-lane ``np.argpartition``
-    selects every lane's smallest deviations.  Distributions are laid out one
+    cheap.  The schedule is scanned from the largest size down, and a lane
+    leaves the scan at the first size it accepts (with
+    ``stop_at_first_failure`` the scan ascends and a lane leaves at its
+    first failure).  For every evaluated size the targets ``d(u)/µ'(S)``
+    are computed once, the deviation matrix ``|P − targets|`` over all
+    active lanes is formed in one elementwise pass, and one per-lane
+    ``np.argpartition`` selects every lane's smallest deviations.  Distributions are laid out one
     per row (the matrix is transposed once per call), so every argpartition
     lane is contiguous in memory.  A one-column call is the same kernel with
     one lane.
@@ -256,16 +267,20 @@ class BatchedMixingSetSearch:
     ) -> list[LargestMixingSet]:
         """Return the largest mixing set of every column of ``distributions``.
 
-        Candidate sizes are examined in increasing order and the *largest*
-        size whose ``|S|`` smallest deviations sum below the threshold (with
-        enough mass) wins (Algorithm 1 line 17: "the largest set S which
-        satisfies the mixing condition").  By default the whole schedule is
-        scanned: with the localized average-volume proxy ``µ'(S)`` the
-        acceptance predicate is not monotone in ``|S|`` — in dense graphs no
-        set smaller than roughly the seed's degree can mix even though
-        community-sized sets do — so stopping at the first failing size (the
-        literal pseudocode reading, available via
-        ``stop_at_first_failure=True``) can miss every mixing set.
+        The *largest* size whose ``|S|`` smallest deviations sum below the
+        threshold (with enough mass) wins (Algorithm 1 line 17: "the largest
+        set S which satisfies the mixing condition").  By default every size
+        of the schedule is a candidate: with the localized average-volume
+        proxy ``µ'(S)`` the acceptance predicate is not monotone in ``|S|`` —
+        in dense graphs no set smaller than roughly the seed's degree can mix
+        even though community-sized sets do — so stopping at the first
+        failing size (the literal pseudocode reading, available via
+        ``stop_at_first_failure=True``) can miss every mixing set.  The
+        schedule is therefore scanned from the largest size down, and a
+        column is done at the first size it accepts: no smaller size can
+        change the answer.  Each evaluated size runs the same arithmetic as
+        an ascending scan, so results (and ``sizes_examined``, the ascending
+        schedule's cost) are those of the ascending scan.
 
         Parameters
         ----------
@@ -357,24 +372,32 @@ class BatchedMixingSetSearch:
         best_mass: list[float],
         examined: list[int],
     ) -> None:
-        """Scan the whole candidate schedule for lanes ``start:stop`` of ``rows``.
+        """Scan the candidate schedule for lanes ``start:stop`` of ``rows``.
 
-        Writes each lane's best accepted candidate into the shared result
+        Writes each lane's largest accepted candidate into the shared result
         lists at its global lane index; lanes outside ``start:stop`` are
         never touched, which is what makes the blocks thread-safe.
+
+        A lane retires at its first accepted size on the default descending
+        scan, or at its first failing size on the ascending
+        ``stop_at_first_failure`` scan.
         """
         num_vertices = rows.shape[1]
         threshold = self._threshold
         min_mass = self._min_mass
-        # Global column ids of the lanes still scanning the schedule; only
-        # stop_at_first_failure ever removes a lane early.
+        ascending = self._stop_at_first_failure
+        # Global column ids of the lanes still scanning the schedule.
         columns = list(range(start, stop))
+        # The paper's cost: the ascending schedule up to the first failure
+        # (overwritten below when one occurs), else the whole schedule.
+        examined[start:stop] = [len(self._sizes)] * len(columns)
         lanes = rows[start:stop]
         deviations = np.empty_like(lanes)
         # Flat index of each lane's first entry: `chosen + offsets` gathers
         # every lane's selection with one `take` over the flattened block.
         offsets = np.arange(0, lanes.size, num_vertices)[:, None]
-        for index, size in enumerate(self._sizes, start=1):
+        sizes = self._sizes if ascending else self._sizes[::-1]
+        for index, size in enumerate(sizes, start=1):
             targets = self._degrees / (self._volume_per_vertex * size)
             np.subtract(lanes, targets, out=deviations)
             np.absolute(deviations, out=deviations)
@@ -391,7 +414,7 @@ class BatchedMixingSetSearch:
                 flat = chosen + offsets
                 deficits = deviations.take(flat).sum(axis=1).tolist()
                 masses = lanes.take(flat).sum(axis=1).tolist()
-            failed: list[int] = []
+            retired: list[int] = []
             for position, column in enumerate(columns):
                 deficit = deficits[position]
                 mass = masses[position]
@@ -406,16 +429,16 @@ class BatchedMixingSetSearch:
                     )
                     best_deficit[column] = deficit
                     best_mass[column] = mass
-                elif deficit >= threshold and self._stop_at_first_failure:
+                    if not ascending:
+                        retired.append(position)
+                elif deficit >= threshold and ascending:
                     examined[column] = index
-                    failed.append(position)
-            if failed:
-                keep = np.delete(np.arange(len(columns)), failed)
+                    retired.append(position)
+            if retired:
+                keep = np.delete(np.arange(len(columns)), retired)
                 columns = [columns[position] for position in keep]
                 if not columns:
                     return
                 lanes = np.ascontiguousarray(lanes[keep])
                 deviations = np.empty_like(lanes)
                 offsets = offsets[: len(columns)]
-        for column in columns:
-            examined[column] = len(self._sizes)

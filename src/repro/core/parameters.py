@@ -56,12 +56,14 @@ class CDRWParameters:
         ``"geometric"`` (paper) or ``"linear"`` (exact but slower; used in
         tests to validate the geometric search).
     stop_at_first_failure:
-        When ``True`` the candidate-size scan stops at the first size that
-        violates the mixing condition (the literal reading of Algorithm 1
-        line 12-17).  The default ``False`` scans the whole schedule and keeps
-        the largest satisfying size, which is required on dense graphs where
-        sizes below the seed's degree never mix (see README.md, "Deviations
-        from the paper").
+        When ``True`` the candidate-size scan ascends and stops at the first
+        size that violates the mixing condition (the literal reading of
+        Algorithm 1 line 12-17).  The default ``False`` keeps the largest
+        satisfying size of the whole schedule, which is required on dense
+        graphs where sizes below the seed's degree never mix (see README.md,
+        "Deviations from the paper"); it is found by scanning from the
+        largest size down to the first accepted one, and the reported cost
+        is still the whole schedule.
     min_mass:
         Minimum walk probability a candidate set must hold to be accepted.
         ``None`` (default) uses ``1 − 2·mixing_threshold``; Definition 2

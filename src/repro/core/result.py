@@ -57,7 +57,12 @@ class CommunityResult:
         return [entry.size for entry in self.history]
 
     def sizes_examined(self) -> int:
-        """Total number of candidate sizes evaluated across all walk lengths."""
+        """Total candidate sizes the paper's schedule charges across all walk lengths.
+
+        The sum of :attr:`LargestMixingSet.sizes_examined`: the cost of the
+        ascending scan, not the (usually smaller) number of sizes the kernel
+        evaluated.
+        """
         return sum(entry.sizes_examined for entry in self.history)
 
 

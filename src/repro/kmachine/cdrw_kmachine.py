@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.cdrw import _pool_loop
+from ..core.cdrw import _edgeless_community, _pool_loop
 from ..core.mixing_set import BatchedMixingSetSearch, LargestMixingSet
 from ..core.parameters import CDRWParameters
 from ..core.result import CommunityResult, DetectionResult
@@ -122,6 +122,14 @@ def detect_community_kmachine(
     elif network.num_machines != num_machines:
         raise MachineError(
             f"supplied network has {network.num_machines} machines, expected {num_machines}"
+        )
+    if graph.num_edges == 0:
+        return KMachineCommunityResult(
+            community=_edgeless_community(seed_vertex),
+            cost=KMachineCost(
+                rounds=0, inter_machine_messages=0, local_messages=0, congest_rounds_routed=0
+            ),
+            num_machines=network.num_machines,
         )
     start = network.cost()
 

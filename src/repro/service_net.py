@@ -334,7 +334,10 @@ class ServiceClient:
         report = response["report"]
         if not isinstance(report, dict):
             raise ServiceError(f"malformed detect reply: {response!r}")
-        return RunReport.from_dict(report)
+        try:
+            return RunReport.from_dict(report)
+        except BackendError as error:
+            raise ServiceError(f"malformed detect reply: {error}") from error
 
     def metrics(self) -> dict[str, Any]:
         """Fetch the service's metrics snapshot."""

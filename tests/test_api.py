@@ -16,6 +16,7 @@ Three contracts are pinned here:
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,9 +31,14 @@ from repro.api import (
     register_backend,
     unregister_backend,
 )
+from repro.congest.cdrw_congest import detect_community_congest
+from repro.congest.network import CostReport
 from repro.core.cdrw import _detect_community_impl
 from repro.core.result import DetectionResult
 from repro.exceptions import AlgorithmError, BackendError
+from repro.graphs import Graph, planted_partition_graph
+from repro.kmachine.cdrw_kmachine import detect_community_kmachine
+from repro.kmachine.simulator import KMachineCost
 
 #: RNG-sequence expectations recorded on the ``small_ppm`` fixture (n=256,
 #: 2 blocks, seed=7) *before* the registry redesign.  They pin the facade to
@@ -391,3 +397,101 @@ class TestRunReport:
             capture_distributions=True,
         )
         assert np.array_equal(np.array(rows).T, finals)
+
+
+class TestDecodedMemberIds:
+    """Decoded replies map member ids onto one shared, validated id table."""
+
+    NUM_VERTICES = 600  # ids beyond CPython's small-int cache (<= 256)
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        n = self.NUM_VERTICES
+        ppm = planted_partition_graph(n, 2, 3 * math.log(n) ** 2 / n, 1.0 / n, seed=7)
+        return detect(
+            ppm.graph, backend="batched", delta_hint=0.05,
+            config=RunConfig(seeds=(0, 400)),
+        )
+
+    def test_round_trip_is_exact(self, report):
+        assert RunReport.from_dict(report.to_dict()) == report
+
+    def test_two_decoded_replies_share_member_objects(self, report):
+        first = RunReport.from_json(report.to_json())
+        second = RunReport.from_json(report.to_json())
+        one = first.detection.communities[0]
+        two = second.detection.communities[0]
+        by_value = {member: member for member in two.community}
+        assert max(one.community) > 256
+        assert all(member is by_value[member] for member in one.community)
+        # History members share the same objects as the communities.
+        for item in one.history:
+            for member in item.members & two.community:
+                assert member is by_value[member]
+
+    @pytest.mark.parametrize("bad", [-1, NUM_VERTICES, "3", 2.5, None])
+    def test_forged_community_id_is_rejected(self, report, bad):
+        data = report.to_dict()
+        data["detection"]["communities"][0]["community"].append(bad)
+        with pytest.raises(BackendError, match="vertex ids"):
+            RunReport.from_dict(data)
+
+    @pytest.mark.parametrize("bad", [-1, NUM_VERTICES])
+    def test_forged_history_id_is_rejected(self, report, bad):
+        data = report.to_dict()
+        data["detection"]["communities"][1]["history"][-1]["members"].insert(0, bad)
+        with pytest.raises(BackendError, match="vertex ids"):
+            RunReport.from_dict(data)
+
+    @pytest.mark.parametrize("bad", [-1, "256", 2.0, True])
+    def test_forged_num_vertices_is_rejected(self, report, bad):
+        data = report.to_dict()
+        data["detection"]["num_vertices"] = bad
+        with pytest.raises(BackendError, match="num_vertices"):
+            RunReport.from_dict(data)
+
+
+class TestEdgelessGraphs:
+    """Every CDRW backend returns the seed alone on a graph with no edges."""
+
+    BACKENDS = ("scalar", "batched", "congest", "kmachine")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "config", [RunConfig(seed=3), RunConfig(seeds=(4, 0, 2))], ids=("pool", "seeds")
+    )
+    def test_one_singleton_per_seed(self, backend, config):
+        graph = Graph(5, [])
+        report = detect(graph, backend, config=config)
+        reference = detect(graph, "scalar", config=config).detection
+        assert report.detection == reference
+        communities = report.detection.communities
+        assert len(communities) == (5 if config.seeds is None else 3)
+        for community in communities:
+            assert community.community == frozenset({community.seed})
+            assert community.stop_reason == "graph has no edges"
+        zero_cost = {
+            "congest": CostReport(rounds=0, messages=0),
+            "kmachine": KMachineCost(
+                rounds=0, inter_machine_messages=0, local_messages=0, congest_rounds_routed=0
+            ),
+        }
+        if backend in zero_cost:
+            assert report.total_cost == zero_cost[backend]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_empty_graph_detects_nothing(self, backend):
+        report = detect(Graph(0, []), backend, config=RunConfig(seed=1))
+        assert report.detection.communities == ()
+        assert report.detection.num_vertices == 0
+
+    def test_single_seed_simulators_charge_nothing(self):
+        graph = Graph(4, [])
+        expected = _detect_community_impl(graph, 2)
+        congest = detect_community_congest(graph, 2)
+        kmachine = detect_community_kmachine(graph, 2, num_machines=2)
+        assert congest.community == kmachine.community == expected
+        assert (congest.cost, congest.bfs_depth) == (CostReport(rounds=0, messages=0), 0)
+        assert kmachine.cost == KMachineCost(
+            rounds=0, inter_machine_messages=0, local_messages=0, congest_rounds_routed=0
+        )

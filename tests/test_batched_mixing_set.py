@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import BatchedMixingSetSearch, CDRWParameters, LargestMixingSet
+from repro.core import mixing_set as mixing_set_module
 from repro.exceptions import AlgorithmError
 from repro.graphs import Graph, gnp_random_graph
 from repro.randomwalk import BatchedWalkDistribution
@@ -112,6 +113,18 @@ def assert_matches_oracle(
 
 
 class TestDifferential:
+    @example(
+        graph_kind="cycle",
+        num_vertices=24,
+        graph_seed=9,
+        distribution_kind="tie-heavy",
+        width=5,
+        initial_size=1,
+        schedule="linear",
+        stop_at_first_failure=False,
+        min_mass=0.0,
+        workers=1,
+    )
     @given(
         graph_kind=st.sampled_from(["random", "cycle"]),
         num_vertices=st.integers(6, 40),
@@ -157,6 +170,164 @@ class TestDifferential:
             stop_at_first_failure=stop_at_first_failure,
             min_mass=min_mass,
         )
+
+
+class CountingNumpy:
+    """Stands in for ``np`` inside the kernel and counts its per-size passes.
+
+    Every evaluated size makes exactly one full-row ``np.subtract`` pass (the
+    deviations) and, below the top size ``n``, one ``np.argpartition``.
+    """
+
+    def __init__(self) -> None:
+        self.subtract_calls = 0
+        self.argpartition_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def subtract(self, *args, **kwargs):
+        self.subtract_calls += 1
+        return np.subtract(*args, **kwargs)
+
+    def argpartition(self, *args, **kwargs):
+        self.argpartition_calls += 1
+        return np.argpartition(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_numpy(monkeypatch) -> CountingNumpy:
+    counter = CountingNumpy()
+    monkeypatch.setattr(mixing_set_module, "np", counter)
+    return counter
+
+
+def cycle_with_isolated_vertices() -> Graph:
+    """A 14-cycle plus 6 isolated vertices (0-degree vertices have target 0)."""
+    return Graph(20, [(i, (i + 1) % 14) for i in range(14)])
+
+
+def oracle_accepts(graph: Graph, distribution: np.ndarray, size: int, min_mass: float) -> bool:
+    """Whether ``size`` alone passes the mixing test (the oracle's arithmetic)."""
+    n = graph.num_vertices
+    deviations = np.abs(distribution - graph.degrees() / (graph.volume / n * size))
+    chosen = np.arange(n) if size >= n else np.argpartition(deviations, size - 1)[:size]
+    return bool(
+        deviations[chosen].sum() < MIXING_THRESHOLD and distribution[chosen].sum() >= min_mass
+    )
+
+
+class TestDescendingScan:
+    """The default scan runs from the top size down and stops at the first accept."""
+
+    @staticmethod
+    def non_monotone_lane(graph: Graph) -> np.ndarray:
+        # The stationary distribution with 10% of the mass moved to vertex 0.
+        # With min_mass 0 the isolated vertices (deviation 0) accept every
+        # size up to 8, the middle sizes fail, 18 and 19 pass again and the
+        # top size 20 fails on the displaced mass.
+        degrees = graph.degrees().astype(np.float64)
+        distribution = 0.9 * degrees / degrees.sum()
+        distribution[0] += 0.1
+        return distribution
+
+    def test_non_monotone_lane_returns_largest_accepted_size(self, counting_numpy):
+        graph = cycle_with_isolated_vertices()
+        lane = self.non_monotone_lane(graph)
+        accepted = [size for size in range(1, 21) if oracle_accepts(graph, lane, size, 0.0)]
+        assert accepted == [1, 2, 3, 4, 5, 6, 7, 8, 18, 19]
+        search = BatchedMixingSetSearch(
+            graph, initial_size=1, schedule="linear", min_mass=0.0, workers=1
+        )
+        (result,) = search.largest_mixing_sets(lane[:, None], 1)
+        assert result.size == 19
+        assert result.sizes_examined == 20
+        assert result == oracle_largest_mixing_set(
+            graph, lane, 1, initial_size=1, schedule="linear", min_mass=0.0
+        )
+        # Sizes 20 (rejected) and 19 (accepted): the descent stops there.
+        assert counting_numpy.subtract_calls == 2
+        assert counting_numpy.argpartition_calls == 1
+
+    def test_lane_accepting_only_the_smallest_size(self, counting_numpy):
+        # A point mass on a cycle vertex next to one isolated vertex: only
+        # size 1 (the isolated vertex, deviation 0) passes.
+        graph = Graph(20, [(i, (i + 1) % 19) for i in range(19)])
+        lane = np.zeros(20)
+        lane[0] = 1.0
+        search = BatchedMixingSetSearch(
+            graph, initial_size=1, schedule="linear", min_mass=0.0, workers=1
+        )
+        (result,) = search.largest_mixing_sets(lane[:, None], 1)
+        assert (result.size, result.members) == (1, frozenset({19}))
+        assert result.sizes_examined == 20
+        assert result == oracle_largest_mixing_set(
+            graph, lane, 1, initial_size=1, schedule="linear", min_mass=0.0
+        )
+        assert counting_numpy.subtract_calls == 20
+        assert counting_numpy.argpartition_calls == 19
+
+    def test_accepted_top_size_evaluates_one_size(self, small_ppm, counting_numpy):
+        graph = small_ppm.graph
+        degrees = graph.degrees().astype(np.float64)
+        search = BatchedMixingSetSearch(graph, initial_size=5, workers=1)
+        stationary = np.tile((degrees / degrees.sum())[:, None], (1, 3))
+        results = search.largest_mixing_sets(stationary, 2)
+        assert [result.size for result in results] == [graph.num_vertices] * 3
+        assert counting_numpy.subtract_calls == 1
+        assert counting_numpy.argpartition_calls == 0
+
+    def test_sizes_examined_is_the_whole_schedule(self, small_ppm):
+        graph = small_ppm.graph
+        search = BatchedMixingSetSearch(graph, initial_size=5, workers=1)
+        walk = BatchedWalkDistribution(graph, [0, 17, 100, 250])
+        degrees = graph.degrees().astype(np.float64)
+        schedule = len(search.candidate_sizes)
+        for length in range(1, 5):
+            walk.step()
+            matrix = np.column_stack([walk.probabilities(), degrees / degrees.sum()])
+            results = search.largest_mixing_sets(matrix, length)
+            assert [result.sizes_examined for result in results] == [schedule] * 5
+
+    def test_first_failure_mode_still_ascends(self, counting_numpy):
+        graph = cycle_with_isolated_vertices()
+        lane = self.non_monotone_lane(graph)
+        search = BatchedMixingSetSearch(
+            graph,
+            initial_size=1,
+            schedule="linear",
+            stop_at_first_failure=True,
+            min_mass=0.0,
+            workers=1,
+        )
+        (result,) = search.largest_mixing_sets(lane[:, None], 1)
+        # Sizes 1-8 pass and size 9 is the first failure: the scan stops
+        # there and never reaches the accepted sizes 18 and 19.
+        assert (result.size, result.sizes_examined) == (8, 9)
+        assert result == oracle_largest_mixing_set(
+            graph,
+            lane,
+            1,
+            initial_size=1,
+            schedule="linear",
+            stop_at_first_failure=True,
+            min_mass=0.0,
+        )
+        assert counting_numpy.subtract_calls == 9
+
+    def test_lanes_retire_independently(self):
+        graph = cycle_with_isolated_vertices()
+        degrees = graph.degrees().astype(np.float64)
+        point = np.zeros(20)
+        point[3] = 1.0
+        matrix = np.column_stack(
+            [self.non_monotone_lane(graph), degrees / degrees.sum(), point, np.full(20, 0.05)]
+        )
+        for workers in (1, 2):
+            assert_matches_oracle(
+                graph, matrix, workers=workers, initial_size=1, schedule="linear", min_mass=0.0
+            )
+            assert_matches_oracle(graph, matrix, workers=workers, initial_size=2)
 
 
 class TestEquivalenceRandomDistributions:

@@ -9,6 +9,7 @@ Dropped keys are regressions; added keys are informational.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +144,84 @@ class TestKeySets:
         results = {"z_s": 1.0, "a_s": 1.0, "m_identical": 1.0}
         comparison = compare_documents(doc(results), doc(results))
         assert [d.key for d in comparison.deltas] == ["a_s", "m_identical", "z_s"]
+
+
+def machine_doc(results: dict, cpu_count: int) -> dict:
+    return {**doc(results), "machine": {"cpu_count": cpu_count}}
+
+
+class TestCoreCounts:
+    RESULTS_OLD = {"detect_s": 1.0, "workers2_speedup": 1.8, "batched_identical": 1.0}
+    RESULTS_NEW = {"detect_s": 3.0, "workers2_speedup": 0.9, "batched_identical": 1.0}
+
+    def test_timings_and_speedups_not_comparable_across_core_counts(self):
+        comparison = compare_documents(
+            machine_doc(self.RESULTS_OLD, 1), machine_doc(self.RESULTS_NEW, 2)
+        )
+        assert comparison.core_counts == (1, 2)
+        by_key = {delta.key: delta for delta in comparison.deltas}
+        for key in ("detect_s", "workers2_speedup"):
+            assert not by_key[key].comparable
+            assert not by_key[key].regressed
+        assert by_key["batched_identical"].comparable
+        assert comparison.ok
+
+    def test_identity_keys_stay_gated_across_core_counts(self):
+        comparison = compare_documents(
+            machine_doc({"batched_identical": 1.0}, 1),
+            machine_doc({"batched_identical": 0.0}, 4),
+        )
+        assert not comparison.ok
+        (delta,) = comparison.regressions
+        assert delta.key == "batched_identical"
+
+    def test_same_core_count_still_gates_timings(self):
+        comparison = compare_documents(
+            machine_doc(self.RESULTS_OLD, 2), machine_doc(self.RESULTS_NEW, 2)
+        )
+        assert comparison.core_counts is None
+        assert {delta.key for delta in comparison.regressions} == {
+            "detect_s",
+            "workers2_speedup",
+        }
+
+    def test_unknown_core_count_compares(self):
+        comparison = compare_documents(
+            doc(self.RESULTS_OLD), machine_doc(self.RESULTS_NEW, 2)
+        )
+        assert comparison.core_counts is None
+        assert not comparison.ok
+
+    def test_render_says_why(self):
+        comparison = compare_documents(
+            machine_doc(self.RESULTS_OLD, 1), machine_doc(self.RESULTS_NEW, 2)
+        )
+        text = render_comparison(comparison)
+        assert "core counts differ (1 vs 2)" in text
+        assert text.count("not comparable") >= 2
+        assert "detect_s" in text and "workers2_speedup" in text
+        assert "REGRESSED" not in text
+        assert "no regressions" in text
+
+    def test_committed_baseline_against_another_core_count(self):
+        baseline = load_benchmark_document(
+            Path(__file__).resolve().parent.parent / "BENCH_graph_kernel.json"
+        )
+        other = json.loads(json.dumps(baseline))
+        other["machine"]["cpu_count"] = baseline["machine"]["cpu_count"] + 1
+        for key in other["results"]:
+            if key.endswith("_s"):
+                other["results"][key] *= 10.0
+        assert compare_documents(baseline, other).ok
+        identity = next(
+            key
+            for key, value in other["results"].items()
+            if isinstance(value, (int, float)) and not key.endswith(("_s", "_speedup"))
+        )
+        other["results"][identity] += 1.0
+        assert [delta.key for delta in compare_documents(baseline, other).regressions] == [
+            identity
+        ]
 
 
 class TestLoading:

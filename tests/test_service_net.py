@@ -279,3 +279,30 @@ class TestWireErrors:
             # "bad-request" kind must surface client-side as BackendError.
             with pytest.raises(BackendError, match="integer 'seed'"):
                 client._roundtrip({"op": "detect", "seed": True})
+
+    @pytest.mark.parametrize("past_end", (False, True), ids=("negative", "n"))
+    def test_forged_member_id_raises_service_error(self, ppm, past_end):
+        """A reply naming a vertex outside [0, n) is refused, never wrapped."""
+        instance, delta = ppm
+        forged = instance.graph.num_vertices if past_end else -1
+        report = detect(
+            instance.graph, "batched", config=RunConfig(seeds=(0,)), delta_hint=delta
+        ).to_dict()
+        report["detection"]["communities"][0]["community"].append(forged)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def answer_once() -> None:
+                connection, _address = listener.accept()
+                with connection, connection.makefile("rb") as reader:
+                    request = json.loads(reader.readline())
+                    reply = {"id": request["id"], "ok": True, "report": report}
+                    connection.sendall(json.dumps(reply).encode("utf-8") + b"\n")
+
+            thread = threading.Thread(target=answer_once)
+            thread.start()
+            try:
+                with ServiceClient(*listener.getsockname()) as client:
+                    with pytest.raises(ServiceError, match="malformed detect reply"):
+                        client.detect(0)
+            finally:
+                thread.join(timeout=30)
