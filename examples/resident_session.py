@@ -59,9 +59,7 @@ def main() -> None:
         print(
             f"\nSession after {session.calls} calls: "
             f"broadcasts={session.broadcasts}, "
-            f"operator_reused={last['session_operator_reused']}, "
-            f"search_reused={last['session_search_reused']}, "
-            f"delta_reused={last['session_delta_reused']}"
+            f"prepared_reused={last['session_prepared_reused']}"
         )
     session_seconds = time.perf_counter() - start
 

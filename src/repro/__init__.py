@@ -98,6 +98,7 @@ from .exceptions import (
     ServiceOverloadedError,
     SessionBusyError,
     SimulationError,
+    WorkerCrashedError,
 )
 from .graphs import (
     Graph,
@@ -146,6 +147,7 @@ __all__ = [
     "ExperimentError",
     "BackendError",
     "SessionBusyError",
+    "WorkerCrashedError",
     "ServiceError",
     "ServiceOverloadedError",
     "ServiceClosedError",

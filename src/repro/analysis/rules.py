@@ -447,13 +447,16 @@ class SharedMemoryFinalizerRule(Rule):
 # ----------------------------------------------------------------------
 # REP104 — registry discipline
 # ----------------------------------------------------------------------
-#: Module-private backend entry points follow the ``_…_impl`` convention
-#: (``_detect_communities_batched_impl`` & co).
+#: Module-private backend entry points follow the ``_…_impl`` convention:
+#: the batch driver ``_detect_community_batch_impl`` and the simulators'
+#: ``_detect_communities_congest_impl`` / ``_detect_communities_kmachine_impl``.
 _IMPL_NAME_RE = re.compile(r"^_\w*_impl$")
 
-#: Engine-internal modules allowed to bypass the facade: the facade itself,
-#: the resident session, the process tier, and the core package the
-#: implementations live in.
+#: Engine-internal modules allowed to bypass the facade: the facade itself
+#: (its runners call the simulators' impls), the session and the process
+#: tier (they run the batch driver on the calling thread and in the
+#: workers), and the core package the driver lives in.  The rule stays as
+#: long as the simulator ``_…_impl`` functions do.
 _ENGINE_FILES = frozenset({"api.py", "session.py", "execution_process.py"})
 _ENGINE_PACKAGES = ("core",)
 

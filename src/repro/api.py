@@ -31,7 +31,11 @@ service all run through it.  Every CDRW backend that draws seeds from the
 pool runs the one pool loop of Algorithm 1,
 :func:`repro.core.cdrw._pool_loop`, so the RNG draw sequence is shared by
 construction; ``tests/test_api.py`` pins it to the draws recorded before the
-registry existed.
+registry existed.  The centralized backends share one detection loop too:
+``"scalar"`` is the ``"batched"`` runner at width 1, and ``"batched"`` and
+``"parallel"`` each have one runner body for one-shot and session calls on
+both execution tiers — the tier only decides what runs one round of seeds
+(:data:`RoundRunner`).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import functools
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
 import numpy as np
 
@@ -50,11 +54,13 @@ from .baselines.label_propagation import label_propagation
 from .baselines.spectral import spectral_clustering
 from .baselines.walktrap import walktrap_communities
 from .congest.network import CostReport
+from .core.cdrw import _pool_loop
 from .core.mixing_set import LargestMixingSet
-from .execution import EXECUTOR_PROCESS, EXECUTOR_THREAD, resolve_executor
+from .core.parallel import _merge_and_resolve, select_spread_seeds
+from .execution import EXECUTOR_PROCESS, EXECUTOR_THREAD
 from .core.parameters import CDRWParameters
 from .core.result import CommunityResult, DetectionResult
-from .exceptions import BackendError
+from .exceptions import AlgorithmError, BackendError
 from .graphs.graph import Graph
 from .graphs.partition import Partition
 from .kmachine.simulator import KMachineCost
@@ -266,6 +272,16 @@ Runner = Callable[
     [Graph, CDRWParameters | None, RunConfig, float | None], BackendOutcome
 ]
 
+#: Runs one round of seeds on a call's execution tier: ``(seeds, batch_size,
+#: capture_distributions) -> (results in seed order, the final walk
+#: distributions or None)``.  The thread tier runs the batch driver, the
+#: process tier shards the round across the worker pool.
+RoundRunner = Callable[
+    [list[int], int, bool], tuple[list[CommunityResult], "np.ndarray | None"]
+]
+
+_T = TypeVar("_T")
+
 
 @dataclass(frozen=True)
 class Backend:
@@ -274,8 +290,10 @@ class Backend:
     ``supports_session`` marks runners that accept the extra ``session``
     keyword argument of the resident-service path
     (:class:`~repro.session.DetectionSession`); the facade only forwards a
-    session to such backends, so legacy four-argument runners keep working
-    unchanged.
+    session to such backends, so four-argument runners keep working
+    unchanged.  The built-in ``"batched"`` and ``"parallel"`` runners have
+    one body for both cases: without a session they run on one that lives
+    only for the call.
     """
 
     name: str
@@ -686,17 +704,26 @@ def detect(
 
     ``session`` routes the run through a resident
     :class:`~repro.session.DetectionSession` holding ``graph``: the graph
-    broadcast, worker pool and derived operators are reused across calls
-    instead of rebuilt, with the computed payload bit-identical to the
-    session-free run.  The session must have been created for this exact
-    ``graph`` object, and the backend must support sessions (``"batched"``
-    and ``"parallel"``).  ``params`` / ``config`` / ``delta_hint`` default
-    to the session's own when omitted.
+    broadcast, the worker pool and the prepared context (δ, operator,
+    search) are reused across calls instead of rebuilt, with the computed
+    payload bit-identical to the session-free run.  The session must have
+    been created for this exact ``graph`` object, and the backend must
+    support sessions (``"batched"`` and ``"parallel"``).  ``params`` /
+    ``config`` / ``delta_hint`` default to the session's own when omitted.
+    Without ``session``, those two backends run on a session that lives
+    only for the call, so both paths share one runner.
+
+    Each call resolves Algorithm 1's per-graph quantities once
+    (:class:`~repro.core.prepared.Prepared`): without a hint, δ costs one
+    spectral estimate per call on every CDRW backend, not one per seed or
+    per round.
 
     Returns a :class:`RunReport`.  With the same knobs, pool-mode backends
     draw the seeds the pre-registry entry points drew (pinned by
     ``tests/test_api.py``), and every CDRW backend reports for a seed the
-    community the ``"scalar"`` backend reports for it.
+    community a plain one-walk-per-seed loop finds for it
+    (``tests/cdrw_oracle.py``).  A process-tier worker that dies mid-call
+    raises :class:`~repro.exceptions.WorkerCrashedError`.
     """
     entry = get_backend(backend)
     if session is not None:
@@ -758,37 +785,49 @@ def _scalar_runner(
     config: RunConfig,
     delta_hint: float | None,
 ) -> BackendOutcome:
-    from .core.cdrw import _detect_community_impl, _pool_loop
-
-    def run_batch(seeds: list[int]) -> list[CommunityResult]:
-        return [
-            _detect_community_impl(
-                graph, s, params, delta_hint, capture_history=config.capture_history
-            )
-            for s in seeds
-        ]
-
-    if config.seeds is not None:
-        results = run_batch(list(config.seeds)[: config.max_seeds])
-    else:
-        results = _pool_loop(
-            graph, as_rng(config.seed), 1, config.max_seeds, run_batch
-        )
-    return BackendOutcome(
-        detection=DetectionResult(
-            num_vertices=graph.num_vertices, communities=tuple(results)
-        )
+    # The batched driver at width 1 on the calling thread: one walk per
+    # seed, the pool loop's width-1 draws, the exact float64 search.
+    outcome = _batched_runner(
+        graph,
+        params,
+        config.with_overrides(
+            batch_size=1,
+            executor=EXECUTOR_THREAD,
+            dtype="float64",
+            capture_distributions=False,
+        ),
+        delta_hint,
     )
+    return BackendOutcome(detection=outcome.detection)
 
 
-def _distribution_rows(finals: np.ndarray) -> list[list[float]]:
-    """Serialize an ``(n, k)`` final-distribution matrix as one row per community.
+def _serve(
+    graph: Graph,
+    session: "DetectionSession | None",
+    params: CDRWParameters | None,
+    config: RunConfig,
+    delta_hint: float | None,
+    dtype: str,
+    has_seeds: bool,
+    body: Callable[[RoundRunner], _T],
+) -> tuple[_T, dict[str, float], dict[str, object]]:
+    """Run a batched/parallel call's ``body`` on its session's residents.
 
-    ``ndarray.tolist()`` emits the exact doubles, and ``json`` round-trips
-    finite doubles exactly, so rebuilding the matrix from a (possibly
-    serialized) report reproduces it bit for bit.
+    A one-shot call runs on a session that lives only for the call, so the
+    pool, the broadcast and the prepared context are set up and torn down
+    by the same code a resident session uses; its metadata carries no
+    ``session_*`` key.  See :meth:`repro.session.DetectionSession._serve`.
     """
-    return [finals[:, index].tolist() for index in range(finals.shape[1])]
+    if session is not None:
+        return session._serve(params, config, delta_hint, dtype, has_seeds, body)
+    from .session import DetectionSession
+
+    with DetectionSession(graph) as owned:
+        result, timings, extras = owned._serve(
+            params, config, delta_hint, dtype, has_seeds, body
+        )
+    extras = {key: value for key, value in extras.items() if not key.startswith("session_")}
+    return result, timings, extras
 
 
 def _batched_runner(
@@ -799,66 +838,60 @@ def _batched_runner(
     *,
     session: "DetectionSession | None" = None,
 ) -> BackendOutcome:
-    if session is not None:
-        return session._run_batched(params, config, delta_hint)
-    executor = resolve_executor(config.executor)
-    if executor == EXECUTOR_PROCESS:
-        from .execution_process import detect_batched_process
+    if config.batch_size < 1:
+        raise AlgorithmError(f"batch_size must be >= 1, got {config.batch_size}")
+    explicit: list[int] | None = None
+    if config.seeds is not None:
+        explicit = list(config.seeds[: config.max_seeds])
+        for seed_vertex in explicit:
+            if seed_vertex not in graph:
+                raise AlgorithmError(
+                    f"seed vertex {seed_vertex} is not a vertex of {graph!r}"
+                )
+    final_chunks: list[np.ndarray] = []
 
-        outcome = detect_batched_process(
-            graph,
-            params,
-            delta_hint,
-            seed=config.seed,
-            max_seeds=config.max_seeds,
-            batch_size=config.batch_size,
-            seeds=config.seeds,
-            workers=config.workers,
-            dtype=config.dtype,
-            capture_distributions=config.capture_distributions,
-            capture_history=config.capture_history,
-        )
-        artifacts: dict[str, object] = {}
-        finals = None
-        if config.capture_distributions and outcome.final_distributions is not None:
-            finals = outcome.final_distributions
-            artifacts["final_distributions"] = _distribution_rows(finals)
-        return BackendOutcome(
-            detection=outcome.detection,
-            timings=dict(outcome.timings),
-            extras=dict(outcome.extras),
-            artifacts=artifacts,
-            native=finals,
+    def body(run_round: RoundRunner) -> list[CommunityResult]:
+        def run_batch(seeds: list[int]) -> list[CommunityResult]:
+            results, finals = run_round(
+                seeds, config.batch_size, config.capture_distributions
+            )
+            if finals is not None:
+                final_chunks.append(finals)
+            return results
+
+        if explicit is not None:
+            return run_batch(explicit)
+        return _pool_loop(
+            graph, as_rng(config.seed), config.batch_size, config.max_seeds, run_batch
         )
 
-    from .core.batched import _detect_communities_batched_impl
-
-    result = _detect_communities_batched_impl(
-        graph,
-        params,
-        delta_hint,
-        seed=config.seed,
-        max_seeds=config.max_seeds,
-        batch_size=config.batch_size,
-        seeds=config.seeds,
-        workers=config.workers,
-        dtype=np.dtype(config.dtype),
-        capture_distributions=config.capture_distributions,
-        capture_history=config.capture_history,
+    has_seeds = explicit is None or bool(explicit)
+    results, timings, extras = _serve(
+        graph, session, params, config, delta_hint, config.dtype, has_seeds, body
     )
-    artifacts = {}
+    artifacts: dict[str, object] = {}
     finals = None
     if config.capture_distributions:
-        detection, finals = result
-        artifacts["final_distributions"] = _distribution_rows(finals)
-    else:
-        detection = result
+        finals = (
+            np.hstack(final_chunks)
+            if final_chunks
+            else np.zeros((graph.num_vertices, 0), dtype=np.float64)
+        )
+        # One row per community.  ``tolist()`` emits the exact doubles and
+        # json round-trips finite doubles exactly, so a (serialized) report
+        # rebuilds the matrix bit for bit.
+        artifacts["final_distributions"] = [
+            finals[:, index].tolist() for index in range(finals.shape[1])
+        ]
     # The raw (n, k) matrix rides along as the (unserialized) native result
     # so in-memory consumers read it back without re-parsing the list
     # artifact.
     return BackendOutcome(
-        detection=detection,
-        extras={"executor": executor},
+        detection=DetectionResult(
+            num_vertices=graph.num_vertices, communities=tuple(results)
+        ),
+        timings=timings,
+        extras=extras,
         artifacts=artifacts,
         native=finals,
     )
@@ -877,43 +910,44 @@ def _parallel_runner(
             "the 'parallel' backend needs the community-count estimate r: "
             "pass config=RunConfig(num_communities=...)"
         )
-    if session is not None:
-        return session._run_parallel(params, config, delta_hint)
-    executor = resolve_executor(config.executor)
-    if executor == EXECUTOR_PROCESS:
-        from .execution_process import detect_parallel_process
-
-        outcome = detect_parallel_process(
-            graph,
-            config.num_communities,
-            params,
-            delta_hint,
-            seed=config.seed,
-            overlap_merge_threshold=config.overlap_merge_threshold,
-            seed_min_distance=config.seed_min_distance,
-            workers=config.workers,
-            capture_history=config.capture_history,
+    if config.num_communities < 1:
+        raise AlgorithmError(
+            f"num_communities must be >= 1, got {config.num_communities}"
         )
-        return BackendOutcome(
-            detection=outcome.detection,
-            timings=dict(outcome.timings),
-            extras=dict(outcome.extras),
+    if not (0.0 < config.overlap_merge_threshold <= 1.0):
+        raise AlgorithmError(
+            f"overlap_merge_threshold must be in (0, 1], got "
+            f"{config.overlap_merge_threshold}"
         )
-
-    from .core.parallel import _detect_communities_parallel_impl
-
-    detection = _detect_communities_parallel_impl(
+    # Step 1 in the calling process, on either tier: the same draws.
+    spread = select_spread_seeds(
         graph,
         config.num_communities,
-        params,
-        delta_hint,
-        seed=config.seed,
-        overlap_merge_threshold=config.overlap_merge_threshold,
-        seed_min_distance=config.seed_min_distance,
-        workers=config.workers,
-        capture_history=config.capture_history,
+        min_distance=config.seed_min_distance,
+        seed=as_rng(config.seed),
     )
-    return BackendOutcome(detection=detection, extras={"executor": executor})
+    # Step 2: the r detections as one round of width r; the search always
+    # scans in float64 here.
+    (raw_results, distributions), timings, extras = _serve(
+        graph,
+        session,
+        params,
+        config,
+        delta_hint,
+        "float64",
+        True,
+        lambda run_round: run_round(spread, len(spread), True),
+    )
+    resolved = _merge_and_resolve(
+        raw_results, distributions, config.overlap_merge_threshold
+    )
+    return BackendOutcome(
+        detection=DetectionResult(
+            num_vertices=graph.num_vertices, communities=tuple(resolved)
+        ),
+        timings=timings,
+        extras=extras,
+    )
 
 
 def _congest_runner(

@@ -1,4 +1,4 @@
-"""Batched multi-seed CDRW execution.
+"""Batched multi-seed CDRW execution: the one detection loop of Algorithm 1.
 
 The pool loop of Algorithm 1 runs one full community detection per drawn
 seed.  Each detection is independent of the pool state — the community of
@@ -9,112 +9,79 @@ top of one :class:`~repro.randomwalk.batched.BatchedWalkDistribution` (one
 CSR sparse-matrix–matrix product per walk step instead of ``B``
 matrix–vector products).  The mixing-set search is batched as well: one
 :class:`~repro.core.mixing_set.BatchedMixingSetSearch` call per walk step
-evaluates every active column simultaneously (one deviation matrix and one
-axis-0 argpartition per candidate size instead of ``B`` sequential scans),
-while the per-seed :class:`~repro.core.stopping.GrowthStoppingRule` stays
-scalar and untouched.
+evaluates every active column simultaneously, while the per-seed
+:class:`~repro.core.stopping.GrowthStoppingRule` stays scalar and untouched.
+Walks whose detection stops early are dropped from the batch (``retain``),
+so a batch costs no more steps than its slowest member.
 
-Because the batched walk columns are bit-identical to scalar walks (see
-:mod:`repro.randomwalk.batched`), every ``CommunityResult`` produced here is
-**identical** to what :func:`repro.core.cdrw._detect_community_impl` returns
-for the same seed — same community, same history, same stop reason.  Walks
-whose detection stops early are dropped from the batch (``retain``), so a
-batch costs no more steps than its slowest member.
-
-:func:`_detect_communities_batched_impl` is what the ``"batched"`` backend
-of :func:`repro.api.detect` executes.  It supports two modes:
-
-* **explicit seeds** — process a caller-fixed seed list in batches; the
-  result is identical to detecting each listed seed on its own;
-* **pool mode** — :func:`~repro.core.cdrw._pool_loop` draws up to
-  ``batch_size`` seeds per round from the pool; with ``batch_size=1`` the
-  RNG draw sequence and the output are identical to the ``"scalar"``
-  backend's.
+This is the only detection loop of the centralized backends: the
+``"scalar"`` backend runs it at width 1, the ``"batched"`` and
+``"parallel"`` backends run it on the calling thread or inside each
+process-tier worker (:mod:`repro.execution_process`).  Every call reads δ,
+the walk budget, the operator and the search from one
+:class:`~repro.core.prepared.Prepared` context.  Because the batched walk
+columns are bit-identical to scalar walks (see
+:mod:`repro.randomwalk.batched`), every ``CommunityResult`` is identical to
+the plain one-walk-per-seed loop of the paper — ``tests/cdrw_oracle.py``
+keeps that loop as the reference the identity suites compare against.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
-from numpy.typing import DTypeLike
 
 from ..exceptions import AlgorithmError
-from ..graphs.graph import Graph
 from ..randomwalk.batched import BatchedWalkDistribution
-from ..utils import as_rng
-from .cdrw import _edgeless_community, _ensure_seed, _pool_loop
-from .mixing_set import BatchedMixingSetSearch, LargestMixingSet
-from .parameters import CDRWParameters
-from .result import CommunityResult, DetectionResult
+from .cdrw import _edgeless_community, _ensure_seed
+from .mixing_set import LargestMixingSet
+from .prepared import Prepared
+from .result import CommunityResult
 from .stopping import GrowthStoppingRule
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__: list[str] = []
 
 
 def _detect_community_batch_impl(
-    graph: Graph,
+    prepared: Prepared,
     seeds: list[int] | tuple[int, ...] | np.ndarray,
-    parameters: CDRWParameters | None = None,
-    delta_hint: float | None = None,
     *,
     capture_distributions: bool = False,
-    workers: int | None = None,
-    dtype: DTypeLike = np.float64,
     capture_history: bool = True,
-    walk_operator: "sp.csr_matrix | None" = None,
-    search: BatchedMixingSetSearch | None = None,
-) -> list[CommunityResult] | tuple[list[CommunityResult], np.ndarray]:
-    """The batched multi-seed detection the ``"batched"`` backend executes.
+) -> tuple[list[CommunityResult], np.ndarray | None]:
+    """Detect the community of every seed in ``seeds`` on one shared walk.
 
-    ``dtype`` selects the mixing-set scan precision
-    (:class:`~repro.core.mixing_set.BatchedMixingSetSearch`); only the
-    default ``float64`` carries the exactness guarantee.
+    Returns the results in seed order and, with ``capture_distributions``,
+    the ``(n, len(seeds))`` matrix of final walk distributions (``None``
+    otherwise).
 
     ``capture_history=False`` skips accumulating the per-step mixing-set
     traces (each result's ``history`` is empty); communities, walk lengths,
     stop reasons and δ are unchanged — the stopping rules consume each
     step's mixing set directly, never the accumulated lists.
 
-    ``walk_operator`` / ``search`` let a resident session inject the cached
-    transition operator and batched search instance so repeated calls skip
-    their construction; both are deterministic functions of ``(graph,
-    parameters, workers, dtype)``, so injecting them changes no float.
+    An edgeless graph (or an empty seed list) takes a fast path before
+    ``prepared`` is read at all: every seed is its own community and no δ,
+    operator or search is built.
     """
+    graph = prepared.graph
     seed_list = [int(s) for s in seeds]
-    if not seed_list:
-        if capture_distributions:
-            return [], np.zeros((graph.num_vertices, 0), dtype=np.float64)
-        return []
     for seed_vertex in seed_list:
         if seed_vertex not in graph:
             raise AlgorithmError(f"seed vertex {seed_vertex} is not a vertex of {graph!r}")
-    if graph.num_edges == 0:
+    if graph.num_edges == 0 or not seed_list:
         results = [_edgeless_community(seed_vertex) for seed_vertex in seed_list]
-        if capture_distributions:
-            finals = np.zeros((graph.num_vertices, len(seed_list)), dtype=np.float64)
-            finals[seed_list, np.arange(len(seed_list))] = 1.0
-            return results, finals
-        return results
-    parameters = parameters or CDRWParameters()
+        if not capture_distributions:
+            return results, None
+        finals = np.zeros((graph.num_vertices, len(seed_list)), dtype=np.float64)
+        finals[seed_list, np.arange(len(seed_list))] = 1.0
+        return results, finals
 
-    delta = parameters.resolve_delta(graph, delta_hint)
-    initial_size = parameters.resolve_initial_size(graph)
-    max_walk_length = parameters.resolve_max_walk_length(graph)
-
-    # The search is stateless across walk lengths, so one instance serves the
-    # whole batch (and, via injection, a whole session); the stopping rule is
-    # stateful and stays per-seed.
-    if search is None:
-        search = BatchedMixingSetSearch.from_parameters(
-            graph, parameters, initial_size, workers=workers, dtype=dtype
-        )
+    delta = prepared.delta
+    max_walk_length = prepared.max_walk_length
+    search = prepared.search
     stoppings = [GrowthStoppingRule(delta=delta) for _ in seed_list]
     walk = BatchedWalkDistribution(
-        graph, seed_list, lazy=parameters.lazy_walk, operator=walk_operator
+        graph, seed_list, lazy=prepared.parameters.lazy_walk, operator=prepared.operator
     )
 
     num_seeds = len(seed_list)
@@ -178,85 +145,4 @@ def _detect_community_batch_impl(
             stop_reason=stop_reason,
             delta=delta,
         )
-    results = [finished[index] for index in range(num_seeds)]
-    if finals is not None:
-        return results, finals
-    return results
-
-
-def _detect_communities_batched_impl(
-    graph: Graph,
-    parameters: CDRWParameters | None = None,
-    delta_hint: float | None = None,
-    seed: int | np.random.Generator | None = None,
-    max_seeds: int | None = None,
-    batch_size: int = 8,
-    seeds: list[int] | tuple[int, ...] | np.ndarray | None = None,
-    workers: int | None = None,
-    dtype: DTypeLike = np.float64,
-    capture_distributions: bool = False,
-    capture_history: bool = True,
-    walk_operator: "sp.csr_matrix | None" = None,
-    search: BatchedMixingSetSearch | None = None,
-) -> DetectionResult | tuple[DetectionResult, np.ndarray]:
-    """The batched pool loop the ``"batched"`` backend executes.
-
-    With ``capture_distributions`` the return value is ``(detection,
-    finals)`` where ``finals[:, i]`` is the final walk distribution of
-    ``detection.communities[i]`` (see :func:`_detect_community_batch_impl`).
-    ``capture_history`` / ``walk_operator`` / ``search`` are forwarded to
-    every :func:`_detect_community_batch_impl` round unchanged.
-    """
-    if batch_size < 1:
-        raise AlgorithmError(f"batch_size must be >= 1, got {batch_size}")
-    parameters = parameters or CDRWParameters()
-    final_chunks: list[np.ndarray] = []
-
-    def run_batch(batch_seeds: list[int]) -> list[CommunityResult]:
-        outcome = _detect_community_batch_impl(
-            graph,
-            batch_seeds,
-            parameters,
-            delta_hint,
-            capture_distributions=capture_distributions,
-            workers=workers,
-            dtype=dtype,
-            capture_history=capture_history,
-            walk_operator=walk_operator,
-            search=search,
-        )
-        if capture_distributions:
-            batch_results, batch_finals = outcome
-            final_chunks.append(batch_finals)
-            return batch_results
-        return outcome
-
-    if seeds is not None:
-        seed_list = [int(s) for s in seeds][:max_seeds]
-        results: list[CommunityResult] = []
-        for start in range(0, len(seed_list), batch_size):
-            results.extend(run_batch(seed_list[start:start + batch_size]))
-        return _bundle_batched_result(
-            graph, results, final_chunks, capture_distributions
-        )
-
-    results = _pool_loop(graph, as_rng(seed), batch_size, max_seeds, run_batch)
-    return _bundle_batched_result(graph, results, final_chunks, capture_distributions)
-
-
-def _bundle_batched_result(
-    graph: Graph,
-    results: list[CommunityResult],
-    final_chunks: list[np.ndarray],
-    capture_distributions: bool,
-) -> DetectionResult | tuple[DetectionResult, np.ndarray]:
-    detection = DetectionResult(
-        num_vertices=graph.num_vertices, communities=tuple(results)
-    )
-    if not capture_distributions:
-        return detection
-    if final_chunks:
-        finals = np.hstack(final_chunks)
-    else:
-        finals = np.zeros((graph.num_vertices, 0), dtype=np.float64)
-    return detection, finals
+    return [finished[index] for index in range(num_seeds)], finals

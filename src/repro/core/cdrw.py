@@ -1,29 +1,26 @@
 """CDRW — Community Detection by Random Walks (Algorithm 1 of the paper).
 
-This module holds the two halves of Algorithm 1 that every CDRW backend of
+This module holds the parts of Algorithm 1 that every CDRW backend of
 :func:`repro.api.detect` shares:
 
-* :func:`_detect_community_impl` finds the community containing one seed
-  vertex (the inner body, lines 5-20) on one scalar walk; it is what the
-  ``"scalar"`` backend runs per seed and the reference the identity suites
-  compare every other path against;
 * :func:`_pool_loop` is the pool loop (lines 1-4 and 21-23): repeatedly draw
   seeds from the pool of not-yet-assigned vertices, detect their
   communities, and remove the detected vertices from the pool.  The
   ``"scalar"``, ``"congest"`` and ``"kmachine"`` backends run it at width 1;
-  the ``"batched"`` backend and the process tier run it at ``batch_size``.
+  the ``"batched"`` backend and the process tier run it at ``batch_size``;
+* :func:`_edgeless_community` and :func:`_ensure_seed` are the two rules
+  every detection applies to its answer.
 
-This is the *centralized executor*: it performs exactly the arithmetic the
-CONGEST node programs perform (the distribution update of lines 9-11, the
-``x_u`` ranking of lines 12-17 and the growth test of line 18) without paying
-the cost of simulating individual messages, which keeps the accuracy
-experiments of Figures 2-4 fast.  The message-level implementations live in
+The inner body (lines 5-20: walk, rank, grow, stop) lives in
+:func:`repro.core.batched._detect_community_batch_impl`, which runs it for
+one seed or many on one shared walk.  That is the *centralized executor*: it
+performs exactly the arithmetic the CONGEST node programs perform (the
+distribution update of lines 9-11, the ``x_u`` ranking of lines 12-17 and
+the growth test of line 18) without paying the cost of simulating
+individual messages, which keeps the accuracy experiments of Figures 2-4
+fast.  The message-level implementations live in
 :mod:`repro.congest.cdrw_congest` and :mod:`repro.kmachine.cdrw_kmachine`;
 equivalence on small graphs is covered by integration tests.
-
-For many seeds at once, :mod:`repro.core.batched` runs several detections on
-one shared batched walk (one sparse matrix–matrix product per step) and
-produces results identical to :func:`_detect_community_impl`.
 """
 
 from __future__ import annotations
@@ -32,89 +29,10 @@ from typing import Callable
 
 import numpy as np
 
-from ..exceptions import AlgorithmError
 from ..graphs.graph import Graph
-from ..randomwalk.distribution import WalkDistribution
-from .mixing_set import BatchedMixingSetSearch, LargestMixingSet
-from .parameters import CDRWParameters
 from .result import CommunityResult
-from .stopping import GrowthStoppingRule
 
 __all__: list[str] = []
-
-
-def _detect_community_impl(
-    graph: Graph,
-    seed_vertex: int,
-    parameters: CDRWParameters | None = None,
-    delta_hint: float | None = None,
-    *,
-    capture_history: bool = True,
-) -> CommunityResult:
-    """The single-seed detection the ``"scalar"`` backend executes.
-
-    ``capture_history=False`` skips accumulating the per-step
-    :class:`LargestMixingSet` trace entirely (the result's ``history`` is
-    empty); the detected community, walk length, stop reason and δ are
-    unchanged — the stopping rule consumes each step's mixing set directly,
-    never the accumulated list.
-    """
-    if seed_vertex not in graph:
-        raise AlgorithmError(f"seed vertex {seed_vertex} is not a vertex of {graph!r}")
-    if graph.num_edges == 0:
-        return _edgeless_community(seed_vertex)
-    parameters = parameters or CDRWParameters()
-
-    delta = parameters.resolve_delta(graph, delta_hint)
-    initial_size = parameters.resolve_initial_size(graph)
-    max_walk_length = parameters.resolve_max_walk_length(graph)
-
-    search = BatchedMixingSetSearch.from_parameters(graph, parameters, initial_size)
-    stopping = GrowthStoppingRule(delta=delta)
-    walk = WalkDistribution(graph, seed_vertex, lazy=parameters.lazy_walk)
-
-    history: list[LargestMixingSet] = []
-    last_found: LargestMixingSet | None = None
-    stop_reason = "walk length budget exhausted"
-    stopped_at = max_walk_length
-
-    for length in range(1, max_walk_length + 1):
-        walk.step()
-        current = search.largest_mixing_sets(walk.probabilities()[:, None], length)[0]
-        if capture_history:
-            history.append(current)
-        if current.found:
-            last_found = current
-        decision = stopping.observe(current)
-        if decision.should_stop and decision.community is not None:
-            community_set = decision.community
-            stop_reason = decision.reason
-            stopped_at = length
-            return CommunityResult(
-                seed=seed_vertex,
-                community=_ensure_seed(community_set.members, seed_vertex),
-                walk_length=stopped_at,
-                history=tuple(history),
-                stop_reason=stop_reason,
-                delta=delta,
-            )
-
-    # Budget exhausted without triggering the growth rule (e.g. very small
-    # graphs or overly tight budgets): report the last mixing set found, or
-    # the seed alone if none was ever found.
-    if last_found is not None:
-        members = _ensure_seed(last_found.members, seed_vertex)
-    else:
-        members = frozenset({seed_vertex})
-        stop_reason = "no mixing set found within the walk budget"
-    return CommunityResult(
-        seed=seed_vertex,
-        community=members,
-        walk_length=stopped_at,
-        history=tuple(history),
-        stop_reason=stop_reason,
-        delta=delta,
-    )
 
 
 def _pool_loop(

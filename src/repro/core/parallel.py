@@ -12,8 +12,8 @@ even faster (by finding communities in parallel), assuming we know an
    matrix–matrix product and one batched mixing-set search per walk step
    instead of ``r`` independent scalar runs — an ``r``-fold reduction of
    redundant walk work that mirrors the distributed round-complexity saving,
-   while each per-seed result stays identical to the scalar
-   :func:`~repro.core.cdrw._detect_community_impl`,
+   while each per-seed result stays identical to a detection of that seed
+   alone,
 3. resolve conflicts: when two detected communities overlap heavily they were
    seeded in the same block, so the duplicates are merged (the earlier seed
    survives); every vertex still claimed by multiple *surviving* communities
@@ -25,13 +25,13 @@ even faster (by finding communities in parallel), assuming we know an
 
 The ``"parallel"`` backend of :func:`repro.api.detect` runs these steps
 (``RunConfig(num_communities=r, seed_min_distance=...,
-overlap_merge_threshold=...)``).
+overlap_merge_threshold=...)``): step 1 and step 3 in the calling process,
+step 2 on the thread or the process tier.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,14 +39,7 @@ from ..exceptions import AlgorithmError
 from ..graphs.graph import Graph
 from ..graphs.traversal import bfs_tree
 from ..utils import as_rng
-from .batched import _detect_community_batch_impl
-from .parameters import CDRWParameters
-from .result import CommunityResult, DetectionResult
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
-    from .mixing_set import BatchedMixingSetSearch
+from .result import CommunityResult
 
 __all__ = ["select_spread_seeds"]
 
@@ -56,7 +49,6 @@ def select_spread_seeds(
     count: int,
     min_distance: int = 2,
     seed: int | np.random.Generator | None = None,
-    max_attempts: int | None = None,
 ) -> list[int]:
     """Pick ``count`` seed vertices pairwise at hop distance ≥ ``min_distance``.
 
@@ -66,10 +58,7 @@ def select_spread_seeds(
     BFS ball around its pick, until ``count`` seeds are chosen or no valid
     vertex remains; only then is the constraint relaxed to arbitrary
     unchosen vertices.  Spacing violations therefore happen only when no
-    valid spread seed remains.  ``max_attempts`` is kept for backward
-    compatibility but no longer affects the outcome: every draw is
-    productive, so capping the draw phase merely handed the identical
-    remaining draws to what used to be the fallback loop.
+    valid spread seed remains.
 
     At ``min_distance=0`` no draw blocks any other vertex, so the whole
     selection collapses to a single uniform draw without replacement —
@@ -111,62 +100,16 @@ def select_spread_seeds(
     return chosen
 
 
-def _detect_communities_parallel_impl(
-    graph: Graph,
-    num_communities: int,
-    parameters: CDRWParameters | None = None,
-    delta_hint: float | None = None,
-    seed: int | np.random.Generator | None = None,
-    overlap_merge_threshold: float = 0.5,
-    seed_min_distance: int = 2,
-    workers: int | None = None,
-    capture_history: bool = True,
-    walk_operator: "sp.csr_matrix | None" = None,
-    search: "BatchedMixingSetSearch | None" = None,
-) -> DetectionResult:
-    """The spread-seed shared-walk detection the ``"parallel"`` backend executes.
-
-    ``capture_history`` / ``walk_operator`` / ``search`` are forwarded to the
-    shared batch (see :func:`~repro.core.batched._detect_community_batch_impl`);
-    none of them changes the detected communities.
-    """
-    if num_communities < 1:
-        raise AlgorithmError(f"num_communities must be >= 1, got {num_communities}")
-    if not (0.0 < overlap_merge_threshold <= 1.0):
-        raise AlgorithmError(
-            f"overlap_merge_threshold must be in (0, 1], got {overlap_merge_threshold}"
-        )
-    parameters = parameters or CDRWParameters()
-    rng = as_rng(seed)
-
-    seeds = select_spread_seeds(
-        graph, num_communities, min_distance=seed_min_distance, seed=rng
-    )
-    raw_results, distributions = _detect_community_batch_impl(
-        graph,
-        seeds,
-        parameters,
-        delta_hint,
-        capture_distributions=True,
-        workers=workers,
-        capture_history=capture_history,
-        walk_operator=walk_operator,
-        search=search,
-    )
-    resolved = _merge_and_resolve(raw_results, distributions, overlap_merge_threshold)
-    return DetectionResult(num_vertices=graph.num_vertices, communities=tuple(resolved))
-
-
 def _merge_and_resolve(
     raw_results: list[CommunityResult],
     distributions: np.ndarray,
     overlap_merge_threshold: float,
 ) -> list[CommunityResult]:
-    """Steps 2-3 of the parallel driver: duplicate merge, then overlap resolution.
+    """Step 3 of the parallel driver: duplicate merge, then overlap resolution.
 
-    Shared by the thread and process execution tiers — both hand the raw
-    per-seed batch results (identical by the batch guarantee) to this one
-    function, so the tiers cannot diverge in how conflicts are resolved.
+    The thread and process tiers both hand the raw per-seed batch results
+    (identical by the batch guarantee) to this one function, so the tiers
+    cannot diverge in how conflicts are resolved.
     """
     # Step 2 aftermath: drop duplicates of already-kept blocks (earlier seed
     # survives), remembering each survivor's index into the batch.

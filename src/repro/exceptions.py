@@ -69,6 +69,13 @@ class SessionBusyError(BackendError):
     callers."""
 
 
+class WorkerCrashedError(BackendError):
+    """Raised when a process-tier worker dies mid-call (killed by a signal,
+    out of memory, ``os._exit``).  The call's results are lost; the
+    session drops the broken executor but keeps the graph broadcast, so its
+    next call runs on a fresh worker pool."""
+
+
 class ServiceError(ReproError):
     """Raised by the concurrent detection service (:mod:`repro.service`)
     and its wire protocol (:mod:`repro.service_net`)."""

@@ -247,8 +247,10 @@ def _detect_communities_kmachine_impl(
     per_community: list[KMachineCommunityResult] = []
 
     def run_batch(batch_seeds: list[int]) -> list[CommunityResult]:
-        outcomes = [
-            detect_community_kmachine(
+        nonlocal delta_hint
+        communities = []
+        for seed_vertex in batch_seeds:
+            outcome = detect_community_kmachine(
                 graph,
                 seed_vertex,
                 num_machines,
@@ -256,10 +258,14 @@ def _detect_communities_kmachine_impl(
                 delta_hint=delta_hint,
                 network=network,
             )
-            for seed_vertex in batch_seeds
-        ]
-        per_community.extend(outcomes)
-        return [outcome.community for outcome in outcomes]
+            per_community.append(outcome)
+            communities.append(outcome.community)
+            if graph.num_edges > 0:
+                # The first detection resolved δ; feed it back as the hint
+                # (resolve_delta is idempotent on its own output), so the
+                # spectral estimate runs once per call, not once per seed.
+                delta_hint = outcome.community.delta
+        return communities
 
     if seeds is not None:
         results = run_batch(list(seeds)[:max_seeds])

@@ -41,7 +41,18 @@ from ..exceptions import RandomWalkError
 from ..graphs.graph import Graph
 from .transition import lazy_transition_matrix, reverse_transition_matrix
 
-__all__ = ["BatchedWalkDistribution"]
+__all__ = ["BatchedWalkDistribution", "transition_operator"]
+
+
+def transition_operator(graph: Graph, lazy: bool = False) -> sp.csr_matrix:
+    """The reverse transition operator one batched walk step multiplies by.
+
+    A deterministic function of the graph and ``lazy``: a cached copy is the
+    exact matrix a fresh walk would build (same floats, same sparsity).
+    """
+    if lazy:
+        return lazy_transition_matrix(graph).T.tocsr()
+    return reverse_transition_matrix(graph)
 
 
 class BatchedWalkDistribution:
@@ -61,9 +72,9 @@ class BatchedWalkDistribution:
         Optional pre-built reverse transition operator (the transposed CSR
         matrix the walk would otherwise construct from ``graph`` and
         ``lazy``).  Operator construction is a deterministic function of the
-        graph, so supplying a cached copy — as
-        :class:`repro.session.DetectionSession` does across repeated
-        detections — changes no float; it only skips the O(m) rebuild.
+        graph (:func:`transition_operator`), so supplying a cached copy — as
+        :class:`repro.core.prepared.Prepared` does for every walk of one
+        detection call — changes no float; it only skips the O(m) rebuild.
     """
 
     def __init__(
@@ -98,10 +109,8 @@ class BatchedWalkDistribution:
                     f"expected {(n, n)} for {graph!r}"
                 )
             self._operator: sp.csr_matrix = operator
-        elif lazy:
-            self._operator = lazy_transition_matrix(graph).T.tocsr()
         else:
-            self._operator = reverse_transition_matrix(graph)
+            self._operator = transition_operator(graph, self._lazy)
         self._matrix = self._one_hot()
         self._steps = 0
 

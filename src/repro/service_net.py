@@ -60,6 +60,7 @@ from .exceptions import (
     ServiceError,
     ServiceOverloadedError,
     SessionBusyError,
+    WorkerCrashedError,
 )
 
 if TYPE_CHECKING:
@@ -79,6 +80,7 @@ _KIND_OF_ERROR: tuple[tuple[type[ReproError], str], ...] = (
     (DeadlineExpiredError, "deadline-expired"),
     (ServiceClosedError, "service-closed"),
     (SessionBusyError, "session-busy"),
+    (WorkerCrashedError, "error"),  # a server fault, not a bad request
     (AlgorithmError, "invalid-seed"),
     (BackendError, "invalid-request"),
     (ReproError, "error"),

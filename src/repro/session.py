@@ -1,42 +1,47 @@
 """Resident detection service: one graph, many ``detect()`` calls, no re-setup.
 
-The one-shot :func:`repro.api.detect` facade rebuilds everything a call
-needs from scratch: the process tier re-broadcasts the CSR arrays into
-shared memory and forks a fresh worker pool, the thread tier rebuilds the
-transition operator and the batched mixing-set search, and both re-resolve
-the stopping parameter δ.  That is the right trade for a script that runs
-once — and exactly the wrong one for the ROADMAP's north-star shape of a
-resident service answering a stream of community queries against one big
-social graph, where per-call setup dwarfs the per-call work.
-
-:class:`DetectionSession` is that resident service, scoped to one graph:
+Every ``"batched"`` and ``"parallel"`` call of :func:`repro.api.detect` runs
+on a :class:`DetectionSession`: a one-shot call on a session that lives only
+for that call, a resident service on one it keeps.  The session owns what a
+call needs besides its seeds — the graph broadcast and worker pool of the
+process tier, and one :class:`~repro.core.prepared.Prepared` context (δ, the
+walk budget, the transition operator, the mixing-set search) per knob set —
+so the lifetime code exists once, and a resident session pays each piece of
+setup once instead of per call.  That is the ROADMAP's service shape: one
+big social graph, a stream of community queries, per-call setup that would
+otherwise dwarf the per-call work.
 
 * **One broadcast.**  The first process-tier call copies the CSR arrays
   into :class:`~repro.execution_process.SharedGraph` segments; every later
   call reuses them (``session_broadcasts`` in the report metadata stays at
   1).  The :class:`~repro.execution_process.ProcessGraphPool` persists
   across calls too — only the executor is rebuilt if the resolved worker
-  count changes, never the broadcast.
-* **Cached derived state.**  The thread tier caches the walk operator (per
-  laziness flag), the :class:`~repro.core.mixing_set.BatchedMixingSetSearch`
-  (per parameters/workers/dtype) and the resolved δ (per parameters/hint);
-  the stationary distribution is computed at most once.  All of these are
-  deterministic functions of the graph and the knobs, so reuse changes no
-  float.
+  count changes or a worker dies, never the broadcast.
+* **One prepared context per knob set.**  Calls with the same parameters,
+  δ hint, worker count and dtype share one
+  :class:`~repro.core.prepared.Prepared` (``session_prepared_reused``), so
+  the spectral δ estimate, the operator and the search are built at most
+  once.  All of them are deterministic functions of the graph and the
+  knobs, so reuse changes no float.
 * **Request coalescing.**  :meth:`DetectionSession.detect_batch` folds many
   single-seed requests into one explicit-seed ``"batched"`` shard wave —
   the batched kernels make width nearly free, and per-seed results are
   independent of batch composition, so the coalesced answers are identical
   to one-at-a-time calls.
+* **A dead worker is a typed error.**  A worker process that dies mid-call
+  raises :class:`~repro.exceptions.WorkerCrashedError`; the session drops
+  the broken executor, keeps the broadcast, and its next call runs on a
+  fresh pool.
 
 Every session call routes through the same facade
 (``detect(graph, session=...)`` or the :meth:`DetectionSession.detect`
 convenience) and produces a full :class:`~repro.api.RunReport` whose
 computed payload — detections, cost totals, artifacts — is **bit-identical**
-to the session-free facade at every worker count on both executors
+to the one-shot facade at every worker count on both executors
 (``tests/test_session.py`` pins it).  The report's metadata additionally
-carries ``session_calls`` / ``session_broadcasts`` / ``session_pool_reused``
-and the cache-hit flags, so reuse is observable without instrumentation.
+carries ``session_calls`` / ``session_broadcasts`` and the
+``session_prepared_reused`` / ``session_pool_reused`` flags, so reuse is
+observable without instrumentation.
 
 Usage::
 
@@ -54,24 +59,28 @@ caches.  Concurrent callers belong behind
 
 from __future__ import annotations
 
+import functools
 import threading
-from typing import TYPE_CHECKING, Iterable
+from concurrent.futures.process import BrokenProcessPool
+from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 
 import numpy as np
-import scipy.sparse as sp
 
-from .api import BackendOutcome, RunConfig, RunReport, _distribution_rows
+from .api import RoundRunner, RunConfig, RunReport
+from .core.batched import _detect_community_batch_impl
 from .core.parameters import CDRWParameters
-from .core.result import DetectionResult
-from .exceptions import AlgorithmError, BackendError, SessionBusyError
+from .core.prepared import Prepared
+from .core.result import CommunityResult
+from .exceptions import AlgorithmError, BackendError, SessionBusyError, WorkerCrashedError
 from .execution import EXECUTOR_PROCESS, resolve_executor, resolve_workers
 from .graphs.graph import Graph
 
 if TYPE_CHECKING:
-    from .core.mixing_set import BatchedMixingSetSearch
     from .execution_process import ProcessGraphPool, SharedGraph
 
 __all__ = ["DetectionSession"]
+
+T = TypeVar("T")
 
 
 class DetectionSession:
@@ -124,14 +133,8 @@ class DetectionSession:
         # when nested: _busy, then _state_lock.
         self._state_lock = threading.Lock()
         self._closed = False  # repro: guarded-by(_state_lock)
-        # Derived-state caches (thread tier; δ serves both tiers).
-        self._operators: dict[bool, sp.csr_matrix] = {}  # repro: guarded-by(_busy)
-        self._searches: dict[
-            tuple[object, ...], BatchedMixingSetSearch
-        ] = {}  # repro: guarded-by(_busy)
-        self._deltas: dict[
-            tuple[CDRWParameters, float | None], float
-        ] = {}  # repro: guarded-by(_busy)
+        # One prepared context per (params, hint, workers, dtype).
+        self._prepared: dict[tuple[object, ...], Prepared] = {}  # repro: guarded-by(_busy)
         self._stationary: np.ndarray | None = None  # repro: guarded-by(_busy)
         # Process-tier residents.
         self._shared: SharedGraph | None = None  # repro: guarded-by(_busy)
@@ -265,9 +268,7 @@ class DetectionSession:
             if self._shared is not None:
                 self._shared.close()
                 self._shared = None
-            self._operators.clear()
-            self._searches.clear()
-            self._deltas.clear()
+            self._prepared.clear()
             self._stationary = None
 
     def __enter__(self) -> "DetectionSession":
@@ -287,74 +288,30 @@ class DetectionSession:
         )
 
     # ------------------------------------------------------------------
-    # Derived-state caches
+    # Residents
     # ------------------------------------------------------------------
-    def _walk_operator(self, lazy: bool) -> tuple[sp.csr_matrix, bool]:  # repro: requires(_busy)
-        """The batched walk's transition operator for ``lazy``, cached.
+    def _prepare(  # repro: requires(_busy)
+        self,
+        params: CDRWParameters,
+        delta_hint: float | None,
+        workers: int | None,
+        dtype: str,
+    ) -> tuple[Prepared, bool]:
+        """The call's :class:`Prepared`, one per knob set, and whether it was cached.
 
-        Construction is a deterministic function of the graph, so the cached
-        copy is the exact matrix a fresh call would build (same floats, same
-        sparsity) — injecting it changes no result.
+        A cached context carries whatever its earlier calls resolved — δ
+        (including the spectral estimate), the operator, the search — and
+        every field is a deterministic function of the key, so reuse
+        reproduces a fresh call exactly.
         """
-        operator = self._operators.get(lazy)
-        if operator is not None:
-            return operator, True
-        from .randomwalk.transition import (
-            lazy_transition_matrix,
-            reverse_transition_matrix,
-        )
+        key = (params, delta_hint, workers, dtype)
+        prepared = self._prepared.get(key)
+        if prepared is not None:
+            return prepared, True
+        prepared = Prepared(self.graph, params, delta_hint, workers, dtype)
+        self._prepared[key] = prepared
+        return prepared, False
 
-        if lazy:
-            operator = lazy_transition_matrix(self.graph).T.tocsr()
-        else:
-            operator = reverse_transition_matrix(self.graph)
-        self._operators[lazy] = operator
-        return operator, False
-
-    def _search(  # repro: requires(_busy)
-        self, params: CDRWParameters, workers: int | None, dtype: str | np.dtype
-    ) -> tuple[BatchedMixingSetSearch, bool]:
-        """The batched mixing-set search for these knobs, cached.
-
-        The search is stateless across calls (PR 2 contract); it is keyed by
-        everything its construction reads — parameters, the resolved initial
-        size, the resolved worker count and the scan dtype.
-        """
-        initial_size = params.resolve_initial_size(self.graph)
-        key = (params, initial_size, resolve_workers(workers), str(np.dtype(dtype)))
-        search = self._searches.get(key)
-        if search is not None:
-            return search, True
-        from .core.mixing_set import BatchedMixingSetSearch
-
-        search = BatchedMixingSetSearch.from_parameters(
-            self.graph, params, initial_size, workers=workers, dtype=np.dtype(dtype)
-        )
-        self._searches[key] = search
-        return search, False
-
-    def _resolve_delta(  # repro: requires(_busy)
-        self, params: CDRWParameters, delta_hint: float | None
-    ) -> tuple[float, bool]:
-        """δ for these knobs, resolved once per ``(params, hint)``.
-
-        ``resolve_delta`` is idempotent on its own output (the process tier
-        already relies on this to ship δ pre-resolved to workers), so
-        feeding the cached value back through the kernels' own resolution
-        reproduces it exactly — including the spectral estimate, which a
-        fresh call would otherwise recompute per call.
-        """
-        key = (params, delta_hint)
-        cached = self._deltas.get(key)
-        if cached is not None:
-            return cached, True
-        resolved = params.resolve_delta(self.graph, delta_hint)
-        self._deltas[key] = resolved
-        return resolved, False
-
-    # ------------------------------------------------------------------
-    # Process-tier residents
-    # ------------------------------------------------------------------
     def _ensure_pool(self, workers: int | None) -> tuple[ProcessGraphPool, bool]:  # repro: requires(_busy)
         """The persistent worker pool, broadcasting the graph at most once.
 
@@ -376,25 +333,13 @@ class DetectionSession:
         self._pool = ProcessGraphPool(self.graph, resolved, shared=self._shared)
         return self._pool, False
 
-    # ------------------------------------------------------------------
-    # Backend entry points (called by the api runners when session= is set)
-    # ------------------------------------------------------------------
-    def _session_extras(self, **flags: object) -> dict[str, object]:
-        with self._state_lock:
-            extras: dict[str, object] = {
-                "session_calls": self._calls,
-                "session_broadcasts": self._broadcasts,
-            }
-        extras.update(flags)
-        return extras
-
     def _ensure_open(self) -> None:
         with self._state_lock:
             closed = self._closed
         if closed:
             raise BackendError("the detection session is closed")
 
-    #: SessionBusyError text shared by both backend entry points.
+    #: SessionBusyError text for a call that finds another in flight.
     _BUSY_MESSAGE = (
         "DetectionSession serves one call at a time: another detect() "
         "is already in flight on this session. Serialize callers, or "
@@ -402,285 +347,129 @@ class DetectionSession:
         "concurrent requests into waves."
     )
 
-    def _run_batched(
+    # ------------------------------------------------------------------
+    # The one entry point of the batched and parallel runners
+    # ------------------------------------------------------------------
+    def _serve(
         self,
         params: CDRWParameters | None,
         config: RunConfig,
         delta_hint: float | None,
-    ) -> BackendOutcome:
-        """The ``"batched"`` backend with this session's residents.
+        dtype: str,
+        has_seeds: bool,
+        body: Callable[[RoundRunner], T],
+    ) -> tuple[T, dict[str, float], dict[str, object]]:
+        """Run one call's ``body`` on this session's residents.
 
-        Mirrors :func:`repro.api._batched_runner` stage for stage — same
-        validation, same trivial fast path, same sharding / batching — with
-        the per-call setup replaced by cache lookups, so the computed
-        payload is bit-identical to the one-shot facade.
+        ``body`` receives the :data:`~repro.api.RoundRunner` of the call's tier — the
+        batch driver on this thread, or the worker pool — and draws its
+        rounds through it; it runs while the session's call slot is held.
+        Returns ``body``'s result with the call's timings and metadata.
+        ``has_seeds=False`` (an empty explicit seed list) and an edgeless
+        graph need no pool: their rounds take the batch driver's fast path
+        on this thread even on the process tier.
         """
         if not self._busy.acquire(blocking=False):
             raise SessionBusyError(self._BUSY_MESSAGE)
         try:
             self._ensure_open()
-            params = params or CDRWParameters()
             with self._state_lock:
                 self._calls += 1
             executor = resolve_executor(config.executor)
-            if executor == EXECUTOR_PROCESS:
-                return self._run_batched_process(params, config, delta_hint)
-            return self._run_batched_thread(params, config, delta_hint, executor)
-        finally:
-            self._busy.release()
-
-    def _run_batched_thread(  # repro: requires(_busy)
-        self,
-        params: CDRWParameters,
-        config: RunConfig,
-        delta_hint: float | None,
-        executor: str,
-    ) -> BackendOutcome:
-        from .core.batched import _detect_communities_batched_impl
-
-        graph = self.graph
-        trivial = graph.num_edges == 0 or graph.num_vertices == 0
-        if trivial:
-            # The impl's edgeless fast path never touches the operator, the
-            # search or δ; building them here could even divide by zero on
-            # an edgeless graph, exactly like a fresh call never does.
-            operator, search = None, None
-            operator_reused = search_reused = delta_reused = False
-            hint = delta_hint
-        else:
-            operator, operator_reused = self._walk_operator(params.lazy_walk)
-            search, search_reused = self._search(params, config.workers, config.dtype)
-            hint, delta_reused = self._resolve_delta(params, delta_hint)
-        result = _detect_communities_batched_impl(
-            graph,
-            params,
-            hint,
-            seed=config.seed,
-            max_seeds=config.max_seeds,
-            batch_size=config.batch_size,
-            seeds=config.seeds,
-            workers=config.workers,
-            dtype=np.dtype(config.dtype),
-            capture_distributions=config.capture_distributions,
-            capture_history=config.capture_history,
-            walk_operator=operator,
-            search=search,
-        )
-        artifacts: dict[str, object] = {}
-        finals = None
-        if config.capture_distributions:
-            detection, finals = result
-            artifacts["final_distributions"] = _distribution_rows(finals)
-        else:
-            detection = result
-        extras = self._session_extras(
-            executor=executor,
-            session_operator_reused=operator_reused,
-            session_search_reused=search_reused,
-            session_delta_reused=delta_reused,
-        )
-        return BackendOutcome(
-            detection=detection, extras=extras, artifacts=artifacts, native=finals
-        )
-
-    def _run_batched_process(  # repro: requires(_busy)
-        self, params: CDRWParameters, config: RunConfig, delta_hint: float | None
-    ) -> BackendOutcome:
-        from .execution_process import (
-            _is_trivial,
-            _pool_outcome,
-            _run_batched_on_pool,
-            _trivial_batched_outcome,
-            _validate_batched_seeds,
-        )
-
-        graph = self.graph
-        explicit = _validate_batched_seeds(
-            graph, config.seeds, config.max_seeds, config.batch_size
-        )
-        if _is_trivial(graph, explicit, config.seeds is not None):
-            outcome = _trivial_batched_outcome(
-                graph,
-                params,
+            process = executor == EXECUTOR_PROCESS
+            # Process-tier workers search single-threaded; the parent's
+            # context matches theirs and is only ever asked for δ.
+            prepared, prepared_reused = self._prepare(
+                params or CDRWParameters(),
                 delta_hint,
-                seed=config.seed,
-                max_seeds=config.max_seeds,
-                batch_size=config.batch_size,
-                explicit=explicit,
-                seeds_given=config.seeds is not None,
-                dtype=config.dtype,
-                capture_distributions=config.capture_distributions,
-                capture_history=config.capture_history,
+                1 if process else config.workers,
+                dtype,
             )
-            extras = self._session_extras(
-                session_pool_reused=False, session_delta_reused=False
-            )
-        else:
-            delta, delta_reused = self._resolve_delta(params, delta_hint)
-            pool, pool_reused = self._ensure_pool(config.workers)
-            mark = pool.mark()
-            results, finals = _run_batched_on_pool(
-                pool,
-                graph,
-                params,
-                delta,
-                explicit=explicit,
-                seed=config.seed,
-                max_seeds=config.max_seeds,
-                batch_size=config.batch_size,
-                capture_distributions=config.capture_distributions,
-                dtype=config.dtype,
-                capture_history=config.capture_history,
-            )
-            detection = DetectionResult(
-                num_vertices=graph.num_vertices, communities=tuple(results)
-            )
-            outcome = _pool_outcome(pool, detection, finals, since=mark)
-            extras = self._session_extras(
-                session_pool_reused=pool_reused, session_delta_reused=delta_reused
-            )
-        artifacts: dict[str, object] = {}
-        finals = None
-        if config.capture_distributions and outcome.final_distributions is not None:
-            finals = outcome.final_distributions
-            artifacts["final_distributions"] = _distribution_rows(finals)
-        extras = {**outcome.extras, **extras}
-        return BackendOutcome(
-            detection=outcome.detection,
-            timings=dict(outcome.timings),
-            extras=extras,
-            artifacts=artifacts,
-            native=finals,
-        )
-
-    def _run_parallel(
-        self,
-        params: CDRWParameters | None,
-        config: RunConfig,
-        delta_hint: float | None,
-    ) -> BackendOutcome:
-        """The ``"parallel"`` backend with this session's residents.
-
-        Mirrors :func:`repro.api._parallel_runner` stage for stage: seed
-        spreading and conflict resolution stay in the calling process with
-        the exact one-shot draw sequence; only the setup is cached.
-        """
-        if not self._busy.acquire(blocking=False):
-            raise SessionBusyError(self._BUSY_MESSAGE)
-        try:
-            self._ensure_open()
-            params = params or CDRWParameters()
+            extras: dict[str, object] = {"executor": executor}
+            timings: dict[str, float] = {}
+            if process and has_seeds and self.graph.num_edges > 0:
+                delta = prepared.delta  # before the pool starts: a bad hint costs no fork
+                pool, pool_reused = self._ensure_pool(config.workers)
+                mark = pool.mark()
+                run_round = functools.partial(
+                    _run_on_pool, pool, prepared, delta, config.capture_history
+                )
+                try:
+                    result = body(run_round)
+                except WorkerCrashedError:
+                    # The executor is unusable; the broadcast is not.
+                    self._pool = None
+                    pool.close()
+                    raise
+                timings = pool.shard_timings(since=mark)
+                extras.update(
+                    worker_processes=pool.workers,
+                    process_tasks=pool.tasks_issued - mark,
+                    session_pool_reused=pool_reused,
+                )
+            else:
+                result = body(
+                    functools.partial(_run_inline, prepared, config.capture_history)
+                )
+                if process:
+                    extras.update(
+                        worker_processes=0, process_tasks=0, session_pool_reused=False
+                    )
             with self._state_lock:
-                self._calls += 1
-            executor = resolve_executor(config.executor)
-            if executor == EXECUTOR_PROCESS:
-                return self._run_parallel_process(params, config, delta_hint)
-            return self._run_parallel_thread(params, config, delta_hint, executor)
+                extras.update(
+                    session_calls=self._calls, session_broadcasts=self._broadcasts
+                )
+            extras["session_prepared_reused"] = prepared_reused
+            return result, timings, extras
         finally:
             self._busy.release()
 
-    def _run_parallel_thread(  # repro: requires(_busy)
-        self,
-        params: CDRWParameters,
-        config: RunConfig,
-        delta_hint: float | None,
-        executor: str,
-    ) -> BackendOutcome:
-        from .core.parallel import _detect_communities_parallel_impl
 
-        graph = self.graph
-        if graph.num_edges == 0 or graph.num_vertices == 0:
-            operator, search = None, None
-            operator_reused = search_reused = delta_reused = False
-            hint = delta_hint
-        else:
-            operator, operator_reused = self._walk_operator(params.lazy_walk)
-            search, search_reused = self._search(params, config.workers, config.dtype)
-            hint, delta_reused = self._resolve_delta(params, delta_hint)
-        detection = _detect_communities_parallel_impl(
-            graph,
-            config.num_communities,
-            params,
-            hint,
-            seed=config.seed,
-            overlap_merge_threshold=config.overlap_merge_threshold,
-            seed_min_distance=config.seed_min_distance,
-            workers=config.workers,
-            capture_history=config.capture_history,
-            walk_operator=operator,
-            search=search,
+def _run_inline(
+    prepared: Prepared,
+    capture_history: bool,
+    seeds: list[int],
+    batch_size: int,
+    capture_distributions: bool,
+) -> tuple[list[CommunityResult], np.ndarray | None]:
+    """One round on the calling thread: the batch driver, ``batch_size`` seeds at a time."""
+    results: list[CommunityResult] = []
+    chunks: list[np.ndarray] = []
+    for start in range(0, len(seeds), batch_size):
+        batch_results, finals = _detect_community_batch_impl(
+            prepared,
+            seeds[start:start + batch_size],
+            capture_distributions=capture_distributions,
+            capture_history=capture_history,
         )
-        extras = self._session_extras(
-            executor=executor,
-            session_operator_reused=operator_reused,
-            session_search_reused=search_reused,
-            session_delta_reused=delta_reused,
-        )
-        return BackendOutcome(detection=detection, extras=extras)
+        results.extend(batch_results)
+        if finals is not None:
+            chunks.append(finals)
+    return results, np.hstack(chunks) if chunks else None
 
-    def _run_parallel_process(  # repro: requires(_busy)
-        self, params: CDRWParameters, config: RunConfig, delta_hint: float | None
-    ) -> BackendOutcome:
-        from .core.batched import _detect_community_batch_impl
-        from .core.parallel import _merge_and_resolve, select_spread_seeds
-        from .execution_process import (
-            _pool_outcome,
-            _run_parallel_on_pool,
-            _serial_outcome,
-            _validate_parallel_args,
-        )
-        from .utils import as_rng
 
-        graph = self.graph
-        _validate_parallel_args(
-            config.num_communities, config.overlap_merge_threshold
+def _run_on_pool(
+    pool: ProcessGraphPool,
+    prepared: Prepared,
+    delta: float,
+    capture_history: bool,
+    seeds: list[int],
+    batch_size: int,
+    capture_distributions: bool,
+) -> tuple[list[CommunityResult], np.ndarray | None]:
+    """One round sharded across the worker processes, δ shipped resolved."""
+    try:
+        return pool.run_seeds(
+            seeds,
+            prepared.parameters,
+            delta,
+            batch_size=batch_size,
+            capture_distributions=capture_distributions,
+            dtype=prepared.dtype,
+            capture_history=capture_history,
         )
-        rng = as_rng(config.seed)
-        spread = select_spread_seeds(
-            graph,
-            config.num_communities,
-            min_distance=config.seed_min_distance,
-            seed=rng,
-        )
-        if graph.num_edges == 0:
-            raw_results, distributions = _detect_community_batch_impl(
-                graph,
-                spread,
-                params,
-                delta_hint,
-                capture_distributions=True,
-                workers=1,
-                capture_history=config.capture_history,
-            )
-            resolved = _merge_and_resolve(
-                list(raw_results), distributions, config.overlap_merge_threshold
-            )
-            detection = DetectionResult(
-                num_vertices=graph.num_vertices, communities=tuple(resolved)
-            )
-            outcome = _serial_outcome(detection, None)
-            extras = self._session_extras(
-                session_pool_reused=False, session_delta_reused=False
-            )
-        else:
-            delta, delta_reused = self._resolve_delta(params, delta_hint)
-            pool, pool_reused = self._ensure_pool(config.workers)
-            mark = pool.mark()
-            detection = _run_parallel_on_pool(
-                pool,
-                graph,
-                params,
-                delta,
-                spread,
-                config.overlap_merge_threshold,
-                capture_history=config.capture_history,
-            )
-            outcome = _pool_outcome(pool, detection, None, since=mark)
-            extras = self._session_extras(
-                session_pool_reused=pool_reused, session_delta_reused=delta_reused
-            )
-        return BackendOutcome(
-            detection=outcome.detection,
-            timings=dict(outcome.timings),
-            extras={**outcome.extras, **extras},
-        )
+    except BrokenProcessPool as error:
+        raise WorkerCrashedError(
+            f"a worker process died mid-call ({error}); this call's results "
+            f"are lost, and the next call starts a fresh worker pool"
+        ) from error

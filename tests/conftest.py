@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from repro.api import RunConfig, detect
 from repro.graphs import Graph, gnp_random_graph, planted_partition_graph
 
 
@@ -62,14 +61,12 @@ def medium_ppm():
 @pytest.fixture(scope="session")
 def scalar_community():
     """``run(graph, seed_vertex, params=None, delta_hint=None)``: one seed's
-    :class:`~repro.core.result.CommunityResult` from the ``"scalar"``
-    backend — the reference every other detection path is compared to."""
+    :class:`~repro.core.result.CommunityResult` from the plain scalar-walk
+    oracle (``tests/cdrw_oracle.py``) — the reference every detection path,
+    the ``"scalar"`` backend included, is compared to."""
+    from cdrw_oracle import detect_community_oracle
 
-    def run(graph, seed_vertex, params=None, delta_hint=None):
-        config = RunConfig(seeds=(seed_vertex,))
-        return detect(graph, "scalar", params, config, delta_hint).detection.communities[0]
-
-    return run
+    return detect_community_oracle
 
 
 @pytest.fixture()

@@ -33,12 +33,13 @@ from repro.api import (
 )
 from repro.congest.cdrw_congest import detect_community_congest
 from repro.congest.network import CostReport
-from repro.core.cdrw import _detect_community_impl
 from repro.core.result import DetectionResult
 from repro.exceptions import AlgorithmError, BackendError
 from repro.graphs import Graph, planted_partition_graph
 from repro.kmachine.cdrw_kmachine import detect_community_kmachine
 from repro.kmachine.simulator import KMachineCost
+
+from cdrw_oracle import detect_community_oracle
 
 #: RNG-sequence expectations recorded on the ``small_ppm`` fixture (n=256,
 #: 2 blocks, seed=7) *before* the registry redesign.  They pin the facade to
@@ -164,7 +165,7 @@ class TestFacadeMatchesLegacyEntryPoints:
             config=RunConfig(seeds=(0, 99)),
         )
         assert list(report.detection.communities) == [
-            _detect_community_impl(small_ppm.graph, s, delta_hint=0.05) for s in (0, 99)
+            detect_community_oracle(small_ppm.graph, s, delta_hint=0.05) for s in (0, 99)
         ]
 
     def test_batched_pool_loop(self, small_ppm, scalar_community):
@@ -345,6 +346,7 @@ class TestRunReport:
     def test_capture_distributions_artifact(self, small_ppm):
         """The final-walk snapshots ride the report instead of bypassing it."""
         from repro.core.batched import _detect_community_batch_impl
+        from repro.core.prepared import Prepared
 
         seeds = (0, 9, 30)
         report = detect(
@@ -356,7 +358,7 @@ class TestRunReport:
         assert all(len(row) == small_ppm.graph.num_vertices for row in rows)
         # Exactly the matrix the internal batch produces, column for column.
         _, finals = _detect_community_batch_impl(
-            small_ppm.graph, list(seeds), None, 0.05, capture_distributions=True
+            Prepared(small_ppm.graph, delta_hint=0.05), seeds, capture_distributions=True
         )
         assert np.array_equal(np.array(rows).T, finals)
 
@@ -378,7 +380,8 @@ class TestRunReport:
         assert restored.artifacts == report.artifacts  # exact floats, not approx
 
     def test_capture_distributions_pool_mode(self, small_ppm):
-        from repro.core.batched import _detect_communities_batched_impl
+        from repro.core.batched import _detect_community_batch_impl
+        from repro.core.prepared import Prepared
 
         report = detect(
             small_ppm.graph, backend="batched", delta_hint=0.05,
@@ -389,14 +392,15 @@ class TestRunReport:
         for row in rows:
             # Each snapshot is a full walk probability distribution.
             assert sum(row) == pytest.approx(1.0)
-        # Rows align with the communities exactly as the impl emits them
-        # (column i of the impl matrix = community i): a shard-order or
-        # pool-round merge bug would misalign these.
-        _, finals = _detect_communities_batched_impl(
-            small_ppm.graph, None, 0.05, seed=3, max_seeds=3,
-            capture_distributions=True,
-        )
-        assert np.array_equal(np.array(rows).T, finals)
+        # Row i is the final walk of community i's seed, exactly as a batch
+        # of that seed alone emits it: a shard-order or pool-round merge bug
+        # would misalign these.
+        prepared = Prepared(small_ppm.graph, delta_hint=0.05)
+        for row, community in zip(rows, report.detection.communities):
+            _, finals = _detect_community_batch_impl(
+                prepared, [community.seed], capture_distributions=True
+            )
+            assert np.array_equal(np.array(row), finals[:, 0])
 
 
 class TestDecodedMemberIds:
@@ -487,7 +491,7 @@ class TestEdgelessGraphs:
 
     def test_single_seed_simulators_charge_nothing(self):
         graph = Graph(4, [])
-        expected = _detect_community_impl(graph, 2)
+        expected = detect_community_oracle(graph, 2)
         congest = detect_community_congest(graph, 2)
         kmachine = detect_community_kmachine(graph, 2, num_machines=2)
         assert congest.community == kmachine.community == expected
@@ -495,3 +499,28 @@ class TestEdgelessGraphs:
         assert kmachine.cost == KMachineCost(
             rounds=0, inter_machine_messages=0, local_messages=0, congest_rounds_routed=0
         )
+
+
+class TestDeltaResolvedOncePerCall:
+    """Without a hint, δ is one spectral estimate per call on every CDRW backend."""
+
+    @pytest.mark.parametrize("backend", ("scalar", "batched", "parallel", "congest", "kmachine"))
+    def test_one_conductance_estimate_per_call(self, monkeypatch, backend):
+        import repro.core.parameters as parameters_module
+
+        n = 96
+        graph = planted_partition_graph(n, 2, 3 * math.log(n) ** 2 / n, 1.0 / n, seed=3).graph
+        estimate = parameters_module.graph_conductance_estimate
+        calls = []
+
+        def counting(graph_arg, *args, **kwargs):
+            calls.append(graph_arg)
+            return estimate(graph_arg, *args, **kwargs)
+
+        monkeypatch.setattr(parameters_module, "graph_conductance_estimate", counting)
+        # Four seeds in two rounds of two (one seed per round on the
+        # width-1 backends); the parallel backend starts two spread seeds.
+        config = RunConfig(seeds=(0, 1, 50, 51), batch_size=2, num_communities=2, seed=4)
+        report = detect(graph, backend, config=config)
+        assert report.detection.communities
+        assert len(calls) == 1

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
 from repro.graphs import (
@@ -24,6 +27,7 @@ from repro.graphs import (
     ppm_expected_intra_edges,
     subset_volume,
 )
+from repro.graphs.properties import _sweep_cut_conductance
 
 
 class TestVolumeAndConductance:
@@ -113,3 +117,51 @@ class TestModularityAndDensity:
 
     def test_modularity_empty_graph(self):
         assert modularity(Graph(3, []), Partition.single_community(3)) == 0.0
+
+
+def loop_sweep_conductance(graph: Graph, order) -> float:
+    """The vertex-by-vertex sweep: the oracle for the vectorised sweep cut."""
+    degrees = graph.degrees()
+    indptr, indices, _ = graph.csr_arrays()
+    membership = np.zeros(graph.num_vertices, dtype=bool)
+    best = 1.0
+    cut = 0
+    volume_inside = 0
+    for vertex in order[:-1]:
+        vertex = int(vertex)
+        neighbors = indices[indptr[vertex]:indptr[vertex + 1]]
+        inside_neighbors = int(np.count_nonzero(membership[neighbors]))
+        degree = int(degrees[vertex])
+        cut += degree - 2 * inside_neighbors
+        volume_inside += degree
+        membership[vertex] = True
+        denominator = min(volume_inside, graph.volume - volume_inside)
+        if denominator > 0:
+            best = min(best, cut / denominator)
+    return float(best)
+
+
+@st.composite
+def graphs_with_orders(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    order = draw(st.permutations(range(n)))
+    return Graph(n, edges), np.array(order, dtype=np.int64)
+
+
+class TestSweepCut:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_with_orders())
+    def test_vectorised_sweep_equals_vertex_loop(self, case):
+        graph, order = case
+        assert _sweep_cut_conductance(graph, order) == loop_sweep_conductance(graph, order)
+
+    @pytest.mark.parametrize("n", [64, 512, 2048])
+    def test_equal_on_ppm_fiedler_like_orders(self, n):
+        ppm = planted_partition_graph(n, 4, 2 * math.log(n) ** 2 / n, 0.6 / n, seed=n)
+        order = np.random.default_rng(n).permutation(n)
+        for candidate in (order, np.argsort(ppm.partition.labels, kind="stable")):
+            assert _sweep_cut_conductance(ppm.graph, candidate) == loop_sweep_conductance(
+                ppm.graph, candidate
+            )

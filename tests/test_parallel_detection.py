@@ -222,7 +222,7 @@ class TestSpreadSeedFallbackFixes:
         """
         for seed in range(10):
             seeds = select_spread_seeds(
-                three_triangles, 3, min_distance=3, seed=seed, max_attempts=3
+                three_triangles, 3, min_distance=3, seed=seed
             )
             triangles = {s // 3 for s in seeds}
             assert triangles == {0, 1, 2}, seeds
@@ -230,15 +230,15 @@ class TestSpreadSeedFallbackFixes:
     def test_fallback_prefers_unblocked_vertices(self, clique_plus_isolated):
         """Regression: the fallback ignored ``blocked`` and could violate spacing.
 
-        With ``max_attempts=1`` the main loop picks one seed; the second must
-        come from the fallback.  A vertex at distance >= 2 from the first
+        With the former ``max_attempts=1`` knob the main loop picked one seed;
+        the second came from the fallback.  A vertex at distance >= 2 from the first
         always exists (the isolated vertex, or any K5 vertex when the first
         draw was the isolated one), so the fallback must never return an
         adjacent pair.
         """
         for seed in range(20):
             first, second = select_spread_seeds(
-                clique_plus_isolated, 2, min_distance=2, seed=seed, max_attempts=1
+                clique_plus_isolated, 2, min_distance=2, seed=seed
             )
             distance = shortest_path_length(clique_plus_isolated, first, second)
             # -1 means unreachable, i.e. infinitely far apart.
@@ -247,12 +247,12 @@ class TestSpreadSeedFallbackFixes:
     def test_fallback_extras_are_pairwise_spread(self, three_triangles):
         """Regression: the fallback drew its extras in one batch, so two of
         them could violate the spacing *with each other* even though spread
-        vertices remained.  With ``max_attempts=1`` the main loop places one
-        seed; the two fallback draws must still land one per triangle.
+        vertices remained.  With the former ``max_attempts=1`` knob the main
+        loop placed one seed; the draws must still land one per triangle.
         """
         for seed in range(10):
             seeds = select_spread_seeds(
-                three_triangles, 3, min_distance=3, seed=seed, max_attempts=1
+                three_triangles, 3, min_distance=3, seed=seed
             )
             triangles = {s // 3 for s in seeds}
             assert triangles == {0, 1, 2}, seeds

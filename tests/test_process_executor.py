@@ -18,12 +18,7 @@ import pytest
 from repro.api import RunConfig, RunReport, detect
 from repro.exceptions import AlgorithmError, BackendError, ReproError
 from repro.execution import resolve_executor
-from repro.execution_process import (
-    ProcessGraphPool,
-    SharedGraph,
-    detect_batched_process,
-    detect_parallel_process,
-)
+from repro.execution_process import ProcessGraphPool, SharedGraph
 from repro.graphs import Graph, planted_partition_graph, ppm_expected_conductance
 
 WORKER_COUNTS = (1, 2, 4)
@@ -311,35 +306,41 @@ class TestProcessReport:
 
 
 # ----------------------------------------------------------------------
-# Direct process-tier entry points
+# Process-tier validation and the pool itself
 # ----------------------------------------------------------------------
 class TestProcessEntryPoints:
     def test_invalid_seed_rejected_before_pool_start(self, two_cliques_graph):
         with pytest.raises(AlgorithmError):
-            detect_batched_process(two_cliques_graph, seeds=(99,), workers=2)
+            detect(two_cliques_graph, "batched", executor="process", seeds=(99,), workers=2)
 
     def test_invalid_batch_size_rejected(self, two_cliques_graph):
         with pytest.raises(AlgorithmError):
-            detect_batched_process(two_cliques_graph, batch_size=0)
+            detect(two_cliques_graph, "batched", executor="process", batch_size=0)
 
     def test_parallel_validations(self, two_cliques_graph):
         with pytest.raises(AlgorithmError):
-            detect_parallel_process(two_cliques_graph, 0)
+            detect(two_cliques_graph, "parallel", executor="process", num_communities=0)
         with pytest.raises(AlgorithmError):
-            detect_parallel_process(two_cliques_graph, 2, overlap_merge_threshold=0.0)
+            detect(
+                two_cliques_graph,
+                "parallel",
+                executor="process",
+                num_communities=2,
+                overlap_merge_threshold=0.0,
+            )
 
     def test_pool_reuse_across_batches(self, ppm):
         """One pool serves several batches without re-broadcasting the graph."""
         instance, delta = ppm
         from repro.core.batched import _detect_community_batch_impl
+        from repro.core.prepared import Prepared
 
         with ProcessGraphPool(instance.graph, workers=2) as pool:
             first, _ = pool.run_seeds([0, 9], None, delta, batch_size=2)
             second, _ = pool.run_seeds([30, 55, 70], None, delta, batch_size=2)
-        expected_first = _detect_community_batch_impl(instance.graph, [0, 9], None, delta)
-        expected_second = _detect_community_batch_impl(
-            instance.graph, [30, 55, 70], None, delta
-        )
+        prepared = Prepared(instance.graph, delta_hint=delta)
+        expected_first, _ = _detect_community_batch_impl(prepared, [0, 9])
+        expected_second, _ = _detect_community_batch_impl(prepared, [30, 55, 70])
         assert first == expected_first
         assert second == expected_second
         assert pool.tasks_issued >= 3

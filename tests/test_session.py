@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.api import RunConfig, RunReport, detect
+from repro.core import CDRWParameters
 from repro.exceptions import BackendError
 from repro.graphs import Graph, planted_partition_graph, ppm_expected_conductance
 from repro.session import DetectionSession
@@ -155,10 +156,8 @@ class TestSessionResidency:
             first = s.detect(seeds=(0, 130), batch_size=2)
             second = s.detect(seeds=(5, 200), batch_size=2)
             assert s.broadcasts == 0
-        assert first.metadata["session_operator_reused"] is False
-        assert second.metadata["session_operator_reused"] is True
-        assert second.metadata["session_search_reused"] is True
-        assert second.metadata["session_delta_reused"] is True
+        assert first.metadata["session_prepared_reused"] is False
+        assert second.metadata["session_prepared_reused"] is True
 
     def test_worker_change_rebuilds_executor_not_broadcast(self, ppm):
         instance, delta = ppm
@@ -177,9 +176,11 @@ class TestSessionResidency:
             first = s.detect(seeds=(0,))
             second = s.detect(seeds=(0,))
             other_hint = s.detect(seeds=(0,), delta_hint=delta * 0.5)
-        assert first.metadata["session_delta_reused"] is False
-        assert second.metadata["session_delta_reused"] is True
-        assert other_hint.metadata["session_delta_reused"] is False
+            other_params = s.detect(seeds=(0,), params=CDRWParameters(walk_length_factor=5))
+        assert first.metadata["session_prepared_reused"] is False
+        assert second.metadata["session_prepared_reused"] is True
+        assert other_hint.metadata["session_prepared_reused"] is False
+        assert other_params.metadata["session_prepared_reused"] is False
 
     def test_stationary_distribution_cached(self, ppm):
         instance, _ = ppm
@@ -201,7 +202,7 @@ class TestSessionIndependence:
             with DetectionSession(two_cliques_graph) as b:
                 report_a = a.detect(seeds=(0,))
                 report_b = b.detect(seeds=(0,))
-                assert a._operators is not b._operators
+                assert a._prepared is not b._prepared
                 assert report_a.metadata["num_vertices"] == instance.graph.num_vertices
                 assert (
                     report_b.metadata["num_vertices"]
@@ -391,7 +392,7 @@ class TestCaptureHistoryFastPath:
 class TestSessionBusyGuard:
     def test_concurrent_call_raises_session_busy(self, ppm, monkeypatch):
         # Deterministic race: thread A's call is held inside the guarded
-        # region (its δ resolution blocks on an event), so the main
+        # region (its prepared-context lookup blocks on an event), so the main
         # thread's second call must hit the busy guard — and releasing A
         # must still produce the exact one-shot payload.
         import threading
@@ -403,14 +404,14 @@ class TestSessionBusyGuard:
         session = DetectionSession(instance.graph, config=config, delta_hint=delta)
         entered = threading.Event()
         release = threading.Event()
-        original = session._resolve_delta
+        original = session._prepare
 
-        def slow_resolve(params, hint):
+        def slow_prepare(*args):
             entered.set()
             assert release.wait(timeout=30)
-            return original(params, hint)
+            return original(*args)
 
-        monkeypatch.setattr(session, "_resolve_delta", slow_resolve)
+        monkeypatch.setattr(session, "_prepare", slow_prepare)
         outcome = {}
 
         def first_caller():
@@ -447,14 +448,14 @@ class TestSessionBusyGuard:
         )
         entered = threading.Event()
         release = threading.Event()
-        original = session._resolve_delta
+        original = session._prepare
 
-        def slow_resolve(params, hint):
+        def slow_prepare(*args):
             entered.set()
             assert release.wait(timeout=30)
-            return original(params, hint)
+            return original(*args)
 
-        monkeypatch.setattr(session, "_resolve_delta", slow_resolve)
+        monkeypatch.setattr(session, "_prepare", slow_prepare)
         thread = threading.Thread(
             target=lambda: session.detect(backend="parallel", num_communities=2)
         )
@@ -486,14 +487,14 @@ class TestConcurrencyRegressions:
         session = DetectionSession(instance.graph, config=config, delta_hint=delta)
         entered = threading.Event()
         release = threading.Event()
-        original = session._resolve_delta
+        original = session._prepare
 
-        def slow_resolve(params, hint):
+        def slow_prepare(*args):
             entered.set()
             assert release.wait(timeout=30)
-            return original(params, hint)
+            return original(*args)
 
-        monkeypatch.setattr(session, "_resolve_delta", slow_resolve)
+        monkeypatch.setattr(session, "_prepare", slow_prepare)
         outcome = {}
 
         def first_caller():
@@ -531,14 +532,14 @@ class TestConcurrencyRegressions:
         session = DetectionSession(instance.graph, config=config, delta_hint=delta)
         entered = threading.Event()
         release = threading.Event()
-        original = session._resolve_delta
+        original = session._prepare
 
-        def slow_resolve(params, hint):
+        def slow_prepare(*args):
             entered.set()
             assert release.wait(timeout=30)
-            return original(params, hint)
+            return original(*args)
 
-        monkeypatch.setattr(session, "_resolve_delta", slow_resolve)
+        monkeypatch.setattr(session, "_prepare", slow_prepare)
         thread = threading.Thread(target=lambda: session.detect(seeds=(0,)))
         thread.start()
         try:
