@@ -1,4 +1,11 @@
-"""Command-line interface: regenerate any figure or experiment from a terminal.
+"""Command-line interface: the paper's figures and cost tables from a terminal.
+
+Subcommands: ``detect`` and ``serve`` (the detection facade, one-shot or as
+a JSON-lines TCP service), ``figure1`` … ``figure4b``, ``congest``,
+``kmachine`` and ``baselines`` (the paper's experiments), ``lint`` and
+``bench``.  Throughput comparisons of the execution tiers (batched,
+parallel, process, session, service) are rows of
+``benchmarks/bench_graph_kernel.py``, not subcommands.
 
 Examples
 --------
@@ -30,12 +37,9 @@ import sys
 from typing import Sequence
 
 from .api import RunConfig, available_backends, detect, get_backend
-from .exceptions import BackendError
+from .exceptions import BackendError, ReproError
 from .experiments import (
-    batched_detection_scaling,
     compare_baselines,
-    parallel_detection_scaling,
-    process_detection_scaling,
     congest_scaling,
     figure1_stats,
     figure2_grid,
@@ -44,8 +48,6 @@ from .experiments import (
     figure4b_grid,
     kmachine_scaling,
     render_experiment,
-    service_throughput,
-    session_throughput,
 )
 
 __all__ = ["main", "build_parser"]
@@ -202,101 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     baselines.add_argument("--n", type=int, default=1024)
     baselines.add_argument("--blocks", type=int, default=2)
 
-    batched = subparsers.add_parser(
-        "batched",
-        help="multi-seed detection throughput: scalar loop vs batched walks",
-        parents=[seed_parent],
-    )
-    batched.add_argument("--n", type=int, default=1024)
-    batched.add_argument("--blocks", type=int, default=4)
-    batched.add_argument("--num-seeds", type=int, default=16)
-    batched.add_argument("--batch-sizes", type=int, nargs="+", default=[1, 4, 16])
-    batched.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="workers of the execution tier (default: REPRO_WORKERS or serial; 0 = all cores)",
-    )
-    batched.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default=None,
-        help="execution tier (default: REPRO_EXECUTOR or thread)",
-    )
-
-    parallel = subparsers.add_parser(
-        "parallel",
-        help="parallel multi-seed detection: scalar per-seed loop vs one shared batched walk",
-        parents=[seed_parent],
-    )
-    parallel.add_argument("--n", type=int, default=1024)
-    parallel.add_argument("--blocks", type=int, default=4)
-    parallel.add_argument("--seed-counts", type=int, nargs="+", default=[1, 2, 4])
-    parallel.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="workers of the execution tier (default: REPRO_WORKERS or serial; 0 = all cores)",
-    )
-    parallel.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default=None,
-        help="execution tier (default: REPRO_EXECUTOR or thread)",
-    )
-
-    session = subparsers.add_parser(
-        "session",
-        help="resident-session throughput: repeated small-batch detection with "
-        "per-call setup vs one DetectionSession",
-        parents=[seed_parent],
-    )
-    session.add_argument("--n", type=int, default=1024)
-    session.add_argument("--blocks", type=int, default=4)
-    session.add_argument("--repeats", type=int, default=8)
-    session.add_argument("--seeds-per-call", type=int, default=4)
-    session.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="workers of the execution tier (default: REPRO_WORKERS or serial; 0 = all cores)",
-    )
-    session.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default=None,
-        help="execution tier (default: REPRO_EXECUTOR or thread)",
-    )
-
-    service = subparsers.add_parser(
-        "service",
-        help="concurrent-service throughput: serialized one-at-a-time session "
-        "calls vs coalescing DetectionService at several client counts",
-        parents=[seed_parent],
-    )
-    service.add_argument("--n", type=int, default=1024)
-    service.add_argument("--blocks", type=int, default=4)
-    service.add_argument("--requests", type=int, default=16)
-    service.add_argument(
-        "--clients",
-        type=int,
-        nargs="+",
-        default=[1, 4, 16],
-        help="concurrent client counts to measure (default: 1 4 16)",
-    )
-    service.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="workers of the execution tier (default: REPRO_WORKERS or serial; 0 = all cores)",
-    )
-    service.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default=None,
-        help="execution tier (default: REPRO_EXECUTOR or thread)",
-    )
-
     serve = subparsers.add_parser(
         "serve",
         help="serve detections over JSON-lines TCP: one DetectionService "
@@ -396,18 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print every compared key, not only regressions",
     )
-
-    process = subparsers.add_parser(
-        "process",
-        help="process-pool detection scaling: serial batched path vs the "
-        "shared-memory process tier at several worker counts",
-        parents=[seed_parent],
-    )
-    process.add_argument("--n", type=int, default=1024)
-    process.add_argument("--blocks", type=int, default=4)
-    process.add_argument("--num-seeds", type=int, default=16)
-    process.add_argument("--batch-size", type=int, default=8)
-    process.add_argument("--worker-counts", type=int, nargs="+", default=[1, 2, 4])
 
     return parser
 
@@ -602,7 +497,6 @@ def _run_serve(arguments: argparse.Namespace) -> int:
 def _run_bench(arguments: argparse.Namespace) -> int:
     """Execute the ``repro bench --compare`` subcommand."""
     from .benchcompare import DEFAULT_THRESHOLD, compare_files, render_comparison
-    from .exceptions import ReproError
 
     threshold = (
         arguments.threshold if arguments.threshold is not None else DEFAULT_THRESHOLD
@@ -639,83 +533,45 @@ def main(argv: Sequence[str] | None = None) -> int:
             lint_argv.append("--list-rules")
         return lint_main(lint_argv)
 
-    if arguments.command == "figure1":
-        table = figure1_stats(n=arguments.n, num_blocks=arguments.blocks, seed=arguments.seed)
-    elif arguments.command == "figure2":
-        kwargs = {"trials": arguments.trials, "seed": arguments.seed}
-        if arguments.sizes:
-            kwargs["sizes"] = tuple(arguments.sizes)
-        table = figure2_grid(**kwargs)
-    elif arguments.command == "figure3":
-        table = figure3_grid(n=arguments.n, trials=arguments.trials, seed=arguments.seed)
-    elif arguments.command == "figure4a":
-        table = figure4a_grid(trials=arguments.trials, seed=arguments.seed)
-    elif arguments.command == "figure4b":
-        table = figure4b_grid(trials=arguments.trials, seed=arguments.seed)
-    elif arguments.command == "congest":
-        kwargs = {"seed": arguments.seed}
-        if arguments.sizes:
-            kwargs["sizes"] = tuple(arguments.sizes)
-        table = congest_scaling(**kwargs)
-    elif arguments.command == "kmachine":
-        kwargs = {"n": arguments.n, "seed": arguments.seed}
-        if arguments.machines:
-            kwargs["machine_counts"] = tuple(arguments.machines)
-        table = kmachine_scaling(**kwargs)
-    elif arguments.command == "baselines":
-        table = compare_baselines(
-            n=arguments.n, num_blocks=arguments.blocks, seed=arguments.seed
-        )
-    elif arguments.command == "batched":
-        table = batched_detection_scaling(
-            n=arguments.n,
-            num_blocks=arguments.blocks,
-            num_seeds=arguments.num_seeds,
-            batch_sizes=tuple(arguments.batch_sizes),
-            seed=arguments.seed,
-            workers=arguments.workers,
-            executor=arguments.executor,
-        )
-    elif arguments.command == "parallel":
-        table = parallel_detection_scaling(
-            n=arguments.n,
-            num_blocks=arguments.blocks,
-            seed_counts=tuple(arguments.seed_counts),
-            seed=arguments.seed,
-            workers=arguments.workers,
-            executor=arguments.executor,
-        )
-    elif arguments.command == "service":
-        table = service_throughput(
-            n=arguments.n,
-            num_blocks=arguments.blocks,
-            requests=arguments.requests,
-            concurrency=tuple(arguments.clients),
-            workers=arguments.workers,
-            executor=arguments.executor,
-            seed=arguments.seed,
-        )
-    elif arguments.command == "session":
-        table = session_throughput(
-            n=arguments.n,
-            num_blocks=arguments.blocks,
-            repeats=arguments.repeats,
-            seeds_per_call=arguments.seeds_per_call,
-            workers=arguments.workers,
-            executor=arguments.executor,
-            seed=arguments.seed,
-        )
-    elif arguments.command == "process":
-        table = process_detection_scaling(
-            n=arguments.n,
-            num_blocks=arguments.blocks,
-            num_seeds=arguments.num_seeds,
-            batch_size=arguments.batch_size,
-            worker_counts=tuple(arguments.worker_counts),
-            seed=arguments.seed,
-        )
-    else:  # pragma: no cover - argparse enforces the choices
-        parser.error(f"unknown command {arguments.command!r}")
+    # The paper's tables validate their arguments inside the experiment
+    # code; a bad value exits 2 with one line, like the other subcommands.
+    try:
+        if arguments.command == "figure1":
+            table = figure1_stats(
+                n=arguments.n, num_blocks=arguments.blocks, seed=arguments.seed
+            )
+        elif arguments.command == "figure2":
+            kwargs = {"trials": arguments.trials, "seed": arguments.seed}
+            if arguments.sizes:
+                kwargs["sizes"] = tuple(arguments.sizes)
+            table = figure2_grid(**kwargs)
+        elif arguments.command == "figure3":
+            table = figure3_grid(
+                n=arguments.n, trials=arguments.trials, seed=arguments.seed
+            )
+        elif arguments.command == "figure4a":
+            table = figure4a_grid(trials=arguments.trials, seed=arguments.seed)
+        elif arguments.command == "figure4b":
+            table = figure4b_grid(trials=arguments.trials, seed=arguments.seed)
+        elif arguments.command == "congest":
+            kwargs = {"seed": arguments.seed}
+            if arguments.sizes:
+                kwargs["sizes"] = tuple(arguments.sizes)
+            table = congest_scaling(**kwargs)
+        elif arguments.command == "kmachine":
+            kwargs = {"n": arguments.n, "seed": arguments.seed}
+            if arguments.machines:
+                kwargs["machine_counts"] = tuple(arguments.machines)
+            table = kmachine_scaling(**kwargs)
+        elif arguments.command == "baselines":
+            table = compare_baselines(
+                n=arguments.n, num_blocks=arguments.blocks, seed=arguments.seed
+            )
+        else:  # pragma: no cover - argparse enforces the choices
+            parser.error(f"unknown command {arguments.command!r}")
+            return 2
+    except ReproError as error:
+        print(f"repro {arguments.command}: {error}", file=sys.stderr)
         return 2
 
     print(render_experiment(table))

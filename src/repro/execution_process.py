@@ -197,36 +197,23 @@ class ProcessGraphPool:
     milliseconds); seed rounds are split with
     :func:`~repro.execution.block_ranges` and merged in shard order.
 
-    A :class:`~repro.session.DetectionSession` broadcasts the graph once and
-    passes the :class:`SharedGraph` in via ``shared``; the pool then only
-    manages the executor and leaves the segments' lifetime with the session
-    (``close()`` shuts the workers down but does not unlink), so the
-    executor can be rebuilt — for a different worker count, or after a
-    worker crash — without a re-broadcast.  Without ``shared`` the pool
-    broadcasts the graph itself and :meth:`close` also unlinks the segments.
+    The pool runs on a :class:`SharedGraph` its caller owns — a
+    :class:`~repro.session.DetectionSession` broadcasts the graph once and
+    passes it in.  The pool only manages the executor and leaves the
+    segments' lifetime with the caller (``close()`` shuts the workers down
+    but does not unlink), so the executor can be rebuilt — for a different
+    worker count, or after a worker crash — without a re-broadcast.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        workers: int | None = None,
-        *,
-        shared: SharedGraph | None = None,
-    ) -> None:
+    def __init__(self, shared: SharedGraph, workers: int | None = None) -> None:
         self.workers = resolve_workers(workers)
-        self._owns_shared = shared is None
-        self._shared = SharedGraph(graph) if shared is None else shared
-        try:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=_preferred_context(),
-                initializer=_init_worker,
-                initargs=(self._shared.handle,),
-            )
-        except BaseException:
-            if self._owns_shared:
-                self._shared.close()
-            raise
+        self._shared = shared
+        self._executor = ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=_preferred_context(),
+            initializer=_init_worker,
+            initargs=(shared.handle,),
+        )
         self.tasks_issued = 0
         self._task_seconds: list[float] = []
 
@@ -344,8 +331,6 @@ class ProcessGraphPool:
 
     def close(self) -> None:
         self._executor.shutdown(wait=True)
-        if self._owns_shared:
-            self._shared.close()
 
     def __enter__(self) -> "ProcessGraphPool":
         return self

@@ -1,11 +1,6 @@
 """Experiment harness: figure grids, complexity sweeps and baseline comparisons."""
 
-from .runner import ExperimentRow, ExperimentTable, TrialAggregate, run_timed, run_trials
-from .batched_detection import batched_detection_scaling
-from .parallel_detection import parallel_detection_scaling
-from .process_detection import process_detection_scaling
-from .service_throughput import service_throughput
-from .session_detection import session_throughput
+from .runner import ExperimentRow, ExperimentTable, TrialAggregate, run_trials
 from .parameters import PROBABILITY_SPECS, RATIO_SPECS, ProbabilitySpec, RatioSpec
 from .figures import (
     cdrw_f_score_on_gnp,
@@ -24,13 +19,7 @@ __all__ = [
     "ExperimentRow",
     "ExperimentTable",
     "TrialAggregate",
-    "run_timed",
     "run_trials",
-    "batched_detection_scaling",
-    "parallel_detection_scaling",
-    "process_detection_scaling",
-    "service_throughput",
-    "session_throughput",
     "PROBABILITY_SPECS",
     "RATIO_SPECS",
     "ProbabilitySpec",

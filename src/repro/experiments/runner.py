@@ -10,7 +10,6 @@ either a single number (like the paper's plots) or the spread.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 from ..exceptions import ExperimentError
 from ..utils import spawn_rngs
 
-__all__ = ["TrialAggregate", "run_trials", "run_timed", "ExperimentRow", "ExperimentTable"]
+__all__ = ["TrialAggregate", "run_trials", "ExperimentRow", "ExperimentTable"]
 
 
 @dataclass(frozen=True)
@@ -78,17 +77,6 @@ def run_trials(
             raise ExperimentError("a trial returned NaN")
         values.append(value)
     return TrialAggregate(values=tuple(values))
-
-
-def run_timed(function: Callable, *args, **kwargs) -> tuple[object, float]:
-    """Call ``function`` and return ``(result, elapsed_seconds)``.
-
-    Wall-clock timing helper for throughput experiments (e.g. the batched
-    multi-seed detection scaling table); uses ``time.perf_counter``.
-    """
-    start = time.perf_counter()
-    result = function(*args, **kwargs)
-    return result, time.perf_counter() - start
 
 
 @dataclass(frozen=True)

@@ -316,8 +316,8 @@ class DetectionSession:
         """The persistent worker pool, broadcasting the graph at most once.
 
         A worker-count change rebuilds only the executor; the shared-memory
-        segments survive (the pool is constructed with ``shared=`` and does
-        not own them), so ``session_broadcasts`` never exceeds 1.
+        segments survive (the pool runs on the session's broadcast and does
+        not own it), so ``session_broadcasts`` never exceeds 1.
         """
         from .execution_process import ProcessGraphPool, SharedGraph
 
@@ -330,7 +330,7 @@ class DetectionSession:
             return self._pool, True
         if self._pool is not None:
             self._pool.close()
-        self._pool = ProcessGraphPool(self.graph, resolved, shared=self._shared)
+        self._pool = ProcessGraphPool(self._shared, resolved)
         return self._pool, False
 
     def _ensure_open(self) -> None:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import math
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.exceptions import ExperimentError
 from repro.experiments import (
     PROBABILITY_SPECS,
@@ -21,7 +23,6 @@ from repro.experiments import (
     figure4b_grid,
     format_table,
     kmachine_scaling,
-    parallel_detection_scaling,
     render_experiment,
     run_trials,
 )
@@ -151,25 +152,6 @@ class TestBaselineComparison:
             compare_baselines(n=128, methods=("bogus",))
 
 
-class TestParallelDetectionScaling:
-    def test_rows_disjoint_and_accurate(self):
-        table = parallel_detection_scaling(
-            n=256, num_blocks=2, seed_counts=(1, 2), seed=0
-        )
-        assert [row.parameters["r"] for row in table.rows] == [1, 2]
-        for row in table.rows:
-            assert row.measurements["disjoint"] == 1.0
-            assert row.measurements["parallel_seconds"] > 0.0
-            assert 0.0 <= row.measurements["f_score"] <= 1.0
-            assert 1 <= row.measurements["communities"] <= row.parameters["r"]
-
-    def test_empty_seed_counts_rejected(self):
-        with pytest.raises(ExperimentError):
-            parallel_detection_scaling(n=128, seed_counts=())
-        with pytest.raises(ExperimentError):
-            parallel_detection_scaling(n=128, seed_counts=(0,))
-
-
 class TestReportingAndCli:
     def test_format_table_alignment(self):
         text = format_table(["a", "bbb"], [["1", "2"], ["333", "4"]])
@@ -200,11 +182,19 @@ class TestReportingAndCli:
         assert exit_code == 0
         assert "kmachine_scaling" in captured.out
 
-    def test_cli_parallel(self, capsys):
-        exit_code = main(["parallel", "--n", "256", "--blocks", "2", "--seed-counts", "1", "2"])
+    def test_cli_kmachine_zero_machines_exits_2(self, capsys):
+        exit_code = main(["kmachine", "--n", "64", "--machines", "0"])
         captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "parallel_detection_scaling" in captured.out
+        assert exit_code == 2
+        assert captured.out == ""
+        assert captured.err == "repro kmachine: machine counts must be >= 1, got 0\n"
+
+    def test_cli_figure2_zero_trials_exits_2(self, capsys):
+        exit_code = main(["figure2", "--trials", "0"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out == ""
+        assert captured.err == "repro figure2: num_trials must be >= 1, got 0\n"
 
     def test_cli_detect_summary(self, capsys):
         exit_code = main(["detect", "--backend", "batched", "--n", "128", "--blocks", "2"])
@@ -283,16 +273,30 @@ class TestReportingAndCli:
         assert exit_code == 0
         assert "backend=batched" in captured.out
 
-    def test_cli_process_experiment(self, capsys):
-        exit_code = main(
-            [
-                "process",
-                "--n", "128",
-                "--blocks", "2",
-                "--num-seeds", "4",
-                "--worker-counts", "1", "2",
-            ]
+
+class TestCliSurface:
+    """The subcommands are the facade plus the paper's experiments, nothing else."""
+
+    KEPT = {
+        "detect", "serve", "lint", "bench",
+        "figure1", "figure2", "figure3", "figure4a", "figure4b",
+        "congest", "kmachine", "baselines",
+    }
+
+    def test_parser_offers_exactly_the_kept_subcommands(self):
+        (subcommands,) = (
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
         )
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "process_detection_scaling" in captured.out
+        assert set(subcommands.choices) == self.KEPT
+
+    def test_readme_reproduction_block_names_only_kept_subcommands(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text(encoding="utf-8").split("## Reproducing the paper", 1)[1]
+        block = section.split("```bash", 1)[1].split("```", 1)[0]
+        commands = [
+            line.split()[1] for line in block.splitlines() if line.startswith("repro ")
+        ]
+        assert commands
+        assert set(commands) <= self.KEPT

@@ -335,7 +335,10 @@ class TestProcessEntryPoints:
         from repro.core.batched import _detect_community_batch_impl
         from repro.core.prepared import Prepared
 
-        with ProcessGraphPool(instance.graph, workers=2) as pool:
+        with (
+            SharedGraph(instance.graph) as shared,
+            ProcessGraphPool(shared, workers=2) as pool,
+        ):
             first, _ = pool.run_seeds([0, 9], None, delta, batch_size=2)
             second, _ = pool.run_seeds([30, 55, 70], None, delta, batch_size=2)
         prepared = Prepared(instance.graph, delta_hint=delta)
@@ -372,7 +375,7 @@ class TestSharedGraphFinalizer:
         """A pool built on a session-owned SharedGraph leaves its segments alive."""
         instance, delta = ppm
         with SharedGraph(instance.graph) as shared:
-            pool = ProcessGraphPool(instance.graph, workers=1, shared=shared)
+            pool = ProcessGraphPool(shared, workers=1)
             try:
                 results, _ = pool.run_seeds([0], None, delta, batch_size=1)
                 assert len(results) == 1
@@ -384,15 +387,6 @@ class TestSharedGraphFinalizer:
         with pytest.raises(FileNotFoundError):
             shared.handle.attach()
 
-    def test_owned_broadcast_unlinked_on_pool_close(self, ppm):
-        instance, delta = ppm
-        pool = ProcessGraphPool(instance.graph, workers=1)
-        handle = pool._shared.handle
-        pool.run_seeds([0], None, delta, batch_size=1)
-        pool.close()
-        with pytest.raises(FileNotFoundError):
-            handle.attach()
-
 
 # ----------------------------------------------------------------------
 # Accounting when a shard raises
@@ -400,7 +394,10 @@ class TestSharedGraphFinalizer:
 class TestPoolAccountingOnFailure:
     def test_poisoned_shard_leaves_pool_consistent_and_usable(self, ppm):
         instance, delta = ppm
-        with ProcessGraphPool(instance.graph, workers=2) as pool:
+        with (
+            SharedGraph(instance.graph) as shared,
+            ProcessGraphPool(shared, workers=2) as pool,
+        ):
             baseline, _ = pool.run_seeds([0, 9], None, delta, batch_size=1)
             mark = pool.mark()
             assert pool.tasks_issued == mark
