@@ -697,5 +697,6 @@ def main(argv: list[str] | None = None) -> None:
         + (f" (not enforced on {cores} cores: {', '.join(skipped)})" if skipped else "")
     )
 
+
 if __name__ == "__main__":
     main()
