@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import json
 import time
+import weakref
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
@@ -632,20 +633,32 @@ def _vertex_ids(num_vertices: int) -> tuple[int, ...]:
     return tuple(range(num_vertices))
 
 
+#: Decoded member sets by content (the member tuple over the shared ids).
+#: Weak-valued: the table shares a set among the live replies that hold
+#: it but never keeps one alive by itself.
+_decoded_members: "weakref.WeakValueDictionary[tuple[int, ...], frozenset[int]]" = (
+    weakref.WeakValueDictionary()
+)
+
+
 def _decode_members(ids: tuple[int, ...], members: object) -> frozenset[int]:
     """Map a serialized member list onto the shared ids, rejecting bad ids.
 
     Indexing the table rejects non-integer ids (``TypeError``) and ids
     ``>= n`` (``IndexError``); a negative id would silently wrap around it,
-    so the minimum is checked as well.
+    so the minimum is checked as well.  Equal member lists decode to one
+    shared set while any reply still holds it.
     """
     if isinstance(members, list):
         try:
-            decoded = frozenset([ids[member] for member in members])
+            key = tuple([ids[member] for member in members])
         except (IndexError, TypeError):
             pass
         else:
             if not members or min(members) >= 0:
+                decoded = _decoded_members.get(key)
+                if decoded is None:
+                    decoded = _decoded_members.setdefault(key, frozenset(key))
                 return decoded
     raise BackendError(f"members must be vertex ids in [0, {len(ids)}), got {members!r:.80}")
 

@@ -18,6 +18,18 @@ This implements lines 12-17 of Algorithm 1.  Given the walk distribution
    scanning the schedule from the top and stopping at the first accepted
    size, while the reported cost stays the paper's ascending schedule.
 
+How the kernel decides a size ``k < n``: it first sums the ``k`` smallest
+deviations as a *value multiset* (a partitioned copy, no indices, in any
+order).  That estimate ``ŝ`` and the reported id-order sum are sums of the
+same ``k`` non-negative floats, so both lie within
+``γ = (k−1)·u / (1 − (k−1)·u)`` of the exact sum (``u`` the scan dtype's unit
+roundoff).  ``ŝ ≥ threshold·(1+γ)/(1−γ)`` (rounded up) therefore proves the
+reported sum fails the threshold too, and the size is rejected without
+selecting members.  Every other size — each one that might accept, and any
+NaN — runs the exact selection (``argpartition``, ids sorted, gathered
+sums), which alone produces reported members, deficits and masses.  The
+outputs are those of running the exact selection at every size.
+
 Points 2 (the mass condition) and 3 (the largest size over the whole
 schedule) depart from the literal pseudocode; README.md, "Deviations from
 the paper", says why.
@@ -32,7 +44,9 @@ deviations — asserted by integration tests).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -114,6 +128,30 @@ def deviation_values(graph: Graph, distribution: np.ndarray, subset_size: int) -
     return np.abs(distribution - targets)
 
 
+@functools.lru_cache(maxsize=4096)
+def _rejection_margin(threshold: float, size: int, dtype: np.dtype) -> np.floating:
+    """The smallest ``dtype`` value that certifies a size's rejection.
+
+    Any two sums of the same ``size`` non-negative ``dtype`` values, in any
+    order, lie within ``γ = (size−1)·u / (1 − (size−1)·u)`` of their exact
+    sum (``u`` is the unit roundoff: 2⁻⁵³ for float64, 2⁻²⁴ for float32).
+    So an order-free estimate ``ŝ ≥ threshold·(1+γ)/(1−γ)`` implies that
+    the id-order sum is ``≥ threshold`` as well.  The margin
+    ``threshold·(1+γ)/(1−γ) = threshold / (1 − 2·(size−1)·u)`` is evaluated
+    exactly and rounded up to ``dtype``; it is infinite (nothing is ever
+    certified) where ``(size−1)·u ≥ 1/2``.
+    """
+    kind = dtype.type
+    slack = 2 * (size - 1) * Fraction(1, 2 ** (np.finfo(kind).nmant + 1))
+    if slack >= 1:
+        return kind(np.inf)
+    exact = Fraction(threshold) / (1 - slack)
+    margin = kind(float(exact))
+    while Fraction(float(margin)) < exact:
+        margin = np.nextafter(margin, kind(np.inf))
+    return margin
+
+
 class BatchedMixingSetSearch:
     """The largest-mixing-set search of Algorithm 1, for ``B`` walks at once.
 
@@ -123,12 +161,15 @@ class BatchedMixingSetSearch:
     leaves the scan at the first size it accepts (with
     ``stop_at_first_failure`` the scan ascends and a lane leaves at its
     first failure).  For every evaluated size the targets ``d(u)/µ'(S)``
-    are computed once, the deviation matrix ``|P − targets|`` over all
-    active lanes is formed in one elementwise pass, and one per-lane
-    ``np.argpartition`` selects every lane's smallest deviations.  Distributions are laid out one
-    per row (the matrix is transposed once per call), so every argpartition
-    lane is contiguous in memory.  A one-column call is the same kernel with
-    one lane.
+    are computed once and the deviation matrix ``|P − targets|`` over all
+    active lanes is formed in one elementwise pass.  Below the top size one
+    value-only ``np.partition`` of a copy of that matrix gives every lane's
+    order-free estimate of its ``|S|`` smallest deviations; a lane whose
+    estimate clears the size's rejection margin (:func:`_rejection_margin`)
+    is rejected there, and only the remaining lanes run the exact per-lane
+    ``np.argpartition`` selection.  Distributions are laid out one per row
+    (the matrix is transposed once per call), so every lane is contiguous
+    in memory.  A one-column call is the same kernel with one lane.
 
     Per-column guarantee
     --------------------
@@ -140,11 +181,14 @@ class BatchedMixingSetSearch:
     * deviations are elementwise IEEE operations, identical regardless of
       memory layout;
     * numpy's introselect is deterministic in the value sequence of each
-      lane, so a lane's selection does not depend on its neighbours;
-    * deficits and masses are summed along each lane's *contiguous* gather,
-      so numpy's pairwise summation blocks as for a 1-D vector (an axis-0
-      reduction would block differently and drift in the last ulp — the same
-      pitfall :meth:`BatchedWalkDistribution.mass_in` avoids).
+      lane, so a lane's selection (and its partitioned estimate) does not
+      depend on its neighbours;
+    * the exact path runs on each lane's own row: a 1-D ``argpartition``,
+      then pairwise sums over the id-sorted gather (an axis-0 reduction
+      would block differently and drift in the last ulp — the same pitfall
+      :meth:`BatchedWalkDistribution.mass_in` avoids);
+    * a certified rejection is one the exact path would also make, so which
+      sizes take the exact path changes the work done, never a result.
 
     Selection rule: the members of a size are the ``|S|`` entries
     ``np.argpartition`` places first — the smallest deviations, but among
@@ -224,6 +268,9 @@ class BatchedMixingSetSearch:
         # deviation_values — so targets stay bit-identical to it.
         self._degrees = graph.degrees().astype(self._dtype)
         self._volume_per_vertex = graph.volume / graph.num_vertices
+        self._rejection_margins = [
+            _rejection_margin(mixing_threshold, size, self._dtype) for size in self._sizes
+        ]
 
     @property
     def candidate_sizes(self) -> list[int]:
@@ -303,7 +350,7 @@ class BatchedMixingSetSearch:
         if width == 0:
             return []
         # Work row-major with one distribution per *row*: the per-lane
-        # introselect of the argpartition below then runs over contiguous
+        # introselect of the partitions below then runs over contiguous
         # memory.  (Partitioning the (n, B) matrix along axis 0 walks lanes
         # with stride 8B bytes — measured 6x slower than a per-column loop at
         # B = 64 on a 50k-vertex graph.)  The transpose changes layout only,
@@ -320,7 +367,7 @@ class BatchedMixingSetSearch:
         # Lanes are processed in cache-sized blocks, each scanning the whole
         # candidate schedule before the next block starts: the block's rows
         # stay hot across all sizes, while targets and the
-        # elementwise/argpartition passes amortize over the block.  One
+        # elementwise/partition passes amortize over the block.  One
         # (lanes, n) array per _SEARCH_BLOCK_BYTES.
         block_width = max(
             1, min(width, _SEARCH_BLOCK_BYTES // max(1, num_vertices * rows.itemsize))
@@ -381,6 +428,17 @@ class BatchedMixingSetSearch:
         A lane retires at its first accepted size on the default descending
         scan, or at its first failing size on the ascending
         ``stop_at_first_failure`` scan.
+
+        Each size ``k < n`` is decided in two tiers.  The block's deviation
+        rows are partitioned by value (a copy) and each lane's first ``k``
+        values summed in any order; a lane whose sum is at least the size's
+        margin ``threshold·(1+γ)/(1−γ)``, ``γ = (k−1)·u/(1−(k−1)·u)``, fails
+        the threshold in the exact sum as well, so it is rejected (and on
+        the ascending scan retires with the same ``examined`` index).  Every
+        other lane, NaN included, runs the exact path on its own row:
+        ``argpartition``, the chosen ids sorted, deviations and masses
+        gathered and summed in id order.  Only the exact path writes
+        members, deficits and masses.
         """
         num_vertices = rows.shape[1]
         threshold = self._threshold
@@ -393,39 +451,52 @@ class BatchedMixingSetSearch:
         examined[start:stop] = [len(self._sizes)] * len(columns)
         lanes = rows[start:stop]
         deviations = np.empty_like(lanes)
-        # Flat index of each lane's first entry: `chosen + offsets` gathers
-        # every lane's selection with one `take` over the flattened block.
-        offsets = np.arange(0, lanes.size, num_vertices)[:, None]
-        sizes = self._sizes if ascending else self._sizes[::-1]
-        for index, size in enumerate(sizes, start=1):
+        schedule = list(zip(self._sizes, self._rejection_margins))
+        for index, (size, margin) in enumerate(
+            schedule if ascending else schedule[::-1], start=1
+        ):
             targets = self._degrees / (self._volume_per_vertex * size)
             np.subtract(lanes, targets, out=deviations)
             np.absolute(deviations, out=deviations)
+            retired: list[int] = []
             if size >= num_vertices:
-                chosen = None
+                exact = list(range(len(columns)))
                 deficits = deviations.sum(axis=1).tolist()
                 masses = lanes.sum(axis=1).tolist()
             else:
-                chosen = np.argpartition(deviations, size - 1, axis=1)[:, :size]
-                chosen.sort(axis=1)
-                # The gathers are contiguous per lane in vertex-id order, so
-                # the last-axis reduction applies the same pairwise blocking
-                # as a 1-D `deviations[chosen].sum()`.
-                flat = chosen + offsets
-                deficits = deviations.take(flat).sum(axis=1).tolist()
-                masses = lanes.take(flat).sum(axis=1).tolist()
-            retired: list[int] = []
-            for position, column in enumerate(columns):
-                deficit = deficits[position]
-                mass = masses[position]
+                # Certified rejection (see above).  np.partition returns a
+                # copy, so `deviations` keeps id order for the exact path;
+                # a NaN estimate never clears the margin.
+                estimates = np.partition(deviations, size - 1, axis=1)[:, :size].sum(axis=1)
+                exact = []
+                for position, certified in enumerate((estimates >= margin).tolist()):
+                    if not certified:
+                        exact.append(position)
+                    elif ascending:
+                        examined[columns[position]] = index
+                        retired.append(position)
+            for position in exact:
+                column = columns[position]
+                if size >= num_vertices:
+                    chosen = None
+                    deficit = deficits[position]
+                    mass = masses[position]
+                else:
+                    # The exact path: argpartition, then the chosen ids in
+                    # ascending order, summed pairwise in that order.
+                    row = deviations[position]
+                    chosen = np.argpartition(row, size - 1)[:size]
+                    chosen.sort()
+                    deficit = float(row.take(chosen).sum())
+                    mass = float(lanes[position].take(chosen).sum())
                 if deficit < threshold and mass >= min_mass:
                     best_size[column] = size
                     best_members[column] = (
                         np.arange(num_vertices, dtype=np.int64)
                         if chosen is None
-                        # Copy: the row view must not keep this size's
-                        # full index matrix alive per column.
-                        else chosen[position].copy()
+                        # Copy: the slice must not keep the size-n index
+                        # array alive per column.
+                        else chosen.copy()
                     )
                     best_deficit[column] = deficit
                     best_mass[column] = mass
@@ -441,4 +512,3 @@ class BatchedMixingSetSearch:
                     return
                 lanes = np.ascontiguousarray(lanes[keep])
                 deviations = np.empty_like(lanes)
-                offsets = offsets[: len(columns)]

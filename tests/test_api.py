@@ -15,12 +15,14 @@ Three contracts are pinned here:
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 
 import numpy as np
 import pytest
 
+from repro import api
 from repro.api import (
     BackendOutcome,
     RunConfig,
@@ -432,6 +434,27 @@ class TestDecodedMemberIds:
         for item in one.history:
             for member in item.members & two.community:
                 assert member is by_value[member]
+
+    def test_two_decodes_share_one_community_set(self, report):
+        first = RunReport.from_json(report.to_json())
+        second = RunReport.from_json(report.to_json())
+        for one, two in zip(first.detection.communities, second.detection.communities):
+            assert one.community is two.community
+            assert type(one.community) is frozenset
+            assert one.history[-1].members is two.history[-1].members
+        assert first == second == report
+        assert {hash(c.community) for c in first.detection.communities} == {
+            hash(c.community) for c in report.detection.communities
+        }
+
+    def test_shared_sets_are_not_kept_alive_by_the_table(self, report):
+        gc.collect()
+        before = set(api._decoded_members.keys())
+        decoded = RunReport.from_json(report.to_json())
+        assert len(api._decoded_members) > len(before)
+        del decoded
+        gc.collect()
+        assert set(api._decoded_members.keys()) == before
 
     @pytest.mark.parametrize("bad", [-1, NUM_VERTICES, "3", 2.5, None])
     def test_forged_community_id_is_rejected(self, report, bad):

@@ -13,6 +13,9 @@ all of that at once.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,9 +24,9 @@ from hypothesis import strategies as st
 from repro.core import BatchedMixingSetSearch, CDRWParameters, LargestMixingSet
 from repro.core import mixing_set as mixing_set_module
 from repro.exceptions import AlgorithmError
-from repro.graphs import Graph, gnp_random_graph
+from repro.graphs import Graph, gnp_random_graph, planted_partition_graph
 from repro.randomwalk import BatchedWalkDistribution
-from repro.utils import GROWTH_FACTOR, MIXING_THRESHOLD, geometric_sizes, linear_sizes
+from repro.utils import GROWTH_FACTOR, MIXING_THRESHOLD, geometric_sizes, linear_sizes, log_size
 
 
 def oracle_largest_mixing_set(
@@ -37,8 +40,13 @@ def oracle_largest_mixing_set(
     schedule: str = "geometric",
     stop_at_first_failure: bool = False,
     min_mass: float | None = None,
+    dtype: type = np.float64,
 ) -> LargestMixingSet:
-    """The search of Algorithm 1 lines 12-17, one size at a time on a 1-D vector."""
+    """The search of Algorithm 1 lines 12-17, one size at a time on a 1-D vector.
+
+    ``dtype`` is the scan precision: values are cast to it once and every
+    deviation and sum stays in it, as in the kernel.
+    """
     n = graph.num_vertices
     initial = min(initial_size, n)
     sizes = (
@@ -48,8 +56,8 @@ def oracle_largest_mixing_set(
     )
     if min_mass is None:
         min_mass = max(0.0, 1.0 - 2.0 * mixing_threshold)
-    distribution = np.ascontiguousarray(distribution, dtype=np.float64)
-    degrees = graph.degrees().astype(np.float64)
+    distribution = np.ascontiguousarray(distribution, dtype=dtype)
+    degrees = graph.degrees().astype(dtype)
     best = LargestMixingSet(walk_length, 0, frozenset(), 0.0, 0.0, 0)
     examined = 0
     for size in sizes:
@@ -176,11 +184,16 @@ class CountingNumpy:
     """Stands in for ``np`` inside the kernel and counts its per-size passes.
 
     Every evaluated size makes exactly one full-row ``np.subtract`` pass (the
-    deviations) and, below the top size ``n``, one ``np.argpartition``.
+    deviations).  Below the top size ``n`` it makes one value-only
+    ``np.partition`` over the block (the certified-rejection estimate) and
+    one 1-D ``np.argpartition`` per lane whose rejection it could not
+    certify: ``argpartition_calls`` counts the (lane, size) pairs that took
+    the exact path.
     """
 
     def __init__(self) -> None:
         self.subtract_calls = 0
+        self.partition_calls = 0
         self.argpartition_calls = 0
 
     def __getattr__(self, name):
@@ -189,6 +202,10 @@ class CountingNumpy:
     def subtract(self, *args, **kwargs):
         self.subtract_calls += 1
         return np.subtract(*args, **kwargs)
+
+    def partition(self, *args, **kwargs):
+        self.partition_calls += 1
+        return np.partition(*args, **kwargs)
 
     def argpartition(self, *args, **kwargs):
         self.argpartition_calls += 1
@@ -247,6 +264,7 @@ class TestDescendingScan:
         )
         # Sizes 20 (rejected) and 19 (accepted): the descent stops there.
         assert counting_numpy.subtract_calls == 2
+        assert counting_numpy.partition_calls == 1
         assert counting_numpy.argpartition_calls == 1
 
     def test_lane_accepting_only_the_smallest_size(self, counting_numpy):
@@ -265,7 +283,11 @@ class TestDescendingScan:
             graph, lane, 1, initial_size=1, schedule="linear", min_mass=0.0
         )
         assert counting_numpy.subtract_calls == 20
-        assert counting_numpy.argpartition_calls == 19
+        # Sizes 19 down to 2 are certified rejections (their smallest
+        # deviations sum far above the threshold); only the accepted size 1
+        # takes the exact path.
+        assert counting_numpy.partition_calls == 19
+        assert counting_numpy.argpartition_calls == 1
 
     def test_accepted_top_size_evaluates_one_size(self, small_ppm, counting_numpy):
         graph = small_ppm.graph
@@ -275,6 +297,7 @@ class TestDescendingScan:
         results = search.largest_mixing_sets(stationary, 2)
         assert [result.size for result in results] == [graph.num_vertices] * 3
         assert counting_numpy.subtract_calls == 1
+        assert counting_numpy.partition_calls == 0
         assert counting_numpy.argpartition_calls == 0
 
     def test_sizes_examined_is_the_whole_schedule(self, small_ppm):
@@ -328,6 +351,158 @@ class TestDescendingScan:
                 graph, matrix, workers=workers, initial_size=1, schedule="linear", min_mass=0.0
             )
             assert_matches_oracle(graph, matrix, workers=workers, initial_size=2)
+
+
+class TestCertifiedRejectionEdge:
+    """Sizes whose smallest deviations sum to within a few ulps of the threshold.
+
+    On a 40-cycle every target at size 8 is 1/8, and with growth factor 10
+    the schedule is [8, 40] (the top size never partitions).  Vertices 0-7
+    hold a lane's 8 smallest deviations; vertex 0 is moved one
+    representable step at a time until the id-order sum crosses the
+    threshold.  No such sum clears the rejection margin, so each of these
+    lanes takes the exact path (one ``argpartition`` each) and must equal
+    the oracle on either side of the threshold.
+    """
+
+    SIZE = 8
+    N = 40
+
+    def id_order_sum(self, graph: Graph, lane: np.ndarray, dtype: type) -> float:
+        """The oracle's deficit of ``lane`` at :attr:`SIZE`, in ``dtype``."""
+        lane = lane.astype(dtype)
+        targets = graph.degrees().astype(dtype) / (graph.volume / self.N * self.SIZE)
+        deviations = np.abs(lane - targets)
+        chosen = np.sort(np.argpartition(deviations, self.SIZE - 1)[: self.SIZE])
+        return float(deviations[chosen].sum())
+
+    def lanes_around_threshold(self, graph: Graph, dtype: type) -> list[np.ndarray]:
+        """The last lane summing below the threshold, then the first two at or above it."""
+        up, down = dtype(np.inf), dtype(-np.inf)
+        spread = np.linspace(0.5, 1.5, self.SIZE)  # distinct, untied deviations
+        lane = np.zeros(self.N, dtype=dtype)
+        lane[: self.SIZE] = 1.0 / self.SIZE + MIXING_THRESHOLD / self.SIZE * spread
+        while self.id_order_sum(graph, lane, dtype) >= MIXING_THRESHOLD:
+            lane[0] = np.nextafter(lane[0], down)
+        while self.id_order_sum(graph, lane, dtype) < MIXING_THRESHOLD:
+            lane[0] = np.nextafter(lane[0], up)
+        below, above = lane.copy(), lane.copy()
+        below[0] = np.nextafter(lane[0], down)
+        above[0] = np.nextafter(lane[0], up)
+        return [below, lane, above]
+
+    @pytest.mark.parametrize("stop_at_first_failure", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_lanes_at_the_threshold_take_the_exact_path(
+        self, dtype, stop_at_first_failure, counting_numpy
+    ):
+        graph = cycle(self.N)
+        edge = self.lanes_around_threshold(graph, dtype)
+        sums = [self.id_order_sum(graph, lane, dtype) for lane in edge]
+        assert sums[0] < MIXING_THRESHOLD <= sums[1] < sums[2]
+        ulp = float(np.spacing(dtype(MIXING_THRESHOLD)))
+        assert all(abs(total - MIXING_THRESHOLD) <= 4 * ulp for total in sums)
+        nan_lane = np.full(self.N, np.nan)
+        far_lane = np.zeros(self.N)  # every deviation 1/8: certified at size 8
+        matrix = np.column_stack(edge + [nan_lane, far_lane]).astype(np.float64)
+        kwargs = dict(
+            initial_size=self.SIZE,
+            growth_factor=10.0,
+            min_mass=0.0,
+            stop_at_first_failure=stop_at_first_failure,
+            dtype=dtype,
+        )
+        search = BatchedMixingSetSearch(graph, workers=1, **kwargs)
+        assert search.candidate_sizes == [self.SIZE, self.N]
+        results = search.largest_mixing_sets(matrix, 1)
+        for lane, result in zip(matrix.T, results):
+            assert result == oracle_largest_mixing_set(graph, lane, 1, **kwargs)
+        assert [result.size for result in results] == [self.SIZE, 0, 0, 0, 0]
+        # One value partition at size 8; the three edge lanes and the NaN
+        # lane each take the exact path there, the far lane does not.
+        assert counting_numpy.partition_calls == 1
+        assert counting_numpy.argpartition_calls == 4
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("size", [1, 2, 8, 4096, 2**20, 2**23])
+    def test_margin_is_the_smallest_value_above_the_bound(self, dtype, size):
+        unit = Fraction(1, 2 ** (np.finfo(dtype).nmant + 1))
+        terms = (size - 1) * unit
+        margin = mixing_set_module._rejection_margin(MIXING_THRESHOLD, size, np.dtype(dtype))
+        assert type(margin) is dtype
+        gamma = terms / (1 - terms)
+        bound = Fraction(MIXING_THRESHOLD) * (1 + gamma) / (1 - gamma)
+        assert Fraction(float(margin)) >= bound
+        assert Fraction(float(np.nextafter(margin, dtype(-np.inf)))) < bound
+
+    def test_margin_is_infinite_where_the_bound_fails(self):
+        margin = mixing_set_module._rejection_margin(
+            MIXING_THRESHOLD, 2**23 + 1, np.dtype(np.float32)
+        )
+        assert margin == np.inf
+
+
+class TestCertifiedScanCounts:
+    """A timing-free guard: on a real walk, rejections skip the exact path.
+
+    A 1024-vertex PPM walked 5 steps from 8 seeds.  Each ``argpartition``
+    is one (lane, size) pair whose rejection the value partition could not
+    certify; here that is only each lane's accepted size.  The old kernel
+    ran one block ``argpartition`` per evaluated size (28 here).
+    """
+
+    @pytest.fixture(scope="class")
+    def walked(self):
+        n = 1024
+        graph = planted_partition_graph(n, 4, 2 * math.log(n) ** 2 / n, 0.6 / n, seed=11).graph
+        walk = BatchedWalkDistribution(graph, [0, 100, 300, 400, 600, 700, 900, 1000])
+        for _ in range(5):
+            walk.step()
+        return graph, walk.probabilities()
+
+    @staticmethod
+    def uncertified_pairs(graph: Graph, search: BatchedMixingSetSearch, matrix, results) -> int:
+        """Count the (lane, size) pairs of the descending scan that are not certified."""
+        n = graph.num_vertices
+        schedule = list(zip(search.candidate_sizes, search._rejection_margins))[::-1]
+        count = 0
+        for lane, result in zip(matrix.T, results):
+            for size, margin in schedule:
+                if size < n:
+                    deviations = np.abs(lane - search._degrees / (graph.volume / n * size))
+                    count += not np.partition(deviations, size - 1)[:size].sum() >= margin
+                if size == result.size:
+                    break
+        return count
+
+    def test_default_scan(self, walked, counting_numpy):
+        graph, matrix = walked
+        search = BatchedMixingSetSearch(graph, initial_size=log_size(1024), workers=1)
+        results = search.largest_mixing_sets(matrix, 5)
+        for lane, result in zip(matrix.T, results):
+            assert result == oracle_largest_mixing_set(graph, lane, 5, initial_size=7)
+        assert [result.size for result in results] == [298] * 8
+        assert [result.sizes_examined for result in results] == [102] * 8
+        assert counting_numpy.subtract_calls == 29
+        assert counting_numpy.partition_calls == 28
+        assert counting_numpy.argpartition_calls == 8
+        assert self.uncertified_pairs(graph, search, matrix, results) == 8
+
+    def test_first_failure_scan(self, walked, counting_numpy):
+        graph, matrix = walked
+        search = BatchedMixingSetSearch(
+            graph, initial_size=log_size(1024), stop_at_first_failure=True, workers=1
+        )
+        results = search.largest_mixing_sets(matrix, 5)
+        for lane, result in zip(matrix.T, results):
+            expected = oracle_largest_mixing_set(
+                graph, lane, 5, initial_size=7, stop_at_first_failure=True
+            )
+            assert result == expected
+        # Every lane fails the first size, 7, by a certified margin.
+        assert [(result.size, result.sizes_examined) for result in results] == [(0, 1)] * 8
+        assert counting_numpy.partition_calls == 1
+        assert counting_numpy.argpartition_calls == 0
 
 
 class TestEquivalenceRandomDistributions:

@@ -73,6 +73,15 @@ class TestWireDetect:
         assert payload(reply) == payload(one_shot)
         assert reply.metadata["service_wave_size"] == 1
 
+    def test_repeated_replies_share_decoded_communities(self, served):
+        _instance, _delta, _config, host, port, _service = served
+        with ServiceClient(host, port) as client:
+            first = client.detect(40)
+            second = client.detect(40)
+        assert payload(first) == payload(second)
+        for one, two in zip(first.detection.communities, second.detection.communities):
+            assert one.community is two.community
+
     def test_concurrent_connections_coalesce(self, served):
         instance, delta, config, host, port, service = served
         seeds = (0, 40, 77, 130, 171, 200)
