@@ -82,14 +82,12 @@ from .exceptions import (
     AlgorithmError,
     BackendError,
     BandwidthExceededError,
-    ConvergenceError,
     DeadlineExpiredError,
     ExperimentError,
     GeneratorError,
     GraphError,
     MachineError,
     MetricError,
-    MixingError,
     PartitionError,
     RandomWalkError,
     ReproError,
@@ -127,7 +125,7 @@ from .metrics import average_f_score, score_detection
 from .service import DetectionService
 from .session import DetectionSession
 
-__version__ = "2.1.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",
@@ -137,9 +135,7 @@ __all__ = [
     "GeneratorError",
     "PartitionError",
     "RandomWalkError",
-    "MixingError",
     "AlgorithmError",
-    "ConvergenceError",
     "SimulationError",
     "BandwidthExceededError",
     "MachineError",

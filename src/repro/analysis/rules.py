@@ -455,10 +455,12 @@ _IMPL_NAME_RE = re.compile(r"^_\w*_impl$")
 #: Engine-internal modules allowed to bypass the facade: the facade itself
 #: (its runners call the simulators' impls), the session and the process
 #: tier (they run the batch driver on the calling thread and in the
-#: workers), and the core package the driver lives in.  The rule stays as
-#: long as the simulator ``_…_impl`` functions do.
+#: workers), the core package the driver lives in, and the k-machine
+#: simulator (a backend behind ``detect()`` that runs the batch driver with
+#: a cost callback).  The rule stays as long as the simulator ``_…_impl``
+#: functions do.
 _ENGINE_FILES = frozenset({"api.py", "session.py", "execution_process.py"})
-_ENGINE_PACKAGES = ("core",)
+_ENGINE_PACKAGES = ("core", "kmachine")
 
 
 @register_rule
@@ -470,8 +472,8 @@ class RegistryDisciplineRule(Rule):
     bypasses the registry re-creates the pre-facade drift this redesign
     removed (bespoke knob handling, missed report metadata, RNG-sequence
     skew).  Only the engine internals (``api.py``, ``session.py``,
-    ``execution_process.py``, the ``core`` package) and tests may import or
-    reference ``_…_impl`` names.
+    ``execution_process.py``, the ``core`` and ``kmachine`` packages) and
+    tests may import or reference ``_…_impl`` names.
     """
 
     code = "REP104"

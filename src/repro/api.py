@@ -104,9 +104,12 @@ class RunConfig:
         call-site compatibility but are not JSON-serializable (serialized as
         ``None``).
     seeds:
-        Optional explicit seed vertices.  When set, pool drawing is skipped
-        and the listed seeds are processed in order (scalar, batched, congest
-        and kmachine backends).
+        Optional explicit seed vertices.  When set, they are processed in
+        the given order on every CDRW backend: they replace the pool draws
+        of the scalar, batched, congest and kmachine backends and the
+        spread-seed draw of the parallel backend (``max_seeds`` caps them).
+        Without them, a ``seed`` of ``None`` makes both draws unseeded
+        (``as_rng(None)``).
     max_seeds:
         Optional cap on the number of seeds processed (``>= 0``).
     batch_size:
@@ -843,6 +846,17 @@ def _serve(
     return result, timings, extras
 
 
+def _explicit_seeds(graph: Graph, config: RunConfig) -> list[int] | None:
+    """``config.seeds`` capped at ``max_seeds`` and checked against ``graph``."""
+    if config.seeds is None:
+        return None
+    explicit = list(config.seeds[: config.max_seeds])
+    for seed_vertex in explicit:
+        if seed_vertex not in graph:
+            raise AlgorithmError(f"seed vertex {seed_vertex} is not a vertex of {graph!r}")
+    return explicit
+
+
 def _batched_runner(
     graph: Graph,
     params: CDRWParameters | None,
@@ -853,14 +867,7 @@ def _batched_runner(
 ) -> BackendOutcome:
     if config.batch_size < 1:
         raise AlgorithmError(f"batch_size must be >= 1, got {config.batch_size}")
-    explicit: list[int] | None = None
-    if config.seeds is not None:
-        explicit = list(config.seeds[: config.max_seeds])
-        for seed_vertex in explicit:
-            if seed_vertex not in graph:
-                raise AlgorithmError(
-                    f"seed vertex {seed_vertex} is not a vertex of {graph!r}"
-                )
+    explicit = _explicit_seeds(graph, config)
     final_chunks: list[np.ndarray] = []
 
     def body(run_round: RoundRunner) -> list[CommunityResult]:
@@ -933,14 +940,16 @@ def _parallel_runner(
             f"{config.overlap_merge_threshold}"
         )
     # Step 1 in the calling process, on either tier: the same draws.
-    spread = select_spread_seeds(
-        graph,
-        config.num_communities,
-        min_distance=config.seed_min_distance,
-        seed=as_rng(config.seed),
-    )
-    # Step 2: the r detections as one round of width r; the search always
-    # scans in float64 here.
+    spread = _explicit_seeds(graph, config)
+    if spread is None:
+        spread = select_spread_seeds(
+            graph,
+            config.num_communities,
+            min_distance=config.seed_min_distance,
+            seed=as_rng(config.seed),
+        )
+    # Step 2: the detections as one round; the search always scans in
+    # float64 here.
     (raw_results, distributions), timings, extras = _serve(
         graph,
         session,
@@ -948,8 +957,8 @@ def _parallel_runner(
         config,
         delta_hint,
         "float64",
-        True,
-        lambda run_round: run_round(spread, len(spread), True),
+        bool(spread),
+        lambda run_round: run_round(spread, max(len(spread), 1), True),
     )
     resolved = _merge_and_resolve(
         raw_results, distributions, config.overlap_merge_threshold

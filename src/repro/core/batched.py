@@ -14,10 +14,13 @@ evaluates every active column simultaneously, while the per-seed
 Walks whose detection stops early are dropped from the batch (``retain``),
 so a batch costs no more steps than its slowest member.
 
-This is the only detection loop of the centralized backends: the
-``"scalar"`` backend runs it at width 1, the ``"batched"`` and
-``"parallel"`` backends run it on the calling thread or inside each
-process-tier worker (:mod:`repro.execution_process`).  Every call reads δ,
+This is the only detection loop of every backend that computes with the
+centralized arithmetic: the ``"scalar"`` backend runs it at width 1, the
+``"batched"`` and ``"parallel"`` backends run it on the calling thread or
+inside each process-tier worker (:mod:`repro.execution_process`), and the
+``"kmachine"`` simulator runs it at width 1 with a per-step callback that
+charges the simulated communication (Section III-B of the paper builds the
+k-machine algorithm by simulating the CONGEST one).  Every call reads δ,
 the walk budget, the operator and the search from one
 :class:`~repro.core.prepared.Prepared` context.  Because the batched walk
 columns are bit-identical to scalar walks (see
@@ -27,6 +30,8 @@ keeps that loop as the reference the identity suites compare against.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +52,7 @@ def _detect_community_batch_impl(
     *,
     capture_distributions: bool = False,
     capture_history: bool = True,
+    on_step: Callable[[np.ndarray, list[LargestMixingSet]], None] | None = None,
 ) -> tuple[list[CommunityResult], np.ndarray | None]:
     """Detect the community of every seed in ``seeds`` on one shared walk.
 
@@ -58,6 +64,12 @@ def _detect_community_batch_impl(
     traces (each result's ``history`` is empty); communities, walk lengths,
     stop reasons and δ are unchanged — the stopping rules consume each
     step's mixing set directly, never the accumulated lists.
+
+    ``on_step(previous, currents)`` is called once per walk length after
+    the search, with the ``(n, B)`` distribution *before* that step (a
+    read-only view of the active columns) and the step's mixing sets.  The
+    k-machine backend charges its simulated communication there; the
+    detection itself never reads it.
 
     An edgeless graph (or an empty seed list) takes a fast path before
     ``prepared`` is read at all: every seed is its own community and no δ,
@@ -96,9 +108,12 @@ def _detect_community_batch_impl(
     active = list(range(num_seeds))  # walk column c holds seed index active[c]
 
     for length in range(1, max_walk_length + 1):
+        previous = walk.probabilities()
         walk.step()
         # One batched search per step evaluates every active column at once.
         currents = search.largest_mixing_sets(walk.probabilities(), length)
+        if on_step is not None:
+            on_step(previous, currents)
         stopped_columns: set[int] = set()
         for column, index in enumerate(active):
             current = currents[column]

@@ -18,8 +18,10 @@ performs exactly the arithmetic the CONGEST node programs perform (the
 distribution update of lines 9-11, the ``x_u`` ranking of lines 12-17 and
 the growth test of line 18) without paying the cost of simulating
 individual messages, which keeps the accuracy experiments of Figures 2-4
-fast.  The message-level implementations live in
-:mod:`repro.congest.cdrw_congest` and :mod:`repro.kmachine.cdrw_kmachine`;
+fast.  The k-machine simulator (:mod:`repro.kmachine.cdrw_kmachine`) runs
+the same batch loop and charges the simulated communication from its per-step
+callback; the message-level CONGEST implementation
+(:mod:`repro.congest.cdrw_congest`) keeps its own node programs, and its
 equivalence on small graphs is covered by integration tests.
 """
 

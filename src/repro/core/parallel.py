@@ -26,7 +26,8 @@ even faster (by finding communities in parallel), assuming we know an
 The ``"parallel"`` backend of :func:`repro.api.detect` runs these steps
 (``RunConfig(num_communities=r, seed_min_distance=...,
 overlap_merge_threshold=...)``): step 1 and step 3 in the calling process,
-step 2 on the thread or the process tier.
+step 2 on the thread or the process tier.  Explicit
+``RunConfig(seeds=...)`` replace step 1's draw, in the given order.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ benchmark) alongside the community finally reported.  Detected communities
 are kept exactly as Algorithm 1 emits them — they may overlap slightly,
 because each detection runs on the whole graph while only the *seed pool*
 shrinks — and :meth:`DetectionResult.to_partition` resolves overlaps by
-first claim when a disjoint partition is required (e.g. for NMI/ARI).
+first claim when a disjoint partition is required (e.g. for NMI).
 """
 
 from __future__ import annotations

@@ -28,16 +28,8 @@ class RandomWalkError(ReproError):
     """Raised for invalid random walk configurations or states."""
 
 
-class MixingError(RandomWalkError):
-    """Raised when a mixing-time or local-mixing computation cannot proceed."""
-
-
 class AlgorithmError(ReproError):
     """Raised when a community detection algorithm is misconfigured."""
-
-
-class ConvergenceError(AlgorithmError):
-    """Raised when an iterative algorithm fails to converge within its budget."""
 
 
 class SimulationError(ReproError):

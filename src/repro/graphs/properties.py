@@ -4,13 +4,11 @@ This module implements the quantities from Section I-C of the paper:
 
 * volume ``µ(S) = Σ_{v∈S} d(v)``,
 * conductance ``φ(S) = |E(S, V\\S)| / min(µ(S), µ(V\\S))`` and the graph
-  conductance ``Φ_G = min_S φ(S)`` (we provide the analytic PPM value, a
-  partition-based value, and a spectral/sweep estimator since the exact
-  minimisation is NP-hard),
+  conductance ``Φ_G = min_S φ(S)`` (we provide the analytic PPM value and a
+  spectral/sweep estimator since the exact minimisation is NP-hard),
 * the average-volume approximation ``µ'(S) = (2m/n)·|S|`` that Algorithm 1
   uses so nodes can evaluate the mixing condition locally,
-* Newman–Girvan modularity of a partition, and
-* expected degree / edge-count formulas for PPM graphs that the experiment
+* expected edge-count formulas for PPM graphs that the experiment
   section quotes (e.g. "a partition has in expectation e_in = C(n/r, 2)·p
   intra and e_out = (n/r)(n − n/r)·q inter community edges").
 """
@@ -25,20 +23,15 @@ import numpy as np
 from ..exceptions import GraphError
 from ..utils import safe_ratio
 from .graph import Graph
-from .partition import Partition
 
 __all__ = [
     "subset_volume",
     "average_volume",
     "conductance",
-    "partition_conductance",
     "graph_conductance_estimate",
     "ppm_expected_conductance",
-    "ppm_expected_degree",
     "ppm_expected_intra_edges",
     "ppm_expected_inter_edges",
-    "modularity",
-    "edge_density",
     "mixing_parameter",
 ]
 
@@ -76,19 +69,6 @@ def conductance(graph: Graph, subset: Iterable[int]) -> float:
     volume_outside = graph.volume - volume_inside
     denominator = min(volume_inside, volume_outside)
     return safe_ratio(cut, denominator, default=0.0)
-
-
-def partition_conductance(graph: Graph, partition: Partition) -> float:
-    """Return ``min_i φ(C_i)`` over the communities of ``partition``.
-
-    For a ground-truth PPM partition this is (an upper bound on) the graph
-    conductance ``Φ_G``, which is what the paper uses as the stopping
-    parameter ``δ``.
-    """
-    values = [conductance(graph, community) for community in partition.communities()]
-    if not values:
-        return 0.0
-    return min(values)
 
 
 def graph_conductance_estimate(graph: Graph, num_eigenvalues: int = 2) -> float:
@@ -160,17 +140,6 @@ def _sweep_cut_conductance(graph: Graph, order: np.ndarray) -> float:
 # ----------------------------------------------------------------------
 # Analytic PPM quantities quoted in the paper
 # ----------------------------------------------------------------------
-def ppm_expected_degree(n: int, num_blocks: int, p: float, q: float) -> float:
-    """Expected degree of a PPM vertex: ``p·(n/r − 1) + q·(n − n/r)``.
-
-    The paper uses the slightly looser ``p·n/r + q·(n − n/r)`` in its
-    asymptotic arguments; we keep the exact finite-``n`` value.
-    """
-    _validate_ppm(n, num_blocks, p, q)
-    block_size = n / num_blocks
-    return p * (block_size - 1) + q * (n - block_size)
-
-
 def ppm_expected_intra_edges(n: int, num_blocks: int, p: float) -> float:
     """Expected intra-community edges of one block: ``C(n/r, 2)·p``."""
     _validate_ppm(n, num_blocks, p, 0.0)
@@ -214,31 +183,6 @@ def mixing_parameter(n: int, num_blocks: int, p: float, q: float) -> float:
         return 0.0
     numerator = q * (num_blocks - 1)
     return safe_ratio(numerator, p + numerator, default=0.0)
-
-
-def edge_density(graph: Graph) -> float:
-    """Return ``m / C(n, 2)``, the empirical edge probability."""
-    n = graph.num_vertices
-    if n < 2:
-        return 0.0
-    return graph.num_edges / (n * (n - 1) / 2.0)
-
-
-def modularity(graph: Graph, partition: Partition) -> float:
-    """Newman–Girvan modularity of a partition.
-
-    ``Q = Σ_c [ m_c/m − (µ(C_c) / 2m)² ]`` where ``m_c`` is the number of
-    edges inside community ``c``.  Unassigned vertices contribute nothing.
-    """
-    m = graph.num_edges
-    if m == 0:
-        return 0.0
-    total = 0.0
-    for community in partition.communities():
-        internal = graph.induced_edge_count(community)
-        volume = graph.subset_volume(community)
-        total += internal / m - (volume / (2.0 * m)) ** 2
-    return total
 
 
 def _validate_ppm(n: int, num_blocks: int, p: float, q: float) -> None:

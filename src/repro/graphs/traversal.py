@@ -1,4 +1,4 @@
-"""Graph traversal primitives: BFS, balls, connected components and diameter.
+"""Graph traversal primitives: BFS, balls, connectivity and hop distance.
 
 The CDRW analysis (Lemma 1) reasons about the ball ``B_ℓ`` of radius ``ℓ``
 around the seed vertex — the set of vertices within hop distance ``ℓ`` — and
@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 from ..exceptions import GraphError
@@ -23,11 +21,7 @@ __all__ = [
     "BFSResult",
     "bfs_tree",
     "ball",
-    "ball_sizes",
-    "connected_components",
     "is_connected",
-    "eccentricity",
-    "diameter",
     "shortest_path_length",
 ]
 
@@ -131,64 +125,12 @@ def ball(graph: Graph, center: int, radius: int) -> frozenset[int]:
     return frozenset(int(v) for v in result.reached())
 
 
-def ball_sizes(graph: Graph, center: int, max_radius: int) -> list[int]:
-    """Return ``[|B_0|, |B_1|, ..., |B_max_radius|]`` around ``center``."""
-    if max_radius < 0:
-        raise GraphError(f"max_radius must be non-negative, got {max_radius}")
-    result = bfs_tree(graph, center, max_depth=max_radius)
-    distances = result.distances[result.distances != UNREACHED]
-    counts = np.bincount(distances, minlength=max_radius + 1)
-    return np.cumsum(counts[:max_radius + 1]).tolist()
-
-
-def connected_components(graph: Graph) -> list[frozenset[int]]:
-    """Return the connected components, largest first."""
-    n = graph.num_vertices
-    seen = np.zeros(n, dtype=bool)
-    components: list[frozenset[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        result = bfs_tree(graph, start)
-        members = result.reached()
-        seen[members] = True
-        components.append(frozenset(int(v) for v in members))
-    components.sort(key=len, reverse=True)
-    return components
-
-
 def is_connected(graph: Graph) -> bool:
     """Return ``True`` when the graph is connected (the empty graph is connected)."""
     if graph.num_vertices <= 1:
         return True
     result = bfs_tree(graph, 0)
     return len(result.reached()) == graph.num_vertices
-
-
-def eccentricity(graph: Graph, vertex: int) -> int:
-    """Return the eccentricity of ``vertex`` within its connected component."""
-    result = bfs_tree(graph, vertex)
-    return result.depth()
-
-
-def diameter(graph: Graph, sample_size: int | None = None, seed: int | None = None) -> int:
-    """Return the diameter of the graph (largest eccentricity).
-
-    For large graphs an exact diameter costs ``O(nm)``; pass ``sample_size``
-    to estimate it from BFS runs at randomly sampled vertices (a lower bound).
-    Raises :class:`GraphError` on disconnected graphs because hop distance is
-    then undefined between components.
-    """
-    if graph.num_vertices == 0:
-        return 0
-    if not is_connected(graph):
-        raise GraphError("diameter is undefined for disconnected graphs")
-    if sample_size is None or sample_size >= graph.num_vertices:
-        candidates: Iterable[int] = range(graph.num_vertices)
-    else:
-        rng = np.random.default_rng(seed)
-        candidates = rng.choice(graph.num_vertices, size=sample_size, replace=False).tolist()
-    return max(eccentricity(graph, int(v)) for v in candidates)
 
 
 def shortest_path_length(graph: Graph, source: int, target: int) -> int:

@@ -10,19 +10,7 @@ from .scores import (
     score_community,
     score_detection,
 )
-from .clustering import (
-    adjusted_rand_index,
-    contingency_table,
-    normalized_mutual_information,
-    purity,
-)
-from .graph_quality import (
-    CommunityQuality,
-    community_quality,
-    detected_modularity,
-    intra_edge_fraction,
-    partition_quality,
-)
+from .clustering import contingency_table, normalized_mutual_information
 
 __all__ = [
     "CommunityScore",
@@ -33,13 +21,6 @@ __all__ = [
     "partition_average_f_score",
     "score_community",
     "score_detection",
-    "adjusted_rand_index",
     "contingency_table",
     "normalized_mutual_information",
-    "purity",
-    "CommunityQuality",
-    "community_quality",
-    "detected_modularity",
-    "intra_edge_fraction",
-    "partition_quality",
 ]

@@ -1,10 +1,10 @@
-"""Standard clustering-agreement metrics: NMI, ARI and purity.
+"""Partition-agreement metrics: the contingency table and NMI.
 
 The paper reports only the seed-community F-score (implemented in
-:mod:`repro.metrics.scores`); these partition-level metrics are provided so
+:mod:`repro.metrics.scores`); this partition-level metric is provided so
 CDRW can be compared against the baselines of Section II on an equal footing
 (LPA and spectral methods output whole partitions rather than per-seed
-communities).  Unassigned vertices are ignored by all three metrics.
+communities).  Unassigned vertices are ignored.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from ..graphs.partition import Partition
 __all__ = [
     "contingency_table",
     "normalized_mutual_information",
-    "adjusted_rand_index",
-    "purity",
 ]
 
 
@@ -76,33 +74,3 @@ def normalized_mutual_information(predicted: Partition, ground_truth: Partition)
     if normaliser == 0.0:
         return 0.0
     return max(0.0, min(1.0, mutual_information / normaliser))
-
-
-def adjusted_rand_index(predicted: Partition, ground_truth: Partition) -> float:
-    """Return the adjusted Rand index between two partitions."""
-    table = contingency_table(predicted, ground_truth).astype(np.float64)
-    total = table.sum()
-    if total < 2:
-        return 1.0
-
-    def choose2(x: np.ndarray | float) -> np.ndarray | float:
-        return x * (x - 1) / 2.0
-
-    sum_cells = choose2(table).sum()
-    sum_rows = choose2(table.sum(axis=1)).sum()
-    sum_columns = choose2(table.sum(axis=0)).sum()
-    total_pairs = choose2(total)
-    expected = sum_rows * sum_columns / total_pairs
-    maximum = (sum_rows + sum_columns) / 2.0
-    if maximum == expected:
-        return 1.0
-    return float((sum_cells - expected) / (maximum - expected))
-
-
-def purity(predicted: Partition, ground_truth: Partition) -> float:
-    """Return the purity: the fraction of vertices in their cluster's majority block."""
-    table = contingency_table(predicted, ground_truth)
-    total = table.sum()
-    if total == 0:
-        return 0.0
-    return float(table.max(axis=1).sum() / total)

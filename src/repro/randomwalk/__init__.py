@@ -1,61 +1,19 @@
-"""Random-walk substrate: transition operators, distributions, mixing and local mixing."""
+"""Random-walk substrate: transition operators, walk distributions and the stationary distribution."""
 
 from .transition import (
     lazy_transition_matrix,
     reverse_transition_matrix,
-    sample_walk,
-    second_largest_eigenvalue,
-    step_distribution,
     transition_matrix,
 )
 from .distribution import WalkDistribution
 from .batched import BatchedWalkDistribution
-from .stationary import (
-    approximate_restricted_stationary,
-    l1_distance,
-    restricted_l1_distance,
-    restricted_stationary,
-    stationary_distribution,
-    total_variation_distance,
-)
-from .mixing import (
-    DEFAULT_EPSILON,
-    distance_to_stationarity,
-    graph_mixing_time,
-    mixing_time_from_source,
-    spectral_mixing_time_bound,
-)
-from .local_mixing import (
-    LocalMixingResult,
-    best_mixing_subset_of_size,
-    local_mixing_deficit,
-    local_mixing_time,
-    mixes_locally,
-)
+from .stationary import stationary_distribution
 
 __all__ = [
     "lazy_transition_matrix",
     "reverse_transition_matrix",
-    "sample_walk",
-    "second_largest_eigenvalue",
-    "step_distribution",
     "transition_matrix",
     "WalkDistribution",
     "BatchedWalkDistribution",
-    "approximate_restricted_stationary",
-    "l1_distance",
-    "restricted_l1_distance",
-    "restricted_stationary",
     "stationary_distribution",
-    "total_variation_distance",
-    "DEFAULT_EPSILON",
-    "distance_to_stationarity",
-    "graph_mixing_time",
-    "mixing_time_from_source",
-    "spectral_mixing_time_bound",
-    "LocalMixingResult",
-    "best_mixing_subset_of_size",
-    "local_mixing_deficit",
-    "local_mixing_time",
-    "mixes_locally",
 ]

@@ -1,33 +1,17 @@
-"""Stationary distributions and the distances used by the mixing definitions.
+"""The stationary distribution of the simple random walk.
 
 For a connected undirected graph the stationary distribution of the simple
-random walk is ``π(v) = d(v) / 2m`` (Section I-C).  The paper's local-mixing
-machinery needs its restriction to a subset ``S``:
-
-``π_S(v) = d(v) / µ(S)`` for ``v ∈ S`` and 0 otherwise,
-
-and, for the *localized* Algorithm 1, the approximation in which the subset
-volume ``µ(S)`` is replaced by the average volume ``µ'(S) = (2m/n)·|S|`` so
-that a vertex can evaluate its term knowing only ``|S|``.
+random walk is ``π(v) = d(v) / 2m`` (Section I-C).
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
 from ..exceptions import RandomWalkError
 from ..graphs.graph import Graph
 
-__all__ = [
-    "stationary_distribution",
-    "restricted_stationary",
-    "approximate_restricted_stationary",
-    "l1_distance",
-    "total_variation_distance",
-    "restricted_l1_distance",
-]
+__all__ = ["stationary_distribution"]
 
 
 def stationary_distribution(graph: Graph) -> np.ndarray:
@@ -39,75 +23,3 @@ def stationary_distribution(graph: Graph) -> np.ndarray:
     if graph.num_edges == 0:
         raise RandomWalkError("the stationary distribution requires at least one edge")
     return graph.degrees().astype(np.float64) / graph.volume
-
-
-def restricted_stationary(graph: Graph, subset: Iterable[int]) -> np.ndarray:
-    """Return ``π_S`` over the full vertex set (zero outside ``S``).
-
-    ``π_S(v) = d(v)/µ(S)`` for ``v ∈ S``; this is the target distribution of
-    the local mixing definition (Definition 2).
-    """
-    indices = np.asarray(sorted(set(int(v) for v in subset)), dtype=np.int64)
-    if len(indices) == 0:
-        raise RandomWalkError("the restricted stationary distribution needs a non-empty set")
-    if indices.min() < 0 or indices.max() >= graph.num_vertices:
-        raise RandomWalkError("subset contains vertices outside the graph")
-    degrees = graph.degrees().astype(np.float64)
-    volume = degrees[indices].sum()
-    if volume == 0:
-        raise RandomWalkError("subset volume is zero; cannot normalise π_S")
-    result = np.zeros(graph.num_vertices, dtype=np.float64)
-    result[indices] = degrees[indices] / volume
-    return result
-
-
-def approximate_restricted_stationary(graph: Graph, subset_size: int) -> np.ndarray:
-    """Return the per-vertex target values ``d(v)/µ'(S)`` used by Algorithm 1.
-
-    Every vertex gets a value (not just members of some set) because the
-    algorithm does not yet know which vertices will form the mixing set: it
-    ranks vertices by ``x_u = |p_ℓ(u) − d(u)/µ'(S)|`` and picks the ``|S|``
-    smallest.
-    """
-    if subset_size < 1:
-        raise RandomWalkError(f"subset size must be >= 1, got {subset_size}")
-    if graph.num_edges == 0:
-        raise RandomWalkError("approximate stationary values require at least one edge")
-    average_volume = graph.volume / graph.num_vertices * subset_size
-    return graph.degrees().astype(np.float64) / average_volume
-
-
-def l1_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Return ``||p − q||₁``."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise RandomWalkError(f"distribution shapes differ: {p.shape} vs {q.shape}")
-    return float(np.abs(p - q).sum())
-
-
-def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Return the total-variation distance ``½ ||p − q||₁``."""
-    return 0.5 * l1_distance(p, q)
-
-
-def restricted_l1_distance(
-    distribution: np.ndarray,
-    target: np.ndarray,
-    subset: Iterable[int],
-) -> float:
-    """Return ``|| p_S − target_S ||₁`` summed over the vertices of ``subset`` only.
-
-    This is the quantity compared against the ``1/(2e)`` threshold in the
-    local mixing condition: Σ_{u∈S} |p_ℓ(u) − target(u)|.
-    """
-    indices = np.asarray(sorted(set(int(v) for v in subset)), dtype=np.int64)
-    if len(indices) == 0:
-        return 0.0
-    distribution = np.asarray(distribution, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if distribution.shape != target.shape:
-        raise RandomWalkError(
-            f"distribution shapes differ: {distribution.shape} vs {target.shape}"
-        )
-    return float(np.abs(distribution[indices] - target[indices]).sum())

@@ -26,9 +26,6 @@ __all__ = [
     "transition_matrix",
     "reverse_transition_matrix",
     "lazy_transition_matrix",
-    "step_distribution",
-    "sample_walk",
-    "second_largest_eigenvalue",
 ]
 
 
@@ -88,79 +85,3 @@ def lazy_transition_matrix(graph: Graph, laziness: float = 0.5) -> sp.csr_matrix
     plain = transition_matrix(graph)
     identity = sp.identity(graph.num_vertices, format="csr")
     return (laziness * identity + (1.0 - laziness) * plain).tocsr()
-
-
-def step_distribution(graph: Graph, distribution: np.ndarray) -> np.ndarray:
-    """Advance a probability distribution by one random-walk step.
-
-    This is a convenience wrapper over :func:`reverse_transition_matrix` for
-    callers that do not want to hold on to the operator.
-    """
-    distribution = np.asarray(distribution, dtype=np.float64)
-    if distribution.shape != (graph.num_vertices,):
-        raise RandomWalkError(
-            f"distribution has shape {distribution.shape}, expected ({graph.num_vertices},)"
-        )
-    return reverse_transition_matrix(graph) @ distribution
-
-
-def sample_walk(
-    graph: Graph,
-    source: int,
-    length: int,
-    seed: int | np.random.Generator | None = None,
-) -> list[int]:
-    """Sample an actual random-walk trajectory of ``length`` steps from ``source``.
-
-    The CDRW algorithm itself propagates the full distribution rather than
-    sampling trajectories, but sampled walks are useful in tests (empirical
-    visit frequencies must converge to the propagated distribution) and in the
-    Walktrap baseline.
-    """
-    if source not in graph:
-        raise RandomWalkError(f"source {source} is not a vertex of {graph!r}")
-    if length < 0:
-        raise RandomWalkError(f"walk length must be non-negative, got {length}")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    trajectory = [source]
-    current = source
-    for _ in range(length):
-        neighbors = graph.neighbors(current)
-        if len(neighbors) == 0:
-            break
-        current = int(rng.choice(neighbors))
-        trajectory.append(current)
-    return trajectory
-
-
-def second_largest_eigenvalue(graph: Graph) -> float:
-    """Return ``λ₂``, the second largest absolute eigenvalue of the transition matrix.
-
-    For a connected non-bipartite graph ``λ₂ < 1`` controls the mixing time.
-    Equation 2 of the paper bounds ``λ₂ ≈ 1/√d`` for random d-regular graphs.
-    The transition matrix is similar to the symmetric matrix
-    ``D^{-1/2} A D^{-1/2}``, whose eigenvalues we compute instead (they are
-    identical and the symmetric eigenproblem is numerically better behaved).
-    """
-    n = graph.num_vertices
-    if n < 2 or graph.num_edges == 0:
-        return 0.0
-    degrees = graph.degrees().astype(np.float64)
-    if np.any(degrees == 0):
-        raise RandomWalkError("second eigenvalue requires a graph with no isolated vertices")
-    inverse_sqrt = sp.diags(1.0 / np.sqrt(degrees))
-    symmetric = inverse_sqrt @ graph.adjacency_matrix() @ inverse_sqrt
-    if n <= 512:
-        eigenvalues = np.linalg.eigvalsh(symmetric.toarray())
-    else:
-        import scipy.sparse.linalg as spla
-
-        try:
-            eigenvalues = spla.eigsh(symmetric, k=min(6, n - 1), which="LM",
-                                     return_eigenvectors=False)
-        except (spla.ArpackNoConvergence, ValueError):
-            eigenvalues = np.linalg.eigvalsh(symmetric.toarray())
-    magnitudes = np.sort(np.abs(eigenvalues))[::-1]
-    if len(magnitudes) < 2:
-        return 0.0
-    return float(magnitudes[1])

@@ -7,7 +7,6 @@ experiment harness.  They are deliberately dependency-light (numpy only).
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "ceil_log2",
     "harmonic_mean",
     "safe_ratio",
-    "chunked",
     "stable_hash",
 ]
 
@@ -152,14 +150,6 @@ def safe_ratio(numerator: float, denominator: float, default: float = 0.0) -> fl
     if denominator == 0:
         return default
     return numerator / denominator
-
-
-def chunked(items: Sequence, size: int) -> Iterator[Sequence]:
-    """Yield consecutive chunks of ``items`` with at most ``size`` elements."""
-    if size < 1:
-        raise ReproError(f"chunk size must be >= 1, got {size}")
-    for start in range(0, len(items), size):
-        yield items[start:start + size]
 
 
 def stable_hash(value: int, modulus: int) -> int:

@@ -1,4 +1,4 @@
-"""Tests for conductance, volume, modularity and the analytic PPM quantities."""
+"""Tests for conductance, volume and the analytic PPM quantities."""
 
 from __future__ import annotations
 
@@ -12,17 +12,12 @@ from hypothesis import strategies as st
 from repro.exceptions import GraphError
 from repro.graphs import (
     Graph,
-    Partition,
     average_volume,
     conductance,
-    edge_density,
     graph_conductance_estimate,
     mixing_parameter,
-    modularity,
-    partition_conductance,
     planted_partition_graph,
     ppm_expected_conductance,
-    ppm_expected_degree,
     ppm_expected_inter_edges,
     ppm_expected_intra_edges,
     subset_volume,
@@ -50,10 +45,6 @@ class TestVolumeAndConductance:
         assert conductance(two_cliques_graph, []) == 0.0
         assert conductance(two_cliques_graph, range(10)) == 0.0
 
-    def test_partition_conductance_minimum(self, two_cliques_graph):
-        partition = Partition.from_labels([0] * 5 + [1] * 5)
-        assert partition_conductance(two_cliques_graph, partition) == pytest.approx(1 / 21)
-
     def test_sweep_estimate_close_to_true_value(self, two_cliques_graph):
         estimate = graph_conductance_estimate(two_cliques_graph)
         assert estimate == pytest.approx(1 / 21, rel=0.5)
@@ -63,10 +54,6 @@ class TestVolumeAndConductance:
 
 
 class TestAnalyticPpmQuantities:
-    def test_expected_degree(self):
-        value = ppm_expected_degree(1000, 5, 0.05, 0.001)
-        assert value == pytest.approx(0.05 * 199 + 0.001 * 800)
-
     def test_expected_intra_and_inter_edges(self):
         assert ppm_expected_intra_edges(1000, 5, 0.05) == pytest.approx(200 * 199 / 2 * 0.05)
         assert ppm_expected_inter_edges(1000, 5, 0.001) == pytest.approx(200 * 800 * 0.001)
@@ -82,7 +69,9 @@ class TestAnalyticPpmQuantities:
     def test_expected_conductance_matches_empirical(self):
         n, r, p, q = 1000, 5, 0.05, 0.001
         ppm = planted_partition_graph(n, r, p, q, seed=0)
-        empirical = partition_conductance(ppm.graph, ppm.partition)
+        empirical = min(
+            conductance(ppm.graph, block) for block in ppm.partition.communities()
+        )
         assert empirical == pytest.approx(ppm_expected_conductance(n, r, p, q), rel=0.3)
 
     def test_mixing_parameter(self):
@@ -92,31 +81,9 @@ class TestAnalyticPpmQuantities:
 
     def test_invalid_shapes_rejected(self):
         with pytest.raises(GraphError):
-            ppm_expected_degree(10, 3, 0.1, 0.1)
+            ppm_expected_conductance(10, 3, 0.1, 0.1)
         with pytest.raises(GraphError):
             ppm_expected_conductance(10, 2, 1.5, 0.1)
-
-
-class TestModularityAndDensity:
-    def test_edge_density_complete_graph(self):
-        complete = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        assert edge_density(complete) == 1.0
-
-    def test_edge_density_empty(self):
-        assert edge_density(Graph(1, [])) == 0.0
-
-    def test_modularity_good_partition_positive(self, two_cliques_graph):
-        good = Partition.from_labels([0] * 5 + [1] * 5)
-        bad = Partition.from_labels([0, 1] * 5)
-        assert modularity(two_cliques_graph, good) > modularity(two_cliques_graph, bad)
-        assert modularity(two_cliques_graph, good) > 0.3
-
-    def test_modularity_single_community_zero(self, two_cliques_graph):
-        whole = Partition.single_community(10)
-        assert modularity(two_cliques_graph, whole) == pytest.approx(0.0)
-
-    def test_modularity_empty_graph(self):
-        assert modularity(Graph(3, []), Partition.single_community(3)) == 0.0
 
 
 def loop_sweep_conductance(graph: Graph, order) -> float:

@@ -1,4 +1,4 @@
-"""Tests for BFS, balls, components and diameter."""
+"""Tests for BFS, balls, connectivity and hop distance."""
 
 from __future__ import annotations
 
@@ -8,11 +8,7 @@ from repro.exceptions import GraphError
 from repro.graphs import (
     Graph,
     ball,
-    ball_sizes,
     bfs_tree,
-    connected_components,
-    diameter,
-    eccentricity,
     is_connected,
     shortest_path_length,
 )
@@ -64,39 +60,17 @@ class TestBalls:
         assert ball(path_graph, 2, 1) == frozenset({1, 2, 3})
         assert ball(path_graph, 2, 10) == frozenset(range(5))
 
-    def test_ball_sizes_cumulative(self, path_graph):
-        assert ball_sizes(path_graph, 0, 3) == [1, 2, 3, 4]
-
     def test_ball_negative_radius_rejected(self, path_graph):
         with pytest.raises(GraphError):
             ball(path_graph, 0, -1)
 
 
 class TestComponentsAndDiameter:
-    def test_connected_components_sizes(self):
-        graph = Graph(6, [(0, 1), (1, 2), (3, 4)])
-        components = connected_components(graph)
-        assert [len(c) for c in components] == [3, 2, 1]
-
     def test_is_connected(self, two_cliques_graph):
         assert is_connected(two_cliques_graph)
         assert not is_connected(Graph(3, [(0, 1)]))
         assert is_connected(Graph(0, []))
         assert is_connected(Graph(1, []))
-
-    def test_eccentricity_and_diameter(self, path_graph):
-        assert eccentricity(path_graph, 0) == 4
-        assert eccentricity(path_graph, 2) == 2
-        assert diameter(path_graph) == 4
-
-    def test_diameter_disconnected_raises(self):
-        with pytest.raises(GraphError):
-            diameter(Graph(3, [(0, 1)]))
-
-    def test_sampled_diameter_is_lower_bound(self, two_cliques_graph):
-        exact = diameter(two_cliques_graph)
-        sampled = diameter(two_cliques_graph, sample_size=3, seed=0)
-        assert sampled <= exact
 
     def test_shortest_path_length(self, path_graph):
         assert shortest_path_length(path_graph, 0, 4) == 4

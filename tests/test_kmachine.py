@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.api import RunConfig, detect
+from repro.core import CDRWParameters
 from repro.exceptions import MachineError
-from repro.graphs import ppm_expected_conductance
+from repro.graphs import planted_partition_graph, ppm_expected_conductance
 from repro.kmachine import (
     KMachineNetwork,
     RandomVertexPartition,
@@ -243,3 +246,61 @@ class TestKMachineCdrw:
         network = KMachineNetwork(partition)
         with pytest.raises(MachineError):
             detect_community_kmachine(two_cliques_graph, 0, 2, network=network)
+
+
+#: Per-community (rounds, inter-machine messages, local messages, CONGEST
+#: rounds routed) of the pinned run below, one tuple per detected community.
+PINNED_CHARGES = {
+    "default": (
+        CDRWParameters(),
+        [
+            (225851, 1498121, 721252, 8650),
+            (173927, 1644153, 574178, 8651),
+            (199834, 1652396, 565355, 8651),
+            (303898, 1970492, 619925, 10092),
+        ],
+    ),
+    "lazy_walk": (
+        CDRWParameters(lazy_walk=True),
+        [
+            (339014, 2250169, 1082925, 12973),
+            (351019, 2908687, 1165257, 15855),
+            (300037, 2482184, 849258, 12974),
+            (477822, 3099923, 975426, 15856),
+        ],
+    ),
+    "linear_schedule": (
+        CDRWParameters(size_schedule="linear"),
+        [
+            (784331, 5192681, 2504092, 30130),
+            (603527, 5703873, 1991858, 30131),
+            (693874, 5733596, 1961555, 30131),
+            (1055698, 6832132, 2148585, 35152),
+        ],
+    ),
+}
+
+
+class TestPinnedCharges:
+    """The k-machine backend is the shared detection loop plus exact charges."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CHARGES))
+    def test_detection_equals_scalar_and_charges_are_pinned(self, name):
+        params, expected = PINNED_CHARGES[name]
+        n = 256
+        graph = planted_partition_graph(
+            n, 4, 2 * math.log(n) ** 2 / n, 0.6 / n, seed=2
+        ).graph
+        config = RunConfig(seed=2, max_seeds=6, num_machines=4, partition_seed=2)
+        kmachine = detect(graph, "kmachine", params, config)
+        scalar = detect(graph, "scalar", params, config)
+        # Equality of the detections includes every per-step history.
+        assert kmachine.detection == scalar.detection
+        assert all(result.history for result in kmachine.detection.communities)
+        charges = [
+            (cost.rounds, cost.inter_machine_messages, cost.local_messages,
+             cost.congest_rounds_routed)
+            for cost in kmachine.phase_costs.values()
+        ]
+        assert charges == expected
+        assert kmachine.total_cost == kmachine.native_result.total_cost

@@ -296,6 +296,7 @@ class TestRegistryDiscipline:
             "repro/session.py",
             "repro/execution_process.py",
             "repro/core/parallel.py",
+            "repro/kmachine/cdrw_kmachine.py",
             "tests/test_backdoor.py",
         ],
     )

@@ -1,4 +1,4 @@
-"""Tests for the accuracy metrics (paper's F-score, NMI/ARI, structural quality)."""
+"""Tests for the accuracy metrics (the paper's F-score and NMI)."""
 
 from __future__ import annotations
 
@@ -10,19 +10,13 @@ from repro.core.result import CommunityResult, DetectionResult
 from repro.exceptions import MetricError
 from repro.graphs import Partition
 from repro.metrics import (
-    adjusted_rand_index,
     average_f_score,
     community_f_score,
     community_precision,
-    community_quality,
     community_recall,
     contingency_table,
-    detected_modularity,
-    intra_edge_fraction,
     normalized_mutual_information,
     partition_average_f_score,
-    partition_quality,
-    purity,
     score_community,
     score_detection,
 )
@@ -186,14 +180,11 @@ class TestClusteringMetrics:
         a = Partition.from_labels([0, 0, 1, 1, 2, 2])
         b = Partition.from_labels([5, 5, 9, 9, 7, 7])
         assert normalized_mutual_information(a, b) == pytest.approx(1.0)
-        assert adjusted_rand_index(a, b) == pytest.approx(1.0)
-        assert purity(a, b) == pytest.approx(1.0)
 
     def test_single_cluster_vs_split(self):
         whole = Partition.single_community(8)
         split = Partition.from_labels([0] * 4 + [1] * 4)
         assert normalized_mutual_information(whole, split) == pytest.approx(0.0, abs=1e-9)
-        assert adjusted_rand_index(whole, split) == pytest.approx(0.0, abs=1e-9)
 
     def test_contingency_table_counts(self):
         a = Partition.from_labels([0, 0, 1, 1])
@@ -213,7 +204,7 @@ class TestClusteringMetrics:
         a = Partition.from_labels([0, -1])
         b = Partition.from_labels([-1, 0])
         with pytest.raises(MetricError):
-            adjusted_rand_index(a, b)
+            normalized_mutual_information(a, b)
 
     @given(st.lists(st.integers(0, 4), min_size=4, max_size=40))
     @settings(max_examples=50, deadline=None)
@@ -221,26 +212,3 @@ class TestClusteringMetrics:
         predicted = Partition.from_labels(labels)
         truth = Partition.from_labels([i % 3 for i in range(len(labels))])
         assert 0.0 <= normalized_mutual_information(predicted, truth) <= 1.0
-        assert -1.0 <= adjusted_rand_index(predicted, truth) <= 1.0
-        assert 0.0 <= purity(predicted, truth) <= 1.0
-
-
-class TestGraphQuality:
-    def test_clique_quality(self, two_cliques_graph):
-        quality = community_quality(two_cliques_graph, range(5))
-        assert quality.size == 5
-        assert quality.internal_edges == 10
-        assert quality.cut_edges == 1
-        assert quality.internal_density == 1.0
-        assert quality.conductance == pytest.approx(1 / 21)
-
-    def test_empty_community_rejected(self, two_cliques_graph):
-        with pytest.raises(MetricError):
-            community_quality(two_cliques_graph, [])
-
-    def test_partition_quality_and_modularity(self, two_cliques_graph):
-        partition = Partition.from_labels([0] * 5 + [1] * 5)
-        qualities = partition_quality(two_cliques_graph, partition)
-        assert len(qualities) == 2
-        assert detected_modularity(two_cliques_graph, partition) > 0.3
-        assert intra_edge_fraction(two_cliques_graph, partition) == pytest.approx(20 / 21)

@@ -8,13 +8,15 @@ ported ``"parallel"`` backend with a scalar reference implementation, the ``capt
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.api import RunConfig, detect
 from repro.core import CDRWParameters, select_spread_seeds
 from repro.core.result import CommunityResult, DetectionResult
-from repro.graphs import Graph, ppm_expected_conductance
+from repro.graphs import Graph, planted_partition_graph, ppm_expected_conductance
 from repro.graphs.traversal import shortest_path_length
 from repro.randomwalk import WalkDistribution
 
@@ -293,3 +295,27 @@ class TestMinDistanceZeroFastPath:
     def test_full_graph_draw_is_a_permutation(self, triangle_graph):
         seeds = select_spread_seeds(triangle_graph, 3, min_distance=0, seed=1)
         assert sorted(seeds) == [0, 1, 2]
+
+
+class TestExplicitSeeds:
+    def test_given_seeds_replace_the_spread_draw(self):
+        """``RunConfig(seeds=...)`` is honoured, in order, on every call.
+
+        The four seeds sit in the four different blocks, so no detection
+        is merged away as a duplicate and every seed survives.
+        """
+        n = 512
+        graph = planted_partition_graph(
+            n, 4, 2 * math.log(n) ** 2 / n, 0.6 / n, seed=1
+        ).graph
+        seeds = (300, 0, 500, 200)
+        config = RunConfig(seeds=seeds, num_communities=4)
+        detections = [
+            detect(graph, "parallel", config=config, delta_hint=0.05).detection
+            for _ in range(3)
+        ]
+        for detection in detections:
+            assert tuple(result.seed for result in detection.communities) == seeds
+            assert_pairwise_disjoint(detection)
+        assert detections[1] == detections[0]
+        assert detections[2] == detections[0]

@@ -2,28 +2,18 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import RandomWalkError
-from repro.graphs import Graph, gnp_random_graph, random_regular_graph
+from repro.graphs import Graph
 from repro.randomwalk import (
     WalkDistribution,
-    l1_distance,
     lazy_transition_matrix,
-    restricted_l1_distance,
-    restricted_stationary,
     reverse_transition_matrix,
-    sample_walk,
-    second_largest_eigenvalue,
-    approximate_restricted_stationary,
     stationary_distribution,
-    step_distribution,
-    total_variation_distance,
     transition_matrix,
 )
 
@@ -62,28 +52,6 @@ class TestTransitionMatrix:
             distribution = operator @ distribution
             assert distribution.sum() == pytest.approx(1.0)
 
-    def test_step_distribution_shape_check(self, triangle_graph):
-        with pytest.raises(RandomWalkError):
-            step_distribution(triangle_graph, np.zeros(5))
-
-
-class TestSecondEigenvalue:
-    def test_regular_graph_bound(self):
-        # Equation 2 of the paper: λ₂ ≈ 1/sqrt(d) for random d-regular graphs.
-        graph = random_regular_graph(200, 16, seed=3)
-        lam = second_largest_eigenvalue(graph)
-        assert lam < 3.0 / math.sqrt(16)
-        assert lam > 0.0
-
-    def test_complete_graph_small_eigenvalue(self):
-        complete = Graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
-        assert second_largest_eigenvalue(complete) == pytest.approx(1.0 / 5.0, abs=1e-8)
-
-    def test_isolated_vertex_rejected(self):
-        with pytest.raises(RandomWalkError):
-            second_largest_eigenvalue(Graph(3, [(0, 1)]))
-
-
 class TestStationary:
     def test_stationary_is_degree_over_volume(self, two_cliques_graph):
         pi = stationary_distribution(two_cliques_graph)
@@ -99,37 +67,6 @@ class TestStationary:
     def test_stationary_requires_edges(self):
         with pytest.raises(RandomWalkError):
             stationary_distribution(Graph(3, []))
-
-    def test_restricted_stationary_normalised_on_subset(self, two_cliques_graph):
-        pi_s = restricted_stationary(two_cliques_graph, range(5))
-        assert pi_s[:5].sum() == pytest.approx(1.0)
-        assert np.allclose(pi_s[5:], 0.0)
-
-    def test_restricted_stationary_empty_rejected(self, two_cliques_graph):
-        with pytest.raises(RandomWalkError):
-            restricted_stationary(two_cliques_graph, [])
-
-    def test_approximate_restricted_stationary_uses_average_volume(self, two_cliques_graph):
-        values = approximate_restricted_stationary(two_cliques_graph, 5)
-        expected = two_cliques_graph.degrees() / (two_cliques_graph.volume / 10 * 5)
-        assert np.allclose(values, expected)
-
-    def test_distances(self):
-        p = np.array([1.0, 0.0])
-        q = np.array([0.5, 0.5])
-        assert l1_distance(p, q) == pytest.approx(1.0)
-        assert total_variation_distance(p, q) == pytest.approx(0.5)
-
-    def test_distance_shape_mismatch(self):
-        with pytest.raises(RandomWalkError):
-            l1_distance(np.zeros(2), np.zeros(3))
-
-    def test_restricted_l1_distance(self):
-        p = np.array([0.2, 0.3, 0.5])
-        target = np.array([0.4, 0.3, 0.3])
-        assert restricted_l1_distance(p, target, [0, 2]) == pytest.approx(0.4)
-        assert restricted_l1_distance(p, target, []) == 0.0
-
 
 class TestWalkDistribution:
     def test_initial_state(self, two_cliques_graph):
@@ -160,7 +97,7 @@ class TestWalkDistribution:
         walk = WalkDistribution(small_gnp_graph, 0)
         walk.run_to(60)
         pi = stationary_distribution(small_gnp_graph)
-        assert l1_distance(walk.probabilities(), pi) < 0.01
+        assert np.abs(walk.probabilities() - pi).sum() < 0.01
 
     def test_matches_matrix_power(self, two_cliques_graph):
         walk = WalkDistribution(two_cliques_graph, 3)
@@ -190,22 +127,3 @@ class TestWalkDistribution:
         walk.run_to(steps)
         assert walk.probabilities().sum() == pytest.approx(1.0)
         assert (walk.probabilities() >= 0).all()
-
-
-class TestSampleWalk:
-    def test_length_and_adjacency(self, two_cliques_graph):
-        trajectory = sample_walk(two_cliques_graph, 0, 20, seed=1)
-        assert len(trajectory) == 21
-        for u, v in zip(trajectory, trajectory[1:]):
-            assert two_cliques_graph.has_edge(u, v)
-
-    def test_stops_at_isolated_vertex(self):
-        graph = Graph(3, [(0, 1)])
-        trajectory = sample_walk(graph, 2, 5, seed=1)
-        assert trajectory == [2]
-
-    def test_invalid_arguments(self, triangle_graph):
-        with pytest.raises(RandomWalkError):
-            sample_walk(triangle_graph, 7, 3)
-        with pytest.raises(RandomWalkError):
-            sample_walk(triangle_graph, 0, -1)

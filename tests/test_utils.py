@@ -14,7 +14,6 @@ from repro.utils import (
     GROWTH_FACTOR,
     MIXING_THRESHOLD,
     as_rng,
-    chunked,
     geometric_sizes,
     harmonic_mean,
     linear_sizes,
@@ -154,18 +153,6 @@ class TestSafeRatio:
     def test_zero_denominator_default(self):
         assert safe_ratio(1, 0) == 0.0
         assert safe_ratio(1, 0, default=5.0) == 5.0
-
-
-class TestChunked:
-    def test_even_chunks(self):
-        assert list(chunked([1, 2, 3, 4], 2)) == [[1, 2], [3, 4]]
-
-    def test_ragged_tail(self):
-        assert list(chunked([1, 2, 3, 4, 5], 2)) == [[1, 2], [3, 4], [5]]
-
-    def test_invalid_size(self):
-        with pytest.raises(ReproError):
-            list(chunked([1], 0))
 
 
 class TestStableHash:
