@@ -18,7 +18,12 @@ Measures, on a 1M-edge random graph:
   :class:`BatchedMixingSetSearch.largest_mixing_sets` call over ``B``
   walk columns against ``B`` one-lane calls of the same kernel (what the
   scalar backend pays per step for ``B`` seeds; the ``search{B}_scalar_s``
-  rows), at ``B ∈ {1, 8, 64}`` on a 250k-edge graph;
+  rows), at ``B ∈ {1, 8, 64}`` on a 20k-edge random graph;
+* **walk search** — the searches of a whole walk (lengths 1–12) on the
+  ROADMAP's PPM workload at n = 16k and 65k, one lane per call and 32 lanes
+  per call; the share of visited sizes whose rejection the sort-once
+  certificate proved (``search_certified_share``); and one lane on a
+  heavy-tailed graph with too many degree classes for the certificate;
 * **parallel detection** — the ``"parallel"`` backend (one shared
   batched walk + conflict resolution) against the pre-port scalar per-seed
   loop over the same spread seeds, at ``r ∈ {1, 8, 64}`` on an 8-block PPM;
@@ -111,6 +116,20 @@ REQUIRED_SPEEDUP = 10.0
 # sizes).
 SEARCH_VERTICES = 4_096
 SEARCH_EDGES = 20_000
+# The sort-once certificate's rows: the search over a whole walk (lengths
+# 1 … PPM_SEARCH_STEPS) on the ROADMAP's PPM workload (r = 4,
+# p = 2 ln²n / n, q = 0.6 / n), one lane and PPM_SEARCH_WIDTH lanes per
+# call, at the larger sizes where the per-size O(n) passes used to dominate.
+PPM_SEARCH_VERTICES = (16_384, 65_536)
+PPM_SEARCH_STEPS = 12
+PPM_SEARCH_WIDTH = 32
+# A heavy-tailed graph has more degree classes (217) than the
+# certificate takes at n = 4096 (128), so its row times the partition-
+# estimate tier.  (A dense G(n, p) has as many classes, but its walks mix
+# in one step and accept at the top size, which times neither tier.)
+HEAVY_SEARCH_VERTICES = 4_096
+HEAVY_SEARCH_EXPONENT = 2.5
+HEAVY_SEARCH_AVERAGE_DEGREE = 40
 PARALLEL_VERTICES = 2_048
 PARALLEL_BLOCKS = 8
 BATCH_WIDTHS = (1, 8, 64)
@@ -268,15 +287,16 @@ def run_benchmark() -> dict[str, float]:
         threaded_search = BatchedMixingSetSearch(
             search_graph, initial_size=initial_size, workers=workers
         )
-        # Best-of-3 like the steady-state step: this row backs an enforced
-        # acceptance threshold, so a single scheduler hiccup must not
-        # deflate the cached speedup.
+        # Best-of-7: this row backs an enforced acceptance threshold, so a
+        # scheduler hiccup on a shared host must not deflate the speedup.
         results[f"search_workers{workers}_s"] = _best_of(
-            lambda: threaded_search.largest_mixing_sets(widest, 5)
+            lambda: threaded_search.largest_mixing_sets(widest, 5), repeats=7
         )
     results["search_threads_speedup"] = results["search_workers1_s"] / min(
         results[f"search_workers{workers}_s"] for workers in WORKER_COUNTS if workers > 1
     )
+
+    results.update(walk_search_rows())
 
     # -- parallel detection (shared batched walk, r ∈ {1, 8, 64}) -------
     n = PARALLEL_VERTICES
@@ -471,6 +491,77 @@ def run_benchmark() -> dict[str, float]:
     return results
 
 
+def walk_search_rows() -> dict[str, float]:
+    """The searches of whole walks, and the certified share.
+
+    ``search1_ppm{n}_s`` times one one-lane call per walk length and seed
+    (four seeds, per seed), ``search{W}_ppm{n}_s`` one ``W``-lane call per
+    walk length, each the best of three; only the search calls are timed.
+    ``search1_heavy_s`` is the one-lane row on the heavy-tailed graph
+    (the partition tier, which has no certificate to count).
+    ``search_certified_share`` is the share of the (lane, size < n) pairs
+    the descending scans of the PPM one-lane rows visit whose rejection
+    the certificate proved without forming a deviation vector.
+    """
+    rows: dict[str, float] = {}
+    visited = uncertified = 0
+    graphs = {
+        f"ppm{n}": planted_partition_graph(
+            n, 4, min(1.0, 2.0 * np.log(n) ** 2 / n), 0.6 / n, seed=11
+        ).graph
+        for n in PPM_SEARCH_VERTICES
+    }
+    graphs["heavy"] = _heavy_tailed_graph(
+        HEAVY_SEARCH_VERTICES, HEAVY_SEARCH_EXPONENT, HEAVY_SEARCH_AVERAGE_DEGREE, seed=13
+    )
+    for name, graph in graphs.items():
+        n = graph.num_vertices
+        seeds = np.random.default_rng(12).choice(n, size=PPM_SEARCH_WIDTH, replace=False)
+        search = BatchedMixingSetSearch(graph, initial_size=log_size(n), workers=1)
+        descending = search.candidate_sizes[::-1]
+        walk = BatchedWalkDistribution(graph, seeds.tolist())
+        single = batched = 0.0
+        for length in range(1, PPM_SEARCH_STEPS + 1):
+            walk.step()
+            matrix = np.array(walk.probabilities())
+            columns = [matrix[:, j : j + 1] for j in range(4)]
+            single += _best_of(
+                lambda: [search.largest_mixing_sets(column, length) for column in columns]
+            )
+            if search._certificate is None:
+                continue
+            batched += _best_of(lambda: search.largest_mixing_sets(matrix, length))
+            for column in columns:
+                result = search.largest_mixing_sets(column, length)[0]
+                reached = descending.index(result.size) if result.size else len(descending)
+                visited += reached - 1  # the top size n is never certified
+                uncertified += _uncertified_sizes(search, column[:, 0], reached)
+        rows[f"search1_{name}_s"] = single / 4
+        if search._certificate is not None:
+            rows[f"search{PPM_SEARCH_WIDTH}_{name}_s"] = batched
+    rows["search_certified_share"] = 1.0 - uncertified / max(visited, 1)
+    return rows
+
+
+def _heavy_tailed_graph(n: int, exponent: float, average: int, seed: int) -> Graph:
+    """A Chung–Lu graph: endpoints drawn with weight ``i^(−1/(exponent−1))``."""
+    rng = np.random.default_rng(seed)
+    weights = np.arange(1, n + 1) ** (-1.0 / (exponent - 1.0))
+    ends = rng.choice(n, size=(n * average // 2, 2), p=weights / weights.sum())
+    ends = np.unique(np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1), axis=0)
+    return Graph.from_edge_array(n, ends)
+
+
+def _uncertified_sizes(search: BatchedMixingSetSearch, lane: np.ndarray, reached: int) -> int:
+    """How many of the first ``reached`` scan positions below ``n`` the certificate left open."""
+    certificate = search._certificate
+    order = certificate.order(lane)
+    verdicts = [False] + [
+        verdict for run in certificate.runs for verdict in certificate.verdicts(order, run)
+    ]
+    return verdicts[1:reached].count(False)
+
+
 def print_table(results: dict[str, float]) -> None:
     rows = [
         ("construction (1M edges)", "construct_scalar_s", "construct_vectorized_s", "construct_speedup"),
@@ -504,6 +595,17 @@ def print_table(results: dict[str, float]) -> None:
             f"{label:26s} {results[scalar_key]:11.4f} "
             f"{results[vector_key]:15.4f} {results[speedup_key]:8.1f}x"
         )
+    for n in PPM_SEARCH_VERTICES:
+        print(
+            f"PPM search n={n}: one lane {results[f'search1_ppm{n}_s']:.4f}s, "
+            f"{PPM_SEARCH_WIDTH} lanes {results[f'search{PPM_SEARCH_WIDTH}_ppm{n}_s']:.4f}s "
+            f"per {PPM_SEARCH_STEPS}-step walk"
+        )
+    print(
+        f"heavy-tailed n={HEAVY_SEARCH_VERTICES} search, partition tier: "
+        f"one lane {results['search1_heavy_s']:.4f}s per {PPM_SEARCH_STEPS}-step walk"
+    )
+    print(f"certified share of visited sizes: {results['search_certified_share']:.4f}")
     print()
     print_workers_table(results)
 
@@ -645,6 +747,12 @@ def dump_json(results: dict[str, float], path: str) -> None:
             "num_seeds": NUM_SEEDS,
             "search_vertices": SEARCH_VERTICES,
             "search_edges": SEARCH_EDGES,
+            "ppm_search_vertices": list(PPM_SEARCH_VERTICES),
+            "ppm_search_steps": PPM_SEARCH_STEPS,
+            "ppm_search_width": PPM_SEARCH_WIDTH,
+            "heavy_search_vertices": HEAVY_SEARCH_VERTICES,
+            "heavy_search_exponent": HEAVY_SEARCH_EXPONENT,
+            "heavy_search_average_degree": HEAVY_SEARCH_AVERAGE_DEGREE,
             "parallel_vertices": PARALLEL_VERTICES,
             "parallel_blocks": PARALLEL_BLOCKS,
             "batch_widths": list(BATCH_WIDTHS),

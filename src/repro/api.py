@@ -942,12 +942,14 @@ def _parallel_runner(
     # Step 1 in the calling process, on either tier: the same draws.
     spread = _explicit_seeds(graph, config)
     if spread is None:
+        # Capped after the draw, so a cap never changes which seeds come
+        # first.
         spread = select_spread_seeds(
             graph,
             config.num_communities,
             min_distance=config.seed_min_distance,
             seed=as_rng(config.seed),
-        )
+        )[: config.max_seeds]
     # Step 2: the detections as one round; the search always scans in
     # float64 here.
     (raw_results, distributions), timings, extras = _serve(

@@ -18,17 +18,52 @@ This implements lines 12-17 of Algorithm 1.  Given the walk distribution
    scanning the schedule from the top and stopping at the first accepted
    size, while the reported cost stays the paper's ascending schedule.
 
-How the kernel decides a size ``k < n``: it first sums the ``k`` smallest
-deviations as a *value multiset* (a partitioned copy, no indices, in any
-order).  That estimate ``ŝ`` and the reported id-order sum are sums of the
-same ``k`` non-negative floats, so both lie within
-``γ = (k−1)·u / (1 − (k−1)·u)`` of the exact sum (``u`` the scan dtype's unit
-roundoff).  ``ŝ ≥ threshold·(1+γ)/(1−γ)`` (rounded up) therefore proves the
-reported sum fails the threshold too, and the size is rejected without
-selecting members.  Every other size — each one that might accept, and any
-NaN — runs the exact selection (``argpartition``, ids sorted, gathered
+How the kernel decides a size ``k < n``.  Sorting once per lane and walk
+length, it proves most rejections without forming the size's deviations,
+the way the paper's own selection counts instead of sorting: the seed
+broadcasts a pivot ``τ`` and convergecasts the count and sum of the
+deviations ``≤ τ``.
+
+* **The bound.**  For any ``τ``, the ``k`` smallest of any values ``y_u``
+  sum to at least ``L_k(τ) = k·τ − Σ_u (τ − y_u)₊``, since
+  ``y ≥ τ − (τ − y)₊`` and the sum over all ``u`` covers any ``k`` of them.
+  Within one degree class every target is the same ``T = d/µ'(S)``, so the
+  vertices with ``|p_u − T| ≤ τ`` are a window of that class's sorted
+  ``p``.  Its count and sum, split at ``T``, give the class's share of the
+  sum over ``u``.  One integer sort per lane (keys: the class above the
+  float bits of ``p``, truncated by ``2^c`` ulps for ``c`` class bits),
+  one prefix sum, and one ``searchsorted`` of per-graph query keys
+  ``T − τ``, ``T`` and ``T + τ`` then bound every size of a run of
+  :data:`_CERTIFICATE_RUN` consecutive sizes at the pivots
+  ``τ ∈ {1.5, 4}·margin/k``.
+* **The rounding slack.**  The size is rejected when some pivot's computed
+  bound is at least ``margin + slack``: ``margin`` is
+  :func:`_rejection_margin` (``threshold·(1+γ)/(1−γ)``,
+  ``γ = (k−1)·u/(1−(k−1)·u)``, ``u`` the scan dtype's unit roundoff) and
+  ``slack = 2(γ₁ + 4ε)(kτ + 4nW) + 2(γ₂ + 4ε)(4C + 4)‖p‖₁ + 8u·margin``
+  with ``ε = 2^(c−52)``, ``γ₁ = γ_(3C+3)`` and ``γ₂ = γ_(n+3C+3)`` in float64,
+  ``C`` classes and ``W`` the sum of the bound's ``|T ∓ τ|`` and ``2T``
+  weights.  The ``γ`` terms cover the float64 prefix sums, products and
+  sums; the ``ε`` terms cover the truncated keys and values (a vertex
+  within ``ε`` of a window edge or of ``T``); the factor 2 covers the
+  slack's own evaluation.
+* **The proof.**  A certified size has ``L_k(τ) ≥ margin·(1 + 2u)`` for the
+  real deviations ``y_u = |p_u − T_u|`` of the scan dtype's ``p`` and
+  ``T``.  The exact path's deviations are ``y_u`` rounded once, so their
+  ``k`` smallest sum to at least ``(1 − u)·L_k(τ) ≥ margin``; its id-order
+  sum of those ``k`` values is within ``γ`` of that, hence at least
+  ``(1 − γ)·margin ≥ threshold·(1 + γ)``: the size fails the threshold.
+
+Every other size — one that might accept, one the bound cannot prove, or
+any size of a lane holding a NaN, an infinity or a sign bit — runs the
+exact selection (the deviations, ``argpartition``, ids sorted, gathered
 sums), which alone produces reported members, deficits and masses.  The
-outputs are those of running the exact selection at every size.
+outputs are those of running the exact selection at every size.  The
+bound's cost per size grows with the class count ``C``, a partition's with
+``n``, so a graph with more than ``min(1024, max(64, n/32))`` classes
+(:func:`_certifiable`) instead rejects a size when its ``k``
+smallest deviations, summed in any order from a value partition, clear the
+margin.
 
 Points 2 (the mass condition) and 3 (the largest size over the whole
 schedule) depart from the literal pseudocode; README.md, "Deviations from
@@ -47,7 +82,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import DTypeLike
@@ -65,14 +100,6 @@ __all__ = [
     "LargestMixingSet",
     "deviation_values",
 ]
-
-#: Per-block working-array budget of the batched search (bytes).  One block
-#: holds `block_width` walk distributions of `n` float64s; ~1 MB keeps the
-#: block cache-resident across the whole candidate-size schedule while still
-#: amortizing the shared per-size target computation over several lanes
-#: (measured the best compromise across n = 8k–50k at B = 64 on one core).
-_SEARCH_BLOCK_BYTES = 1 << 20
-
 
 @dataclass(frozen=True)
 class LargestMixingSet:
@@ -152,24 +179,219 @@ def _rejection_margin(threshold: float, size: int, dtype: np.dtype) -> np.floati
     return margin
 
 
+#: Candidate sizes per certificate evaluation: a lane's bounds are computed
+#: for this many consecutive positions of its scan at a time, so a scan that
+#: ends near its start never pays for the rest of the schedule.
+_CERTIFICATE_RUN = 32
+
+#: The pivots of a size's bounds, as multiples of margin / size.  The best
+#: pivot is the size's k-th smallest deviation; measured, sizes just above a
+#: community's size need about 4·margin/k, unmixed walks about 1.5·margin/k.
+_PIVOT_SCALES = (1.5, 4.0)
+
+
+def _certifiable(classes: int, vertices: int) -> bool:
+    """Whether the certificate serves a graph with this many degree classes.
+
+    Up to ``max(64, n // 32)`` classes, and never more than 1024: the
+    certificate's cost per size grows with the class count where a
+    partition's grows with ``n`` (measured break-even: about 125 classes at
+    n = 4096, 500 at n = 16384), and its tables take 160 bytes per class
+    and size (about 40 MB for 1024 classes and 260 sizes).  Other graphs
+    reject from the order-free partition estimate.
+    """
+    return classes <= min(1024, max(64, vertices // 32))
+
+
+#: Bit pattern of +inf: a float64 with a clear sign bit is finite exactly
+#: when its bits lie below this.
+_INFINITY_BITS = 0x7FF0000000000000
+
+
+def _gamma(count: int) -> float:
+    """``γ_count = count·u / (1 − count·u)`` for float64 (``u = 2⁻⁵³``)."""
+    unit = 2.0**-53
+    return count * unit / (1.0 - count * unit)
+
+
+class _CertificateRun(NamedTuple):
+    """The per-graph query tables of one run of consecutive scan positions.
+
+    A run of ``R`` sizes and ``J`` pivots holds one query per class and
+    size at the target ``T``, and two per class, size and pivot at
+    ``T ∓ τ``; the per-query arrays are in key order.
+    """
+
+    #: Per query, ``class`` in the high bits over the truncated value (ascending).
+    keys: np.ndarray
+    #: Per query, the weight of its window position: ``T − τ``, ``−2T`` or ``T + τ``.
+    weights: np.ndarray
+    #: Per query, the weight of its prefix sum: ``−1``, ``2`` or ``−1``.
+    signs: np.ndarray
+    #: Per query, its bin: ``pivot·R + size`` for window edges, ``J·R + size`` for targets.
+    bins: np.ndarray
+    #: ``(J, R)``: ``size · τ`` per pivot and size.
+    pivot_totals: np.ndarray
+    #: ``(J, R)``: the margin plus the lane-independent slack.
+    needs: np.ndarray
+
+
+class _LaneOrder(NamedTuple):
+    """One lane sorted once by (degree class, value)."""
+
+    #: Per vertex, ``class`` in the high bits over the truncated value; ascending.
+    keys: np.ndarray
+    #: Prefix sums of the truncated values in key order (length ``n + 1``).
+    prefix: np.ndarray
+
+
+class _RejectionCertificate:
+    """Proves rejections from one sort of a lane (``BatchedMixingSetSearch``).
+
+    Built once per graph for one scan order; :meth:`order` sorts a lane and
+    :meth:`verdicts` bounds one run of sizes from that sort (the module
+    docstring states the bound, its rounding slack and its proof).
+    """
+
+    def __init__(
+        self,
+        classes: np.ndarray,
+        class_of: np.ndarray,
+        scan: list[tuple[int, np.floating]],
+        targets: Callable[[np.ndarray, int], np.ndarray],
+        dtype: np.dtype,
+    ) -> None:
+        n = len(class_of)
+        width = len(classes)
+        # A key is the class in the top `class_bits` bits over the float64
+        # bits of a non-negative value shifted right by `class_bits`: keys
+        # order by class, then by value truncated by at most 2^class_bits ulps.
+        self._class_bits = max(1, (width - 1).bit_length())
+        self._value_mask = np.int64((1 << (63 - self._class_bits)) - 1)
+        self._class_keys = class_of.astype(np.int64) << (63 - self._class_bits)
+        self._infinity_key = _INFINITY_BITS >> self._class_bits
+        truncation = 2.0 ** (self._class_bits - 52)
+        positions_gamma = _gamma(3 * width + 3) + 4 * truncation
+        prefix_gamma = _gamma(n + 3 * width + 3) + 4 * truncation
+        self._mass_slack = 2 * prefix_gamma * (4 * width + 4)
+        unit = float(np.finfo(dtype).eps) / 2
+        class_degrees = classes.astype(dtype)
+        pivot_scales = np.array(_PIVOT_SCALES)
+        pivot_count = len(pivot_scales)
+        #: Per scan position: ``(run, offset)``, or ``None`` where the exact
+        #: path always runs (the size ``n`` and sizes with an infinite margin).
+        self.slots: list[tuple[int, int] | None] = [None] * len(scan)
+        positions = [
+            index
+            for index, (size, margin) in enumerate(scan)
+            if size < n and np.isfinite(margin)
+        ]
+        self.runs: list[_CertificateRun] = []
+        for start in range(0, len(positions), _CERTIFICATE_RUN):
+            run = positions[start : start + _CERTIFICATE_RUN]
+            length = len(run)
+            sizes = np.array([scan[index][0] for index in run], dtype=np.float64)
+            margins = np.array([float(scan[index][1]) for index in run])
+            # (J, R) pivots; (R, C) targets, exactly as the exact path forms them.
+            pivots = pivot_scales[:, None] * margins / sizes
+            centres = np.array(
+                [targets(class_degrees, scan[index][0]) for index in run], dtype=np.float64
+            )
+            lower = centres - pivots[:, :, None]
+            upper = centres + pivots[:, :, None]
+            edge_bins = np.arange(pivot_count * length).reshape(pivot_count, length, 1)
+            values = np.concatenate([lower.ravel(), upper.ravel(), centres.ravel()])
+            weights = np.concatenate([lower.ravel(), upper.ravel(), -2 * centres.ravel()])
+            signs = np.repeat([-1.0, -1.0, 2.0], [lower.size, upper.size, centres.size])
+            bins = np.concatenate(
+                [
+                    np.broadcast_to(edge_bins, lower.shape).ravel(),
+                    np.broadcast_to(edge_bins, upper.shape).ravel(),
+                    np.broadcast_to(
+                        pivot_count * length + np.arange(length)[:, None], centres.shape
+                    ).ravel(),
+                ]
+            )
+            # The class is the last axis of every grid.
+            query_classes = np.tile(np.arange(width, dtype=np.int64), len(values) // width)
+            keys = (query_classes << (63 - self._class_bits)) | (
+                np.maximum(values, 0.0).view(np.int64) >> self._class_bits
+            )
+            order = np.argsort(keys, kind="stable")
+            # Σ|weights| per pivot and size: the targets' share counts once
+            # per pivot.
+            spread = (np.abs(lower) + np.abs(upper)).sum(axis=2) + 2 * centres.sum(axis=1)
+            pivot_totals = sizes * pivots
+            slack = 2 * positions_gamma * (pivot_totals + 4 * n * spread) + 8 * unit * margins
+            self.runs.append(
+                _CertificateRun(
+                    keys=keys[order],
+                    weights=weights[order],
+                    signs=signs[order],
+                    bins=bins[order],
+                    pivot_totals=pivot_totals,
+                    needs=margins + slack,
+                )
+            )
+            for offset, index in enumerate(run):
+                self.slots[index] = (len(self.runs) - 1, offset)
+
+    def order(self, lane: np.ndarray) -> _LaneOrder | None:
+        """Sort one lane; ``None`` unless every value is finite and non-negative."""
+        values = lane if lane.dtype == np.float64 else lane.astype(np.float64)
+        keys = values.view(np.int64) >> self._class_bits
+        keys |= self._class_keys
+        keys.sort()
+        truncated = keys & self._value_mask
+        # A sign bit (a negative value or -0.0) makes a key negative; NaN
+        # and infinity have the largest exponent.
+        if keys[0] < 0 or truncated.max() >= self._infinity_key:
+            return None
+        truncated <<= self._class_bits
+        prefix = np.zeros(len(keys) + 1, dtype=np.float64)
+        np.cumsum(truncated.view(np.float64), out=prefix[1:])
+        return _LaneOrder(keys, prefix)
+
+    def bounds(self, lane: _LaneOrder, run: _CertificateRun) -> tuple[np.ndarray, np.ndarray]:
+        """``(J, R)``: each pivot's bound at each size of ``run``, and the value it must reach."""
+        # Per query: where the lane's keys reach it, i.e. a window edge.
+        edges = np.searchsorted(lane.keys, run.keys)
+        terms = edges * run.weights
+        terms += run.signs * lane.prefix[edges]
+        length = run.needs.shape[1]
+        sums = np.bincount(run.bins, terms, minlength=(len(run.needs) + 1) * length)
+        bounds = run.pivot_totals - sums[:-length].reshape(run.needs.shape)
+        bounds -= sums[-length:]
+        return bounds, run.needs + self._mass_slack * lane.prefix[-1]
+
+    def verdicts(self, lane: _LaneOrder, run: _CertificateRun) -> list[bool]:
+        """Whether each size of ``run`` is a certified rejection for ``lane``."""
+        bounds, needs = self.bounds(lane, run)
+        return (bounds >= needs).any(axis=0).tolist()
+
+
 class BatchedMixingSetSearch:
     """The largest-mixing-set search of Algorithm 1, for ``B`` walks at once.
 
-    The search object precomputes the candidate-size schedule and the degree
-    vector once per graph, so repeated calls (one per walk length) stay
-    cheap.  The schedule is scanned from the largest size down, and a lane
-    leaves the scan at the first size it accepts (with
+    The search object precomputes, once per graph, the candidate-size
+    schedule, the degree vector, each size's rejection margin
+    (:func:`_rejection_margin`) and the certificate's query tables (about
+    0.8 MB at n = 4096).  Each lane then scans the schedule on its own row:
+    from the largest size down, leaving at the first size it accepts (with
     ``stop_at_first_failure`` the scan ascends and a lane leaves at its
-    first failure).  For every evaluated size the targets ``d(u)/µ'(S)``
-    are computed once and the deviation matrix ``|P − targets|`` over all
-    active lanes is formed in one elementwise pass.  Below the top size one
-    value-only ``np.partition`` of a copy of that matrix gives every lane's
-    order-free estimate of its ``|S|`` smallest deviations; a lane whose
-    estimate clears the size's rejection margin (:func:`_rejection_margin`)
-    is rejected there, and only the remaining lanes run the exact per-lane
-    ``np.argpartition`` selection.  Distributions are laid out one per row
-    (the matrix is transposed once per call), so every lane is contiguous
-    in memory.  A one-column call is the same kernel with one lane.
+    first failure).  At its first size below ``n`` a lane is sorted once by
+    (degree class, value); each run of :data:`_CERTIFICATE_RUN` sizes then
+    costs one ``searchsorted`` and a few vectorised calls, which bound the
+    sum of every size's ``|S|`` smallest deviations from below.  A size
+    whose bound clears its margin plus the rounding slack is rejected with
+    no O(n) pass; every other size forms the deviations ``|p − targets|``
+    and runs the exact ``np.argpartition`` selection (the module docstring
+    states the bound, the slack and the proof).  Graphs with many degree
+    classes reject from a value partition of the deviations instead.
+    Distributions are laid out one per row (the matrix is transposed once
+    per call), so every lane is contiguous in memory.  A one-column call is
+    the same kernel with one lane; a wider call shares the exact path's
+    targets across its lanes.
 
     Per-column guarantee
     --------------------
@@ -181,8 +403,8 @@ class BatchedMixingSetSearch:
     * deviations are elementwise IEEE operations, identical regardless of
       memory layout;
     * numpy's introselect is deterministic in the value sequence of each
-      lane, so a lane's selection (and its partitioned estimate) does not
-      depend on its neighbours;
+      lane, so a lane's selection does not depend on its neighbours, and a
+      lane's certificate is computed from its own row;
     * the exact path runs on each lane's own row: a 1-D ``argpartition``,
       then pairwise sums over the id-sorted gather (an axis-0 reduction
       would block differently and drift in the last ulp — the same pitfall
@@ -201,7 +423,7 @@ class BatchedMixingSetSearch:
     -----------------
     The ``workers`` knob (``None`` → ``REPRO_WORKERS`` environment override →
     serial; ``0`` → all cores) splits the lanes across threads of the shared
-    pool (:mod:`repro.execution`) by contiguous *lane block*.  Every lane's
+    pool (:mod:`repro.execution`) by contiguous lane ranges.  Every lane's
     results are computed from that lane's row alone, so the per-column
     guarantee holds for every ``workers`` value.
 
@@ -271,6 +493,16 @@ class BatchedMixingSetSearch:
         self._rejection_margins = [
             _rejection_margin(mixing_threshold, size, self._dtype) for size in self._sizes
         ]
+        # The scan order: ascending to the first failure, else descending.
+        self._scan = list(zip(self._sizes, self._rejection_margins))
+        if not self._stop_at_first_failure:
+            self._scan.reverse()
+        classes, class_of = np.unique(graph.degrees(), return_inverse=True)
+        self._certificate = (
+            _RejectionCertificate(classes, class_of, self._scan, self._targets, self._dtype)
+            if graph.volume > 0 and _certifiable(len(classes), graph.num_vertices)
+            else None
+        )
 
     @property
     def candidate_sizes(self) -> list[int]:
@@ -346,169 +578,141 @@ class BatchedMixingSetSearch:
             )
         if self._graph.num_edges == 0:
             raise AlgorithmError("the mixing-set search requires a graph with at least one edge")
-        num_vertices, width = matrix.shape
+        width = matrix.shape[1]
         if width == 0:
             return []
-        # Work row-major with one distribution per *row*: the per-lane
-        # introselect of the partitions below then runs over contiguous
-        # memory.  (Partitioning the (n, B) matrix along axis 0 walks lanes
-        # with stride 8B bytes — measured 6x slower than a per-column loop at
-        # B = 64 on a 50k-vertex graph.)  The transpose changes layout only,
-        # never the per-lane value sequence, so results are unaffected; the
+        # One distribution per row: each lane is contiguous in memory.  The
+        # transpose changes layout only, never a lane's value sequence; the
         # float32 fast path casts here, in the same pass.
         rows = np.ascontiguousarray(matrix.T, dtype=self._dtype)
 
-        best_size = [0] * width
-        best_members: list[np.ndarray | None] = [None] * width
-        best_deficit = [0.0] * width
-        best_mass = [0.0] * width
-        examined = [0] * width
+        def scan_lanes(lane_start: int, lane_stop: int) -> list[LargestMixingSet]:
+            # Worker task: every lane's result depends only on its own row.
+            targets: dict[int, np.ndarray] = {}
+            return [
+                self._scan_lane(rows[lane], walk_length, targets)
+                for lane in range(lane_start, lane_stop)
+            ]
 
-        # Lanes are processed in cache-sized blocks, each scanning the whole
-        # candidate schedule before the next block starts: the block's rows
-        # stay hot across all sizes, while targets and the
-        # elementwise/partition passes amortize over the block.  One
-        # (lanes, n) array per _SEARCH_BLOCK_BYTES.
-        block_width = max(
-            1, min(width, _SEARCH_BLOCK_BYTES // max(1, num_vertices * rows.itemsize))
-        )
+        blocks = parallel_map_blocks(scan_lanes, width, self._workers)
+        return [result for block in blocks for result in block]
 
-        def scan_lanes(lane_start: int, lane_stop: int) -> None:
-            # Worker task: scan a contiguous lane range in cache-sized
-            # blocks.  Every lane's results depend only on its own row, so
-            # neither the block boundaries nor the worker partition change a
-            # single output value, and each lane index is written by exactly
-            # one worker (disjoint slices — no locking needed).
-            for start in range(lane_start, lane_stop, block_width):
-                self._scan_block(
-                    rows,
-                    start,
-                    min(start + block_width, lane_stop),
-                    best_size,
-                    best_members,
-                    best_deficit,
-                    best_mass,
-                    examined,
-                )
+    def _targets(self, degrees: np.ndarray, size: int) -> np.ndarray:
+        """The targets ``d(u)/µ'(S)`` of ``degrees`` at ``|S| = size``, in the scan dtype.
 
-        parallel_map_blocks(scan_lanes, width, self._workers)
+        The average volume is computed as ``(volume/n)·size`` — the same
+        float sequence as :func:`deviation_values` — and the certificate
+        builds its per-class targets through this same expression.
+        """
+        return degrees / (self._volume_per_vertex * size)
 
-        results: list[LargestMixingSet] = []
-        for column in range(width):
-            members = best_members[column]
-            results.append(
-                LargestMixingSet(
-                    walk_length=walk_length,
-                    size=best_size[column],
-                    members=frozenset(members.tolist()) if members is not None else frozenset(),
-                    deficit=best_deficit[column],
-                    mass=best_mass[column],
-                    sizes_examined=examined[column],
-                )
-            )
-        return results
+    def _scan_lane(
+        self, lane: np.ndarray, walk_length: int, targets: dict[int, np.ndarray]
+    ) -> LargestMixingSet:
+        """Scan the candidate schedule for one lane (a row in the scan dtype).
 
-    def _scan_block(
-        self,
-        rows: np.ndarray,
-        start: int,
-        stop: int,
-        best_size: list[int],
-        best_members: list[np.ndarray | None],
-        best_deficit: list[float],
-        best_mass: list[float],
-        examined: list[int],
-    ) -> None:
-        """Scan the candidate schedule for lanes ``start:stop`` of ``rows``.
-
-        Writes each lane's largest accepted candidate into the shared result
-        lists at its global lane index; lanes outside ``start:stop`` are
-        never touched, which is what makes the blocks thread-safe.
-
-        A lane retires at its first accepted size on the default descending
-        scan, or at its first failing size on the ascending
-        ``stop_at_first_failure`` scan.
-
-        Each size ``k < n`` is decided in two tiers.  The block's deviation
-        rows are partitioned by value (a copy) and each lane's first ``k``
-        values summed in any order; a lane whose sum is at least the size's
-        margin ``threshold·(1+γ)/(1−γ)``, ``γ = (k−1)·u/(1−(k−1)·u)``, fails
-        the threshold in the exact sum as well, so it is rejected (and on
-        the ascending scan retires with the same ``examined`` index).  Every
-        other lane, NaN included, runs the exact path on its own row:
+        The lane retires at its first accepted size on the default
+        descending scan, or at its first failing size on the ascending
+        ``stop_at_first_failure`` scan.  A size below ``n`` that the
+        certificate rejects costs no O(n) pass (on the ascending scan it is
+        the lane's first failure); on a graph without a certificate a size
+        is rejected when a value partition of its deviations clears the
+        margin.  Every other size runs the exact path: the deviations,
         ``argpartition``, the chosen ids sorted, deviations and masses
         gathered and summed in id order.  Only the exact path writes
-        members, deficits and masses.
+        members, deficits and masses.  ``targets`` caches the exact path's
+        targets per size across the lanes of one call.
         """
-        num_vertices = rows.shape[1]
+        num_vertices = lane.shape[0]
         threshold = self._threshold
-        min_mass = self._min_mass
         ascending = self._stop_at_first_failure
-        # Global column ids of the lanes still scanning the schedule.
-        columns = list(range(start, stop))
-        # The paper's cost: the ascending schedule up to the first failure
-        # (overwritten below when one occurs), else the whole schedule.
-        examined[start:stop] = [len(self._sizes)] * len(columns)
-        lanes = rows[start:stop]
-        deviations = np.empty_like(lanes)
-        schedule = list(zip(self._sizes, self._rejection_margins))
-        for index, (size, margin) in enumerate(
-            schedule if ascending else schedule[::-1], start=1
-        ):
-            targets = self._degrees / (self._volume_per_vertex * size)
-            np.subtract(lanes, targets, out=deviations)
-            np.absolute(deviations, out=deviations)
-            retired: list[int] = []
-            if size >= num_vertices:
-                exact = list(range(len(columns)))
-                deficits = deviations.sum(axis=1).tolist()
-                masses = lanes.sum(axis=1).tolist()
-            else:
-                # Certified rejection (see above).  np.partition returns a
-                # copy, so `deviations` keeps id order for the exact path;
-                # a NaN estimate never clears the margin.
-                estimates = np.partition(deviations, size - 1, axis=1)[:, :size].sum(axis=1)
-                exact = []
-                for position, certified in enumerate((estimates >= margin).tolist()):
-                    if not certified:
-                        exact.append(position)
-                    elif ascending:
-                        examined[columns[position]] = index
-                        retired.append(position)
-            for position in exact:
-                column = columns[position]
-                if size >= num_vertices:
-                    chosen = None
-                    deficit = deficits[position]
-                    mass = masses[position]
-                else:
-                    # The exact path: argpartition, then the chosen ids in
-                    # ascending order, summed pairwise in that order.
-                    row = deviations[position]
-                    chosen = np.argpartition(row, size - 1)[:size]
-                    chosen.sort()
-                    deficit = float(row.take(chosen).sum())
-                    mass = float(lanes[position].take(chosen).sum())
-                if deficit < threshold and mass >= min_mass:
-                    best_size[column] = size
-                    best_members[column] = (
-                        np.arange(num_vertices, dtype=np.int64)
-                        if chosen is None
-                        # Copy: the slice must not keep the size-n index
-                        # array alive per column.
-                        else chosen.copy()
+        scan = self._scan
+        certificate = self._certificate
+        order: _LaneOrder | None = None
+        run_index = -1
+        verdicts: list[bool] = []
+        best_size, best_deficit, best_mass = 0, 0.0, 0.0
+        best_members: np.ndarray | None = None
+        # The paper's cost: the ascending schedule up to the first failure,
+        # else the whole schedule.
+        examined = len(scan)
+        index = 0
+        while index < len(scan):
+            size, margin = scan[index]
+            slot = certificate.slots[index] if certificate is not None else None
+            if slot is not None:
+                run, offset = slot
+                if run != run_index:
+                    if run_index < 0:
+                        order = certificate.order(lane)
+                    run_index = run
+                    verdicts = (
+                        certificate.verdicts(order, certificate.runs[run])
+                        if order is not None
+                        else []
                     )
-                    best_deficit[column] = deficit
-                    best_mass[column] = mass
-                    if not ascending:
-                        retired.append(position)
-                elif deficit >= threshold and ascending:
-                    examined[column] = index
-                    retired.append(position)
-            if retired:
-                keep = np.delete(np.arange(len(columns)), retired)
-                columns = [columns[position] for position in keep]
-                if not columns:
-                    return
-                lanes = np.ascontiguousarray(lanes[keep])
-                deviations = np.empty_like(lanes)
+                if verdicts and verdicts[offset]:
+                    if ascending:
+                        examined = index + 1
+                        break
+                    # On to the run's next uncertified size, or past the run.
+                    try:
+                        index += verdicts.index(False, offset) - offset
+                    except ValueError:
+                        index += len(verdicts) - offset
+                    continue
+            size_targets = targets.get(size)
+            if size_targets is None:
+                size_targets = targets[size] = self._targets(self._degrees, size)
+            deviations = np.subtract(lane, size_targets)
+            np.absolute(deviations, out=deviations)
+            if certificate is None and size < num_vertices:
+                # No certificate (too many degree classes): reject when the
+                # k smallest deviations, summed in any order, clear the
+                # margin.  The partition runs in place, so a size it cannot
+                # reject forms its deviations again, in id order.
+                deviations.partition(size - 1)
+                if deviations[:size].sum() >= margin:
+                    if ascending:
+                        examined = index + 1
+                        break
+                    index += 1
+                    continue
+                deviations = np.subtract(lane, size_targets)
+                np.absolute(deviations, out=deviations)
+            if size >= num_vertices:
+                chosen = None
+                deficit = float(deviations.sum())
+                mass = float(lane.sum())
+            else:
+                # The exact path: argpartition, then the chosen ids in
+                # ascending order, summed pairwise in that order.
+                chosen = np.argpartition(deviations, size - 1)[:size]
+                chosen.sort()
+                deficit = float(deviations.take(chosen).sum())
+                mass = float(lane.take(chosen).sum())
+            if deficit < threshold and mass >= self._min_mass:
+                best_size, best_deficit, best_mass = size, deficit, mass
+                best_members = (
+                    np.arange(num_vertices, dtype=np.int64)
+                    if chosen is None
+                    # Copy: the slice must not keep the size-n index array
+                    # alive.
+                    else chosen.copy()
+                )
+                if not ascending:
+                    break
+            elif deficit >= threshold and ascending:
+                examined = index + 1
+                break
+            index += 1
+        return LargestMixingSet(
+            walk_length=walk_length,
+            size=best_size,
+            members=(
+                frozenset(best_members.tolist()) if best_members is not None else frozenset()
+            ),
+            deficit=best_deficit,
+            mass=best_mass,
+            sizes_examined=examined,
+        )

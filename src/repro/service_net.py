@@ -16,7 +16,9 @@ reply::
     {"id": 8, "ok": true, "metrics": {...service.metrics()...}}
     {"id": null, "ok": false, "kind": "overloaded", "error": "..."}
 
-``kind`` maps 1:1 onto the typed service errors, so
+``kind`` maps 1:1 onto the typed service errors (any other exception in
+the server answers with kind ``internal``, a :class:`ServiceError` on the
+client, and the connection stays open), so
 :class:`ServiceClient` re-raises the same exception class the in-process
 surface would have raised — callers cannot tell a socket hop happened
 except by latency.  Concurrency comes from connections: each connection
@@ -46,7 +48,9 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import logging
 import socket
+import sys
 import threading
 from typing import TYPE_CHECKING, Any
 
@@ -69,6 +73,8 @@ if TYPE_CHECKING:
 __all__ = ["BackgroundServer", "ServiceClient", "ServiceServer", "run_server"]
 
 DEFAULT_HOST = "127.0.0.1"
+
+_log = logging.getLogger(__name__)
 
 #: Longest request line the server reads (asyncio's default stream limit,
 #: stated so the oversized-line reply can name it).
@@ -93,6 +99,7 @@ _ERROR_OF_KIND: dict[str, type[ReproError]] = {
     "invalid-seed": AlgorithmError,
     "invalid-request": BackendError,
     "bad-request": BackendError,
+    "internal": ServiceError,
     "error": ServiceError,
 }
 
@@ -106,6 +113,21 @@ def _kind_of(error: ReproError) -> str:
 
 def _encode(payload: dict[str, Any]) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+
+
+def _shared_strings(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A decoded JSON object whose keys and string values are interned.
+
+    Every reply repeats the same keys and labels; interned, the reports a
+    client keeps share one copy of each instead of holding their own.
+    """
+    return {
+        sys.intern(key): sys.intern(value) if type(value) is str else value
+        for key, value in pairs
+    }
+
+
+_decode_reply = json.JSONDecoder(object_pairs_hook=_shared_strings).decode
 
 
 class ServiceServer:
@@ -184,12 +206,18 @@ class ServiceServer:
             )
         ident = message.get("id")
         op = message.get("op", "detect")
-        if op == "ping":
-            return {"id": ident, "ok": True, "pong": True}
-        if op == "metrics":
-            return {"id": ident, "ok": True, "metrics": self._service.metrics()}
-        if op == "detect":
-            return await self._respond_detect(ident, message)
+        try:
+            if op == "ping":
+                return {"id": ident, "ok": True, "pong": True}
+            if op == "metrics":
+                return {"id": ident, "ok": True, "metrics": self._service.metrics()}
+            if op == "detect":
+                return await self._respond_detect(ident, message)
+        except Exception as error:
+            # A fault of the server itself: record it, answer it and keep
+            # the connection, like a typed error.
+            _log.exception("%s request %r failed", op, ident)
+            return self._error(ident, "internal", f"{type(error).__name__}: {error}")
         return self._error(
             ident, "bad-request", f"unknown op {op!r}; expected detect/metrics/ping"
         )
@@ -370,7 +398,7 @@ class ServiceClient:
             line = self._reader.readline()
         if not line:
             raise ServiceError("server closed the connection")
-        response = json.loads(line.decode("utf-8"))
+        response = _decode_reply(line.decode("utf-8"))
         if not isinstance(response, dict):
             raise ServiceError(f"malformed reply: {response!r}")
         if response.get("id") != ident:

@@ -181,20 +181,24 @@ class TestDifferential:
 
 
 class CountingNumpy:
-    """Stands in for ``np`` inside the kernel and counts its per-size passes.
+    """Stands in for ``np`` inside the kernel and counts its per-size work.
 
-    Every evaluated size makes exactly one full-row ``np.subtract`` pass (the
-    deviations).  Below the top size ``n`` it makes one value-only
-    ``np.partition`` over the block (the certified-rejection estimate) and
-    one 1-D ``np.argpartition`` per lane whose rejection it could not
-    certify: ``argpartition_calls`` counts the (lane, size) pairs that took
-    the exact path.
+    Every size that takes the exact path (the top size ``n`` included) makes
+    one full-row ``np.subtract`` pass, the deviations, and below ``n`` one
+    1-D ``np.argpartition``: ``argpartition_calls`` counts the (lane, size)
+    pairs whose rejection was not certified.  A certified size makes no
+    O(n) pass.  Each certificate evaluation (one run of sizes for one lane)
+    makes one ``np.searchsorted``.  On graphs with too many degree classes
+    for the certificate, each size below ``n`` is instead partitioned in
+    place (an ``ndarray`` method, not counted), and a size that partition
+    cannot reject makes a second ``np.subtract`` pass for the exact path.
     """
 
     def __init__(self) -> None:
         self.subtract_calls = 0
         self.partition_calls = 0
         self.argpartition_calls = 0
+        self.searchsorted_calls = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -210,6 +214,10 @@ class CountingNumpy:
     def argpartition(self, *args, **kwargs):
         self.argpartition_calls += 1
         return np.argpartition(*args, **kwargs)
+
+    def searchsorted(self, *args, **kwargs):
+        self.searchsorted_calls += 1
+        return np.searchsorted(*args, **kwargs)
 
 
 @pytest.fixture
@@ -263,8 +271,10 @@ class TestDescendingScan:
             graph, lane, 1, initial_size=1, schedule="linear", min_mass=0.0
         )
         # Sizes 20 (rejected) and 19 (accepted): the descent stops there.
+        # One certificate run covers 19 down to 1; 19 is not certified.
         assert counting_numpy.subtract_calls == 2
-        assert counting_numpy.partition_calls == 1
+        assert counting_numpy.partition_calls == 0
+        assert counting_numpy.searchsorted_calls == 1
         assert counting_numpy.argpartition_calls == 1
 
     def test_lane_accepting_only_the_smallest_size(self, counting_numpy):
@@ -282,11 +292,12 @@ class TestDescendingScan:
         assert result == oracle_largest_mixing_set(
             graph, lane, 1, initial_size=1, schedule="linear", min_mass=0.0
         )
-        assert counting_numpy.subtract_calls == 20
         # Sizes 19 down to 2 are certified rejections (their smallest
-        # deviations sum far above the threshold); only the accepted size 1
-        # takes the exact path.
-        assert counting_numpy.partition_calls == 19
+        # deviations sum far above the threshold) and cost no pass; only
+        # the top size 20 and the accepted size 1 take the exact path.
+        assert counting_numpy.subtract_calls == 2
+        assert counting_numpy.partition_calls == 0
+        assert counting_numpy.searchsorted_calls == 1
         assert counting_numpy.argpartition_calls == 1
 
     def test_accepted_top_size_evaluates_one_size(self, small_ppm, counting_numpy):
@@ -296,8 +307,10 @@ class TestDescendingScan:
         stationary = np.tile((degrees / degrees.sum())[:, None], (1, 3))
         results = search.largest_mixing_sets(stationary, 2)
         assert [result.size for result in results] == [graph.num_vertices] * 3
-        assert counting_numpy.subtract_calls == 1
+        # One exact pass per lane at the top size; no lane is ever sorted.
+        assert counting_numpy.subtract_calls == 3
         assert counting_numpy.partition_calls == 0
+        assert counting_numpy.searchsorted_calls == 0
         assert counting_numpy.argpartition_calls == 0
 
     def test_sizes_examined_is_the_whole_schedule(self, small_ppm):
@@ -336,7 +349,11 @@ class TestDescendingScan:
             stop_at_first_failure=True,
             min_mass=0.0,
         )
+        # Sizes 1-9 all take the exact path: none fails by a certified
+        # margin before 9, the first failure.
         assert counting_numpy.subtract_calls == 9
+        assert counting_numpy.argpartition_calls == 9
+        assert counting_numpy.searchsorted_calls == 1
 
     def test_lanes_retire_independently(self):
         graph = cycle_with_isolated_vertices()
@@ -357,12 +374,13 @@ class TestCertifiedRejectionEdge:
     """Sizes whose smallest deviations sum to within a few ulps of the threshold.
 
     On a 40-cycle every target at size 8 is 1/8, and with growth factor 10
-    the schedule is [8, 40] (the top size never partitions).  Vertices 0-7
-    hold a lane's 8 smallest deviations; vertex 0 is moved one
+    the schedule is [8, 40] (the top size is never certified).  Vertices
+    0-7 hold a lane's 8 smallest deviations; vertex 0 is moved one
     representable step at a time until the id-order sum crosses the
-    threshold.  No such sum clears the rejection margin, so each of these
-    lanes takes the exact path (one ``argpartition`` each) and must equal
-    the oracle on either side of the threshold.
+    threshold.  No such lane is certified (its bound cannot exceed its sum
+    plus the slack, below the margin), so each takes the exact path (one
+    ``argpartition`` each) and must equal the oracle on either side of the
+    threshold.
     """
 
     SIZE = 8
@@ -418,9 +436,11 @@ class TestCertifiedRejectionEdge:
         for lane, result in zip(matrix.T, results):
             assert result == oracle_largest_mixing_set(graph, lane, 1, **kwargs)
         assert [result.size for result in results] == [self.SIZE, 0, 0, 0, 0]
-        # One value partition at size 8; the three edge lanes and the NaN
-        # lane each take the exact path there, the far lane does not.
-        assert counting_numpy.partition_calls == 1
+        # The three edge lanes and the NaN lane take the exact path at size
+        # 8, the far lane does not; the NaN lane is never sorted, so four
+        # lanes evaluate the certificate once each.
+        assert counting_numpy.partition_calls == 0
+        assert counting_numpy.searchsorted_calls == 4
         assert counting_numpy.argpartition_calls == 4
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -446,9 +466,10 @@ class TestCertifiedScanCounts:
     """A timing-free guard: on a real walk, rejections skip the exact path.
 
     A 1024-vertex PPM walked 5 steps from 8 seeds.  Each ``argpartition``
-    is one (lane, size) pair whose rejection the value partition could not
-    certify; here that is only each lane's accepted size.  The old kernel
-    ran one block ``argpartition`` per evaluated size (28 here).
+    is one (lane, size) pair whose rejection the certificate could not
+    prove; here that is only each lane's accepted size.  A certified size
+    makes no O(n) pass, so the only deviation passes are each lane's top
+    size and accepted size.
     """
 
     @pytest.fixture(scope="class")
@@ -461,18 +482,17 @@ class TestCertifiedScanCounts:
         return graph, walk.probabilities()
 
     @staticmethod
-    def uncertified_pairs(graph: Graph, search: BatchedMixingSetSearch, matrix, results) -> int:
-        """Count the (lane, size) pairs of the descending scan that are not certified."""
-        n = graph.num_vertices
-        schedule = list(zip(search.candidate_sizes, search._rejection_margins))[::-1]
+    def uncertified_pairs(search: BatchedMixingSetSearch, matrix, results) -> int:
+        """Count the (lane, size < n) pairs of the descending scan not certified."""
+        certificate = search._certificate
         count = 0
         for lane, result in zip(matrix.T, results):
-            for size, margin in schedule:
-                if size < n:
-                    deviations = np.abs(lane - search._degrees / (graph.volume / n * size))
-                    count += not np.partition(deviations, size - 1)[:size].sum() >= margin
-                if size == result.size:
-                    break
+            order = certificate.order(lane)
+            verdicts = [
+                verdict for run in certificate.runs for verdict in certificate.verdicts(order, run)
+            ]
+            visited = search.candidate_sizes[::-1].index(result.size)
+            count += verdicts[:visited].count(False)
         return count
 
     def test_default_scan(self, walked, counting_numpy):
@@ -483,10 +503,11 @@ class TestCertifiedScanCounts:
             assert result == oracle_largest_mixing_set(graph, lane, 5, initial_size=7)
         assert [result.size for result in results] == [298] * 8
         assert [result.sizes_examined for result in results] == [102] * 8
-        assert counting_numpy.subtract_calls == 29
-        assert counting_numpy.partition_calls == 28
+        assert counting_numpy.subtract_calls == 16
+        assert counting_numpy.partition_calls == 0
+        assert counting_numpy.searchsorted_calls == 8
         assert counting_numpy.argpartition_calls == 8
-        assert self.uncertified_pairs(graph, search, matrix, results) == 8
+        assert self.uncertified_pairs(search, matrix, results) == 8
 
     def test_first_failure_scan(self, walked, counting_numpy):
         graph, matrix = walked
@@ -501,8 +522,246 @@ class TestCertifiedScanCounts:
             assert result == expected
         # Every lane fails the first size, 7, by a certified margin.
         assert [(result.size, result.sizes_examined) for result in results] == [(0, 1)] * 8
-        assert counting_numpy.partition_calls == 1
+        assert counting_numpy.subtract_calls == 0
+        assert counting_numpy.partition_calls == 0
+        assert counting_numpy.searchsorted_calls == 8
         assert counting_numpy.argpartition_calls == 0
+
+
+def k_smallest_sum(graph: Graph, lane: np.ndarray, size: int, dtype: type) -> float:
+    """The exact sum of the ``size`` smallest deviations the exact path forms.
+
+    A lexsort by (deviation, id) orders the deviations, and ``math.fsum``
+    adds the first ``size`` of them without rounding.
+    """
+    lane = lane.astype(dtype)
+    targets = graph.degrees().astype(dtype) / (graph.volume / graph.num_vertices * size)
+    deviations = np.abs(lane - targets)
+    order = np.lexsort((np.arange(graph.num_vertices), deviations))
+    return math.fsum(deviations[order[:size]].tolist())
+
+
+def oracle_accepts_deficit(graph: Graph, lane: np.ndarray, size: int, dtype: type) -> bool:
+    """Whether the oracle's id-order deficit at ``size`` is below the threshold."""
+    lane = lane.astype(dtype)
+    n = graph.num_vertices
+    deviations = np.abs(lane - graph.degrees().astype(dtype) / (graph.volume / n * size))
+    chosen = np.sort(np.argpartition(deviations, size - 1)[:size])
+    return bool(float(deviations[chosen].sum()) < MIXING_THRESHOLD)
+
+
+def certificate_table(search: BatchedMixingSetSearch, lane: np.ndarray):
+    """``(size, margin, best bound, slack, verdict)`` per certified size of ``lane``."""
+    certificate = search._certificate
+    order = certificate.order(lane.astype(search.dtype))
+    rows = []
+    for index, slot in enumerate(certificate.slots):
+        if slot is None:
+            continue
+        run, offset = slot
+        bounds, needs = certificate.bounds(order, certificate.runs[run])
+        size, margin = search._scan[index]
+        best = int(np.argmax(bounds[:, offset] - needs[:, offset]))
+        rows.append(
+            (
+                size,
+                float(margin),
+                float(bounds[best, offset]),
+                float(needs[best, offset]) - float(margin),
+                bool((bounds[:, offset] >= needs[:, offset]).any()),
+            )
+        )
+    return rows
+
+
+class TestCertificateBound:
+    """The sort-once certificate: sound bound, exact edge, and every input class."""
+
+    @given(
+        graph_kind=st.sampled_from(["random", "cycle", "isolated", "regular"]),
+        num_vertices=st.integers(8, 48),
+        graph_seed=st.integers(0, 2**16),
+        distribution_kind=st.sampled_from(["random", "tie-heavy", "spiky"]),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        initial_size=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bound_never_exceeds_the_k_smallest_sum(
+        self, graph_kind, num_vertices, graph_seed, distribution_kind, dtype, initial_size
+    ):
+        ring = [(i, (i + 1) % num_vertices) for i in range(num_vertices)]
+        if graph_kind == "cycle":
+            graph = cycle(num_vertices)
+        elif graph_kind == "isolated":
+            graph = Graph(num_vertices + 5, ring)
+        elif graph_kind == "regular":
+            chords = [(i, (i + 2) % num_vertices) for i in range(num_vertices)]
+            graph = Graph(num_vertices, ring + chords)
+        else:
+            graph = gnp_random_graph(num_vertices, 0.3, seed=graph_seed)
+        assume(graph.num_edges > 0)
+        n = graph.num_vertices
+        if distribution_kind == "random":
+            matrix = random_distribution_matrix(n, 3, graph_seed)
+        elif distribution_kind == "tie-heavy":
+            matrix = tie_heavy_distribution_matrix(n, 3, graph_seed)
+        else:
+            matrix = np.zeros((n, 3))
+            matrix[graph_seed % n, 0] = 1.0
+            matrix[:, 1] = graph.degrees() / graph.volume
+            matrix[: n // 2, 2] = 2.0 / n
+        search = BatchedMixingSetSearch(
+            graph, initial_size=initial_size, schedule="linear", min_mass=0.0, dtype=dtype
+        )
+        unit = float(np.finfo(dtype).eps) / 2
+        for lane in matrix.T:
+            for size, _margin, bound, slack, verdict in certificate_table(search, lane):
+                exact = k_smallest_sum(graph, lane, size, dtype)
+                assert bound - slack <= exact * (1 + 2 * unit)
+                if verdict:
+                    assert not oracle_accepts_deficit(graph, lane, size, dtype)
+        assert_matches_oracle(
+            graph, matrix, initial_size=initial_size, schedule="linear", min_mass=0.0, dtype=dtype
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_verdict_flips_within_a_few_ulps_of_the_need(self, dtype, counting_numpy):
+        """Eight deviations inside every pivot's window: the bound is their sum.
+
+        On a 40-cycle at size 8 (schedule [8, 40]), vertices 0-7 sit just
+        above the target 1/8 and every other vertex at 0, outside every
+        window.  Both pivots' bounds then equal the sum of the eight
+        deviations, which is walked one representable step of vertex 0 at a
+        time across the value the bound must reach.
+        """
+        graph, size, n = cycle(40), 8, 40
+        kwargs = dict(initial_size=size, growth_factor=10.0, min_mass=0.0, dtype=dtype)
+        search = BatchedMixingSetSearch(graph, workers=1, **kwargs)
+        assert search.candidate_sizes == [size, n]
+        up, down = dtype(np.inf), dtype(-np.inf)
+        lane = np.zeros(n, dtype=dtype)
+        lane[:size] = dtype(0.125) + dtype(0.0229) * np.linspace(0.9, 1.1, size).astype(dtype)
+
+        def verdict(values):
+            ((_, margin, bound, slack, certified),) = certificate_table(search, values)
+            return certified, bound, margin + slack
+
+        # Move vertex 0 so the eight deviations sum to the need, then walk
+        # it to the first representable value the certificate accepts.
+        _, bound, need = verdict(lane)
+        lane[0] = dtype(float(lane[0]) + (need - bound))
+        while verdict(lane)[0]:
+            lane[0] = np.nextafter(lane[0], down)
+        while not verdict(lane)[0]:
+            lane[0] = np.nextafter(lane[0], up)
+        sweep = []
+        value = lane[0]
+        for _ in range(4):
+            value = np.nextafter(value, down)
+        for _ in range(8):
+            edge = lane.copy()
+            edge[0] = value
+            sweep.append(edge)
+            value = np.nextafter(value, up)
+        flags = [verdict(edge)[0] for edge in sweep]
+        assert flags == [False] * 4 + [True] * 4
+        # The first accepted value overshoots the need by at most one step
+        # of vertex 0 or a few ulps of the bound's largest term (about n·T).
+        _, bound, need = verdict(sweep[4])
+        step = float(np.spacing(sweep[4][0]))
+        assert 0.0 <= bound - need <= max(2 * step, 4 * float(np.spacing(float(n))))
+        matrix = np.column_stack(sweep).astype(np.float64)
+        results = search.largest_mixing_sets(matrix, 1)
+        for column, result in zip(matrix.T, results):
+            assert result == oracle_largest_mixing_set(graph, column, 1, **kwargs)
+        # Every lane runs the top size; only the four uncertified lanes
+        # select at size 8.
+        assert counting_numpy.subtract_calls == 8 + 4
+        assert counting_numpy.argpartition_calls == 4
+
+    @pytest.mark.parametrize("stop_at_first_failure", [False, True])
+    def test_lanes_the_certificate_cannot_sort_take_the_exact_path(
+        self, stop_at_first_failure, counting_numpy
+    ):
+        """NaN, infinity and a sign bit (even on zero): every size exact."""
+        graph = cycle_with_isolated_vertices()
+        degrees = graph.degrees().astype(np.float64)
+        stationary = degrees / degrees.sum()
+        lanes = [stationary.copy() for _ in range(4)]
+        lanes[0][3] = np.nan
+        lanes[1][5] = np.inf
+        lanes[2][7] = -1e-3
+        lanes[3][3] = -0.0
+        matrix = np.column_stack(lanes)
+        kwargs = dict(initial_size=1, schedule="linear", min_mass=0.0)
+        search = BatchedMixingSetSearch(
+            graph, workers=1, stop_at_first_failure=stop_at_first_failure, **kwargs
+        )
+        assert all(search._certificate.order(lane) is None for lane in lanes)
+        assert search._certificate.order(stationary) is not None
+        results = search.largest_mixing_sets(matrix, 2)
+        for lane, result in zip(matrix.T, results):
+            assert result == oracle_largest_mixing_set(
+                graph, lane, 2, stop_at_first_failure=stop_at_first_failure, **kwargs
+            )
+        assert counting_numpy.searchsorted_calls == 0
+
+    def test_degree_zero_class_and_one_class_graphs_are_certified(self):
+        """Isolated vertices form a class with target 0; a cycle is one class."""
+        for graph in (cycle_with_isolated_vertices(), cycle(30)):
+            n = graph.num_vertices
+            point = np.zeros(n)
+            point[2] = 1.0
+            search = BatchedMixingSetSearch(graph, initial_size=1, schedule="linear", min_mass=0.0)
+            table = certificate_table(search, point)
+            assert len(table) == n - 1
+            assert sum(verdict for *_, verdict in table) >= n // 2
+            assert_matches_oracle(
+                graph, np.column_stack([point, tie_heavy_distribution_matrix(n, 2, 3)]),
+                initial_size=1, schedule="linear", min_mass=0.0,
+            )
+
+
+class TestPartitionTier:
+    """Graphs with too many degree classes reject from the partition estimate."""
+
+    @pytest.fixture(scope="class")
+    def dense(self) -> Graph:
+        # About 85 degree classes on 1024 vertices: above max(64, 1024 // 32).
+        return gnp_random_graph(1024, 0.5, seed=4)
+
+    def test_many_classes_select_the_partition_tier(self, dense):
+        assert len(np.unique(dense.degrees())) > 64
+        assert BatchedMixingSetSearch(dense, initial_size=7)._certificate is None
+        n = 1024
+        ppm = planted_partition_graph(n, 4, 2 * math.log(n) ** 2 / n, 0.6 / n, seed=11).graph
+        assert BatchedMixingSetSearch(ppm, initial_size=7)._certificate is not None
+
+    @pytest.mark.parametrize("stop_at_first_failure", [False, True])
+    def test_partition_tier_matches_the_oracle(self, dense, stop_at_first_failure, counting_numpy):
+        walk = BatchedWalkDistribution(dense, [0, 500])
+        walk.step()
+        matrix = np.column_stack([walk.probabilities(), random_distribution_matrix(1024, 2, 1)])
+        search = BatchedMixingSetSearch(
+            dense, initial_size=7, stop_at_first_failure=stop_at_first_failure, workers=1
+        )
+        results = search.largest_mixing_sets(matrix, 3)
+        for lane, result in zip(matrix.T, results):
+            assert result == oracle_largest_mixing_set(
+                dense, lane, 3, initial_size=7, stop_at_first_failure=stop_at_first_failure
+            )
+        # One pass per visited size, and a second one per size that took
+        # the exact path below n.
+        descending = search.candidate_sizes[::-1]
+        visited = sum(
+            result.sizes_examined
+            if stop_at_first_failure
+            else descending.index(result.size) + 1 if result.size else len(descending)
+            for result in results
+        )
+        assert counting_numpy.subtract_calls - counting_numpy.argpartition_calls == visited
+        assert counting_numpy.argpartition_calls < visited
+        assert counting_numpy.searchsorted_calls == counting_numpy.partition_calls == 0
 
 
 class TestEquivalenceRandomDistributions:

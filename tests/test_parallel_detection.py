@@ -319,3 +319,30 @@ class TestExplicitSeeds:
             assert_pairwise_disjoint(detection)
         assert detections[1] == detections[0]
         assert detections[2] == detections[0]
+
+
+class TestMaxSeedsCapsTheSpreadDraw:
+    """Pool mode runs at most ``max_seeds`` seeds: a prefix of the uncapped draw."""
+
+    @pytest.fixture(scope="class")
+    def graph(self) -> Graph:
+        n = 512
+        return planted_partition_graph(n, 4, 2 * math.log(n) ** 2 / n, 0.6 / n, seed=1).graph
+
+    @pytest.mark.parametrize("cap", [0, 1, 2])
+    def test_capped_seeds_are_a_prefix_of_the_draw(self, graph, cap):
+        config = RunConfig(num_communities=4, max_seeds=cap, seed=3)
+        detection = detect(graph, "parallel", config=config, delta_hint=0.05).detection
+        drawn = select_spread_seeds(graph, 4, seed=3)
+        assert len(detection.communities) <= cap
+        assert {result.seed for result in detection.communities} <= set(drawn[:cap])
+        batched = detect(graph, "batched", config=config, delta_hint=0.05).detection
+        assert len(detection.communities) == len(batched.communities) == cap
+
+    def test_a_cap_above_the_count_changes_nothing(self, graph):
+        uncapped = RunConfig(num_communities=4, seed=3)
+        capped = uncapped.with_overrides(max_seeds=9)
+        assert (
+            detect(graph, "parallel", config=capped, delta_hint=0.05).detection
+            == detect(graph, "parallel", config=uncapped, delta_hint=0.05).detection
+        )

@@ -81,6 +81,10 @@ class TestWireDetect:
         assert payload(first) == payload(second)
         for one, two in zip(first.detection.communities, second.detection.communities):
             assert one.community is two.community
+        # Keys and string values are shared objects too.
+        assert [key for key in first.metadata] == [key for key in second.metadata]
+        assert all(a is b for a, b in zip(first.metadata, second.metadata))
+        assert first.metadata["backend_description"] is second.metadata["backend_description"]
 
     def test_concurrent_connections_coalesce(self, served):
         instance, delta, config, host, port, service = served
@@ -230,6 +234,63 @@ class TestWireErrors:
                         client.detect(0)
                     assert client.ping()
                     assert client.detect(0).detection.communities[0].seed == 0
+
+    def test_untyped_server_fault_is_internal_and_keeps_the_connection(
+        self, ppm, monkeypatch
+    ):
+        instance, delta = ppm
+        with DetectionService(
+            instance.graph, config=RunConfig(workers=1), delta_hint=delta
+        ) as service:
+            serve = service.detect
+            calls = []
+
+            async def faulty_detect(seed, *, deadline=None):
+                calls.append(seed)
+                if len(calls) == 1:
+                    raise RuntimeError("injected fault")
+                return await serve(seed, deadline=deadline)
+
+            monkeypatch.setattr(service, "detect", faulty_detect)
+            with BackgroundServer(service) as server:
+                with ServiceClient(server.host, server.port) as client:
+                    with pytest.raises(ServiceError, match="RuntimeError: injected fault"):
+                        client.detect(0)
+                    assert client.detect(0).detection.communities[0].seed == 0
+                    reply = client._roundtrip({"op": "ping"})
+        assert calls == [0, 0]
+        assert reply["pong"] is True
+
+    def test_internal_kind_on_the_wire(self, ppm, monkeypatch, caplog):
+        instance, delta = ppm
+        caplog.set_level(logging.ERROR, logger="repro.service_net")
+        with DetectionService(
+            instance.graph, config=RunConfig(workers=1), delta_hint=delta
+        ) as service:
+
+            async def faulty_detect(seed, *, deadline=None):
+                raise ValueError("boom")
+
+            def faulty_metrics():
+                raise KeyError("gauge")
+
+            monkeypatch.setattr(service, "detect", faulty_detect)
+            monkeypatch.setattr(service, "metrics", faulty_metrics)
+            with BackgroundServer(service) as server:
+                with socket.create_connection((server.host, server.port), timeout=30) as raw:
+                    raw.sendall(
+                        b'{"op": "detect", "seed": 0, "id": 5}\n'
+                        b'{"op": "metrics", "id": 6}\n{"op": "ping"}\n'
+                    )
+                    with raw.makefile("rb") as replies:
+                        lines = [json.loads(replies.readline()) for _ in range(3)]
+        assert lines == [
+            {"id": 5, "ok": False, "kind": "internal", "error": "ValueError: boom"},
+            {"id": 6, "ok": False, "kind": "internal", "error": "KeyError: 'gauge'"},
+            {"id": None, "ok": True, "pong": True},
+        ]
+        records = [r for r in caplog.records if r.name == "repro.service_net"]
+        assert [record.exc_info[0] for record in records] == [ValueError, KeyError]
 
     @pytest.mark.parametrize("abort", (False, True), ids=("close", "reset"))
     def test_client_vanishing_mid_wave_leaves_the_server_serving(self, ppm, caplog, abort):
