@@ -43,6 +43,10 @@ Measures, on a 1M-edge random graph:
   the broadcast + pool fork + operator build) and once through a single
   :class:`repro.DetectionSession`, which broadcasts exactly once and keeps
   the pool and cached operators resident; answers are bit-identical;
+* **one-seed calls** — 16 single-seed calls on one resident session per
+  tier (``session_one_seed_process_s`` / ``session_one_seed_thread_s``,
+  best of 3); the process tier runs such a round on the calling thread, so
+  the two rows should match, and the replies must be identical;
 * **coalescing service** — a stream of single-seed requests answered once
   by a serialized session loop (one full batched pass per request) and
   once through :class:`repro.DetectionService` at ``clients ∈ {1, 4, 16}``
@@ -57,13 +61,14 @@ the one acceptance list :data:`GUARDS`: construction and the 64-seed walk
 advance at least 10× faster than the seed scalar path, the subset kernels,
 the 64-column batched search and 64-seed parallel detection faster than
 their scalar loops, and identical detections on the process tier, the
-memmapped file, the resident session (one broadcast) and the service
-(fewer waves than requests).  On hosts with at least two cores the threaded
-search must beat its ``workers=1`` timing by ≥ 1.3×; on hosts with at least
-four cores the process tier must beat the serial facade by ≥ 1.5×, the
-resident session the per-call setup loop by ≥ 2×, and the service at 16
-concurrent clients the serialized session loop by ≥ 2×.  Smaller hosts skip
-those scaling guards, and the identity guards still run.
+memmapped file, the resident session (one broadcast), the one-seed calls
+of both tiers and the service (fewer waves than requests).  On hosts with
+at least two cores the threaded search must beat its ``workers=1`` timing
+by ≥ 1.3×; on hosts with at least four cores the process tier must beat
+the serial facade by ≥ 1.5×, the resident session the per-call setup loop
+by ≥ 2×, and the service at 16 concurrent clients the serialized session
+loop by ≥ 2×.  Smaller hosts skip those scaling guards, and the identity
+guards still run.
 """
 
 from __future__ import annotations
@@ -155,6 +160,13 @@ SESSION_REPEATS = 6
 SESSION_SEEDS_PER_CALL = 4
 SESSION_WORKERS = 4
 SESSION_REQUIRED_SPEEDUP = 2.0
+
+# A service wave is mostly one seed.  The process tier runs a one-seed round
+# on the calling thread, so a stream of one-seed calls on one resident
+# session should cost about the same on both tiers; no speed threshold,
+# only the identity of the replies is gated.
+ONE_SEED_CALLS = 16
+ONE_SEED_WORKERS = 2
 
 # The coalescing service amortises whole batched passes: N pending
 # single-seed requests become one detect_batch wave instead of N sequential
@@ -430,6 +442,31 @@ def run_benchmark() -> dict[str, float]:
         results["session_oneshot_s"] / results["session_resident_s"]
     )
 
+    # -- one-seed calls on a resident session, per tier -----------------
+    one_seed_stream = process_seeds[:ONE_SEED_CALLS]
+    one_seed_replies: dict[str, list[RunReport]] = {}
+    for executor in ("process", "thread"):
+        with DetectionSession(
+            process_ppm.graph,
+            config=RunConfig(workers=ONE_SEED_WORKERS, executor=executor),
+            delta_hint=process_delta,
+        ) as one_seed_session:
+
+            def one_seed_calls() -> None:
+                one_seed_replies[executor] = [
+                    one_seed_session.detect(seeds=(vertex,)) for vertex in one_seed_stream
+                ]
+
+            results[f"session_one_seed_{executor}_s"] = _best_of(one_seed_calls)
+    results["session_one_seed_identical"] = float(
+        all(
+            shipped.detection == local.detection
+            for shipped, local in zip(
+                one_seed_replies["process"], one_seed_replies["thread"]
+            )
+        )
+    )
+
     # -- coalescing service (admission queue in front of one session) ----
     service_rng = np.random.default_rng(10)
     service_stream = tuple(
@@ -637,6 +674,13 @@ def print_workers_table(results: dict[str, float]) -> None:
         f"broadcasts={results['session_broadcasts']:.0f}, "
         f"identical={results['session_identical']:.0f})"
     )
+    print(
+        f"{ONE_SEED_CALLS} one-seed calls on a resident session "
+        f"(workers={ONE_SEED_WORKERS}): "
+        f"process {results['session_one_seed_process_s']:.4f}s, "
+        f"thread {results['session_one_seed_thread_s']:.4f}s "
+        f"(identical={results['session_one_seed_identical']:.0f})"
+    )
     service_levels = ", ".join(
         f"x{clients} {results[f'service_clients{clients}_s']:.4f}s "
         f"({results[f'service_clients{clients}_waves']:.0f} waves)"
@@ -691,6 +735,9 @@ GUARDS: tuple[Guard, ...] = (
         "session_speedup",
         lambda r: r["session_speedup"] >= SESSION_REQUIRED_SPEEDUP,
         min_cores=PROCESS_REQUIRED_CORES,
+    ),
+    Guard(
+        "session_one_seed_identical", lambda r: r["session_one_seed_identical"] == 1.0
     ),
     Guard(
         "service_identical_coalesced",
@@ -761,6 +808,8 @@ def dump_json(results: dict[str, float], path: str) -> None:
             "process_seeds": PROCESS_SEEDS,
             "session_repeats": SESSION_REPEATS,
             "session_seeds_per_call": SESSION_SEEDS_PER_CALL,
+            "one_seed_calls": ONE_SEED_CALLS,
+            "one_seed_workers": ONE_SEED_WORKERS,
             "service_requests": SERVICE_REQUESTS,
             "service_concurrency": list(SERVICE_CONCURRENCY),
         },

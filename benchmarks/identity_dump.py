@@ -19,7 +19,8 @@ Compare two source trees (for example a parent commit exported with
 ``--diff`` prints each configuration whose line differs or is missing on
 one side and exits 1 if there is any; it needs no ``repro`` import.  The set
 covers every CDRW backend (scalar, batched, parallel, congest, kmachine),
-pool draws and explicit seeds, the float32 scan, the process tier, the
+pool draws and explicit seeds, the float32 scan, the process tier (rounds
+it ships and single-seed rounds it runs on the calling thread), the
 linear schedule, the first-failure scan, ``min_mass`` variants, lazy walks,
 tie-heavy inputs (cycles, regular graphs, quantized columns), isolated
 vertices, NaN columns, an edgeless graph and graphs with many degree
@@ -66,13 +67,18 @@ def canonical(value: object) -> object:
 
 
 def report_payload(report) -> object:
-    """Everything a detection report carries except wall-clock timings."""
+    """Everything a detection report carries except how the run was scheduled.
+
+    Wall-clock timings and ``process_tasks`` (how many shards the process
+    tier shipped to its workers, 0 for a round it runs on the calling
+    thread) are left out; the rest of the metadata stays.
+    """
     data = report.to_dict()
     data.pop("timings", None)
     data["metadata"] = {
         key: item
         for key, item in data.get("metadata", {}).items()
-        if not key.endswith(("_s", "_ms", "_seconds"))
+        if not key.endswith(("_s", "_ms", "_seconds")) and key != "process_tasks"
     }
     return canonical(data)
 
@@ -207,6 +213,54 @@ def detect_configs(built) -> Iterator[Config]:
             yield (
                 f"batched/{name}/threads{workers}",
                 run(built[name], "batched", seed=10, max_seeds=8, workers=workers),
+            )
+            # Single-seed rounds, which the process tier runs on the
+            # calling thread, next to the shipped rounds above.
+            for capture in (False, True):
+                yield (
+                    f"batched/{name}/process{workers}/one-seed/capture{int(capture)}",
+                    run(
+                        built[name],
+                        "batched",
+                        seeds=(5,),
+                        executor="process",
+                        workers=workers,
+                        capture_distributions=capture,
+                    ),
+                )
+            yield (
+                f"batched/{name}/process{workers}/pool-b1",
+                run(
+                    built[name],
+                    "batched",
+                    seed=11,
+                    max_seeds=4,
+                    batch_size=1,
+                    executor="process",
+                    workers=workers,
+                ),
+            )
+            yield (
+                f"parallel/{name}/process{workers}/one-seed",
+                run(
+                    built[name],
+                    "parallel",
+                    seeds=(3,),
+                    num_communities=4,
+                    executor="process",
+                    workers=workers,
+                ),
+            )
+            yield (
+                f"parallel/{name}/process{workers}",
+                run(
+                    built[name],
+                    "parallel",
+                    seed=5,
+                    num_communities=4,
+                    executor="process",
+                    workers=workers,
+                ),
             )
 
 

@@ -46,14 +46,6 @@ def tree_edge_count(tree: BFSResult) -> int:
     return max(0, len(tree.reached()) - 1)
 
 
-def _levels(tree: BFSResult) -> list[list[int]]:
-    """Return the reached vertices grouped by BFS depth (level 0 = the root)."""
-    levels: list[list[int]] = [[] for _ in range(tree.depth() + 1)]
-    for vertex in tree.reached():
-        levels[int(tree.distances[vertex])].append(int(vertex))
-    return levels
-
-
 def broadcast(
     network: CongestNetwork,
     tree: BFSResult,
@@ -65,12 +57,12 @@ def broadcast(
 
     Takes ``tree.depth()`` rounds and one message per tree edge.
     """
-    levels = _levels(tree)
-    children = tree.children()
+    levels = tree.levels
     if count_only:
         network.charge_rounds(max(0, len(levels) - 1))
         network.charge_messages(kind, tree_edge_count(tree))
         return
+    children = tree.children()
     for level in levels[:-1]:
         network.begin_round()
         for vertex in level:
@@ -97,23 +89,24 @@ def convergecast(
         raise SimulationError(
             f"values has shape {values.shape}, expected ({network.graph.num_vertices},)"
         )
-    levels = _levels(tree)
-    partial = {int(v): float(values[v]) for v in tree.reached()}
+    levels = tree.levels
+    # Indexed by vertex; only reached vertices are ever read.
+    partial = values.tolist()
+    parents = tree.parents.tolist()
 
     if count_only:
         network.charge_rounds(max(0, len(levels) - 1))
         network.charge_messages(kind, tree_edge_count(tree))
         for level in reversed(levels[1:]):
             for vertex in level:
-                parent = int(tree.parents[vertex])
+                parent = parents[vertex]
                 partial[parent] = combine(partial[parent], partial[vertex])
         return partial[tree.root]
 
     for level in reversed(levels[1:]):
         network.begin_round()
         for vertex in level:
-            parent = int(tree.parents[vertex])
-            network.send(vertex, parent, kind, payload=partial[vertex])
+            network.send(vertex, parents[vertex], kind, payload=partial[vertex])
         delivered = network.end_round()
         for receiver, messages in delivered.items():
             for message in messages:

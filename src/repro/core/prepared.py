@@ -13,10 +13,11 @@ Each derived field is built on first use and then kept.  Two consequences:
 * an edgeless or empty graph, whose seeds take the batch driver's fast
   path, never resolves δ or builds an operator (a spectral estimate of an
   edgeless graph is meaningless);
-* the process tier's parent process reads only :attr:`Prepared.delta` and
-  ships it resolved to the workers, so it builds neither the operator nor
-  the search; each worker keeps its own :class:`Prepared` for the
-  ``(parameters, δ, dtype)`` it last saw.
+* the process tier's parent process resolves :attr:`Prepared.delta` and
+  ships it resolved to the workers, each of which keeps its own
+  :class:`Prepared` for the ``(parameters, δ, dtype)`` it last saw; the
+  parent builds the operator and the search only for a round it runs on
+  its own thread (one seed, or a one-worker pool).
 
 Every field is a deterministic function of the constructor arguments, so a
 cached :class:`Prepared` (a resident :class:`~repro.session.DetectionSession`

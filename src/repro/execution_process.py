@@ -39,6 +39,13 @@ Worker processes run the batched kernels with ``workers=1`` — process-level
 parallelism replaces thread-level parallelism rather than multiplying it —
 which is bit-identical by the thread tier's own guarantee.
 
+Like the paper's k machines, the pool pays for communication only where
+workers run in parallel: the session ships a round only when two workers
+can run it, and runs a one-seed round, or any round on a one-worker pool,
+on the calling thread (see :mod:`repro.session`).  The executor starts its
+workers on the first submitted task, so a session that only ever sees such
+rounds never forks.
+
 The tier is selected through ``RunConfig(executor="process")`` (or the
 ``REPRO_EXECUTOR`` environment override) on the ``batched`` and ``parallel``
 backends of :mod:`repro.api`; their runners draw the rounds, and a
@@ -231,11 +238,14 @@ class ProcessGraphPool:
         """Detect every seed in ``seeds``, split across the worker processes.
 
         The list is split into ``max(workers, ⌈len/batch_size⌉)`` contiguous
-        shards — every worker busy, no shard wider than ``batch_size`` — and
-        the merged results are identical to one serial batch over the same
+        shards, but never more shards than seeds (so fewer seeds than
+        workers leave workers idle), none wider than ``batch_size``; the
+        merged results are identical to one serial batch over the same
         list (per-seed results do not depend on batch composition).  With
         ``capture_distributions`` the second return value holds the merged
         ``(n, len(seeds))`` final-distribution matrix, columns in seed order.
+        :class:`~repro.session.DetectionSession` calls this only for rounds
+        that two workers can share.
 
         Accounting (``tasks_issued`` / the per-shard timings) records
         exactly the shards that ran to completion — ``tasks_issued ==

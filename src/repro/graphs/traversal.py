@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from ..exceptions import GraphError
@@ -66,14 +68,29 @@ class BFSResult:
                 tree.setdefault(parent, []).append(vertex)
         return tree
 
+    @cached_property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        """The reached vertices grouped by depth (level 0 = the root), ids ascending.
+
+        A broadcast proceeds down these levels and a convergecast up them.
+        Built once per tree: a CONGEST detection runs hundreds of
+        aggregations over the same tree.
+        """
+        reached = self.reached()
+        depths = self.distances[reached]
+        ordered = reached[np.argsort(depths, kind="stable")].tolist()
+        bounds = np.cumsum(np.bincount(depths, minlength=self.depth() + 1)).tolist()
+        return tuple(
+            tuple(ordered[start:stop]) for start, stop in zip([0] + bounds[:-1], bounds)
+        )
+
     def subtree_order(self) -> list[int]:
         """Return the reached vertices in non-decreasing distance order.
 
         This is the order in which a convergecast proceeds bottom-up (reversed)
         and a broadcast proceeds top-down.
         """
-        reached = self.reached()
-        return sorted(reached.tolist(), key=lambda v: int(self.distances[v]))
+        return [vertex for level in self.levels for vertex in level]
 
 
 def bfs_tree(graph: Graph, root: int, max_depth: int | None = None) -> BFSResult:

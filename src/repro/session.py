@@ -17,6 +17,13 @@ otherwise dwarf the per-call work.
   1).  The :class:`~repro.execution_process.ProcessGraphPool` persists
   across calls too — only the executor is rebuilt if the resolved worker
   count changes or a worker dies, never the broadcast.
+* **Ship only what two workers can share.**  A process-tier round goes to
+  the pool only when it holds at least two seeds and the pool has at least
+  two workers.  Any other round — a single-seed service wave, a
+  ``workers=1`` call — runs on the calling thread with the session's own
+  prepared context: no pickling, no pipe round trip, no worker wake-up,
+  ``process_tasks`` 0 and no ``shard_<i>_seconds`` key.  The pool forks
+  its workers only on the first round it is sent.
 * **One prepared context per knob set.**  Calls with the same parameters,
   δ hint, worker count and dtype share one
   :class:`~repro.core.prepared.Prepared` (``session_prepared_reused``), so
@@ -200,10 +207,12 @@ class DetectionSession:
 
         Sets ``batch_size`` to the request width (unless overridden), so the
         whole list runs as one batched pass — on the process tier that is
-        exactly ``workers`` shards.  Per-seed results are independent of
-        batch composition (the PR 1/2 kernel contracts), so the answers are
-        identical to ``len(seeds)`` one-at-a-time calls, at a fraction of
-        the dispatch cost.
+        ``min(workers, len(seeds))`` shards, and a wave that two workers
+        cannot share (one seed, or a one-worker pool) runs on the calling
+        thread.  Per-seed results are independent of batch composition
+        (the PR 1/2 kernel contracts), so the answers are identical to
+        ``len(seeds)`` one-at-a-time calls, at a fraction of the dispatch
+        cost.
 
         The request is validated up front — empty, duplicated or
         out-of-range seeds raise before any pool work (no broadcast, no
@@ -378,7 +387,8 @@ class DetectionSession:
             executor = resolve_executor(config.executor)
             process = executor == EXECUTOR_PROCESS
             # Process-tier workers search single-threaded; the parent's
-            # context matches theirs and is only ever asked for δ.
+            # context matches theirs, resolves δ and runs the rounds that
+            # stay on this thread (see _run_on_pool).
             prepared, prepared_reused = self._prepare(
                 params or CDRWParameters(),
                 delta_hint,
@@ -457,7 +467,19 @@ def _run_on_pool(
     batch_size: int,
     capture_distributions: bool,
 ) -> tuple[list[CommunityResult], np.ndarray | None]:
-    """One round sharded across the worker processes, δ shipped resolved."""
+    """One round sharded across the worker processes, δ shipped resolved.
+
+    A round the pool could not run on two workers at once — one seed, or a
+    one-worker pool — runs on the calling thread instead: shipping it would
+    only add the pickling, the pipe round trip and a worker wake-up while
+    this thread waits.  Per-seed results are pure functions of (graph,
+    parameters, δ, dtype), and ``prepared`` holds the same δ and dtype the
+    workers get, so the answer is the same; such a round issues no task.
+    """
+    if len(seeds) <= 1 or pool.workers == 1:
+        return _run_inline(
+            prepared, capture_history, seeds, batch_size, capture_distributions
+        )
     try:
         return pool.run_seeds(
             seeds,

@@ -9,6 +9,7 @@ from repro.graphs import (
     Graph,
     ball,
     bfs_tree,
+    gnp_random_graph,
     is_connected,
     shortest_path_length,
 )
@@ -38,6 +39,17 @@ class TestBfs:
         order = result.subtree_order()
         assert order[0] == 0
         assert sorted(order) == list(range(5))
+
+    @pytest.mark.parametrize("max_depth", [None, 0, 2])
+    def test_levels_group_reached_vertices_by_depth(self, max_depth):
+        graph = gnp_random_graph(60, 0.06, seed=2)
+        result = bfs_tree(graph, 0, max_depth=max_depth)
+        expected: list[list[int]] = [[] for _ in range(result.depth() + 1)]
+        for vertex in result.reached().tolist():
+            expected[int(result.distances[vertex])].append(vertex)
+        assert result.levels == tuple(tuple(level) for level in expected)
+        assert result.levels is result.levels  # built once per tree
+        assert result.subtree_order() == [v for level in expected for v in level]
 
     def test_unreachable_vertices(self):
         graph = Graph(4, [(0, 1)])
