@@ -23,8 +23,10 @@ pool draws and explicit seeds, the float32 scan, the process tier (rounds
 it ships and single-seed rounds it runs on the calling thread), the
 linear schedule, the first-failure scan, ``min_mass`` variants, lazy walks,
 tie-heavy inputs (cycles, regular graphs, quantized columns), isolated
-vertices, NaN columns, an edgeless graph and graphs with many degree
-classes.  A full ``--write`` takes about 20 s on one core.
+vertices, NaN columns, an edgeless graph, graphs with many degree classes
+(dense, heavy-tailed), a graph whose degree bands each hold several
+classes and a one-band graph of two classes.  A full ``--write`` takes
+about 40 s on one core.
 """
 
 from __future__ import annotations
@@ -83,6 +85,31 @@ def report_payload(report) -> object:
     return canonical(data)
 
 
+def heavy_tailed(n: int, exponent: float, average: int, seed: int):
+    """A Chung–Lu graph: endpoints drawn with weight ``i^(−1/(exponent−1))``."""
+    from repro.graphs import Graph
+
+    rng = np.random.default_rng(seed)
+    weights = np.arange(1, n + 1) ** (-1.0 / (exponent - 1.0))
+    ends = rng.choice(n, size=(n * average // 2, 2), p=weights / weights.sum())
+    ends = np.unique(np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1), axis=0)
+    return Graph.from_edge_array(n, ends)
+
+
+def near_regular(n: int, degree: int, seed: int):
+    """A random regular graph less a matching: degrees ``degree − 1`` and ``degree``."""
+    from repro.graphs import Graph, random_regular_graph
+
+    edges = random_regular_graph(n, degree, seed=seed).edge_array()
+    matched: set[int] = set()
+    dropped = []
+    for index, (u, v) in enumerate(edges[: n // 4].tolist()):
+        if u not in matched and v not in matched:
+            matched.update((u, v))
+            dropped.append(index)
+    return Graph.from_edge_array(n, np.delete(edges, dropped, axis=0))
+
+
 def graphs():
     """The fixed graph set, built once."""
     from repro.graphs import (
@@ -99,8 +126,15 @@ def graphs():
             instance = planted_partition_graph(n, blocks, p, 0.6 / n, seed=n + blocks)
             built[f"ppm{n}r{blocks}"] = instance.graph
     built["gnp200"] = gnp_random_graph(200, 0.08, seed=3)
-    # About 100 degree classes on 1024 vertices: the partition-estimate tier.
+    # About 100 degree classes on 1024 vertices, about 10 per degree band.
     built["dense1024"] = gnp_random_graph(1024, 0.5, seed=4)
+    # Degrees about 100 ± 10 with two communities: each band holds several
+    # classes, and the walks do not mix in one step.
+    built["bands1024"] = planted_partition_graph(1024, 2, 0.2, 0.01, seed=6).graph
+    # Many classes over a wide degree range, so many bands.
+    built["heavy1024"] = heavy_tailed(1024, 2.5, 20, seed=13)
+    # Degrees 19 and 20: two classes in one band.
+    built["nearregular512"] = near_regular(512, 20, seed=7)
     built["regular256"] = random_regular_graph(256, 6, seed=5)
     cycle = [(i, (i + 1) % 64) for i in range(64)]
     built["cycle64"] = Graph(64, cycle)

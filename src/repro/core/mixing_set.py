@@ -24,46 +24,63 @@ the way the paper's own selection counts instead of sorting: the seed
 broadcasts a pivot ``τ`` and convergecasts the count and sum of the
 deviations ``≤ τ``.
 
-* **The bound.**  For any ``τ``, the ``k`` smallest of any values ``y_u``
-  sum to at least ``L_k(τ) = k·τ − Σ_u (τ − y_u)₊``, since
-  ``y ≥ τ − (τ − y)₊`` and the sum over all ``u`` covers any ``k`` of them.
-  Within one degree class every target is the same ``T = d/µ'(S)``, so the
-  vertices with ``|p_u − T| ≤ τ`` are a window of that class's sorted
-  ``p``.  Its count and sum, split at ``T``, give the class's share of the
-  sum over ``u``.  One integer sort per lane (keys: the class above the
-  float bits of ``p``, truncated by ``2^c`` ulps for ``c`` class bits),
-  one prefix sum, and one ``searchsorted`` of per-graph query keys
-  ``T − τ``, ``T`` and ``T + τ`` then bound every size of a run of
-  :data:`_CERTIFICATE_RUN` consecutive sizes at the pivots
-  ``τ ∈ {1.5, 4}·margin/k``.
+* **The bound.**  For any ``τ``, the ``k`` smallest of any values ``z_u``
+  sum to at least ``L_k(τ) = k·τ − Σ_u (τ − z_u)₊``, since
+  ``z ≥ τ − (τ − z)₊`` and the sum over all ``u`` covers any ``k`` of them.
+  With the weight ``w_u = d_u·n/2m`` and ``r_u = p_u/w_u``, a vertex's
+  deviation from its target ``w_u/k`` is ``|p_u − w_u/k| = w_u·|r_u − 1/k|``.
+  A *degree band* is a run of consecutive degree classes whose largest
+  degree is at most ``ρ`` (:data:`_BAND_RATIO`) times its smallest; with
+  ``w_g`` the band's smallest weight, ``z_u = w_g·|r_u − 1/k|`` is at most
+  that deviation, so ``L_k(τ)`` over the ``z_u`` bounds the ``k`` smallest
+  deviations too.  Within a band the vertices with ``z_u ≤ τ`` are the
+  window ``|r − 1/k| ≤ τ/w_g`` of the band's sorted ``r``; its count and
+  sum, split at ``1/k``, give the band's share of the sum over ``u``.
+  Degree-0 vertices are a band of their own with ``w = 0``: their target is
+  0, so the band sorts ``p`` itself around the centre 0 (scale 1).  One
+  integer sort per lane (keys: the band above the float bits of ``r``,
+  truncated by ``2^c`` ulps for ``c`` band bits), one prefix sum, and one
+  ``searchsorted`` of per-graph query keys ``1/k ∓ τ/w_g`` and ``1/k`` then
+  bound every size of a run of :data:`_CERTIFICATE_RUN` consecutive sizes
+  at the pivots ``τ ∈ {1.5, 4}·margin/k``.  A graph has at most about
+  ``log_ρ(d_max/d_min) + 2`` bands, whatever its number of classes.
 * **The rounding slack.**  The size is rejected when some pivot's computed
   bound is at least ``margin + slack``: ``margin`` is
   :func:`_rejection_margin` (``threshold·(1+γ)/(1−γ)``,
   ``γ = (k−1)·u/(1−(k−1)·u)``, ``u`` the scan dtype's unit roundoff) and
-  ``slack = 2(γ₁ + 4ε)(kτ + 4nW) + 2(γ₂ + 4ε)(4C + 4)‖p‖₁ + 8u·margin``
-  with ``ε = 2^(c−52)``, ``γ₁ = γ_(3C+3)`` and ``γ₂ = γ_(n+3C+3)`` in float64,
-  ``C`` classes and ``W`` the sum of the bound's ``|T ∓ τ|`` and ``2T``
-  weights.  The ``γ`` terms cover the float64 prefix sums, products and
-  sums; the ``ε`` terms cover the truncated keys and values (a vertex
-  within ``ε`` of a window edge or of ``T``); the factor 2 covers the
-  slack's own evaluation.
-* **The proof.**  A certified size has ``L_k(τ) ≥ margin·(1 + 2u)`` for the
-  real deviations ``y_u = |p_u − T_u|`` of the scan dtype's ``p`` and
-  ``T``.  The exact path's deviations are ``y_u`` rounded once, so their
-  ``k`` smallest sum to at least ``(1 − u)·L_k(τ) ≥ margin``; its id-order
-  sum of those ``k`` values is within ``γ`` of that, hence at least
-  ``(1 − γ)·margin ≥ threshold·(1 + γ)``: the size fails the threshold.
+  ``slack = 2(γ₁ + 4ε)(kτ + 4nW) + 2(γ₂ + 4ε)(4S + 4)R
+  + 2(η + δ)(kτ + 2SR) + 8u·margin`` with ``ε = 2^(c−52)``,
+  ``γ₁ = γ_(3G+5)`` and ``γ₂ = γ_(n+3G+5)`` in float64, ``G`` bands,
+  ``S = Σ_g w_g`` (1 for the degree-0 band), ``R`` the sum of the lane's
+  truncated ``r`` and ``W`` the sum of the bound's ``|w_g/k ∓ τ|`` and
+  ``2w_g/k`` weights.  The ``γ`` terms cover the float64 prefix sums,
+  products and sums; the ``ε`` terms cover the truncated keys and values
+  (a vertex within ``ε`` of a window edge or of ``1/k``).  The two band
+  terms: ``η = γ₃ + ε`` (float64) covers ``r̂ = p·(2m/(n·d))`` rounded
+  and truncated, which moves each ``z_u`` by at most ``η·p_u`` and
+  ``L_k(τ)`` by at most ``η‖p‖₁``, with
+  ``‖p‖₁ ≤ ρ·max_g w_g·R/(1 − η) ≤ 2SR``; ``δ = γ₅`` in the scan dtype
+  bounds the gap ``|T̂_u − w_u/k| ≤ δ·w_u/k`` between the exact path's
+  rounded target ``T̂_u`` and ``w_u/k``.  The factor 2 covers the slack's
+  own evaluation, and ``8u·margin`` the underflow of a subnormal ``r̂``
+  (under ``2^−1070`` per vertex).
+* **The proof.**  Let ``y_u = |p_u − T̂_u|`` be the real deviations of the
+  scan dtype's ``p`` and ``T̂``.  Since ``w_u/k ≤ p_u + |p_u − w_u/k|``,
+  each ``y_u ≥ (1 − δ)·|p_u − w_u/k| − δ·p_u ≥ (1 − δ)·z_u − δ·p_u``, and
+  ``L_k(τ) ≤ kτ``, so the ``k`` smallest ``y_u`` sum to at least
+  ``L_k(τ) − δ·kτ − (η + δ)·‖p‖₁`` for ``L_k(τ)`` taken over the truncated
+  ``r̂``.  A certified size therefore has ``k`` smallest ``y_u`` summing to
+  at least ``margin·(1 + 2u)``.  The exact path's deviations are ``y_u``
+  rounded once, so their ``k`` smallest sum to at least ``margin``; its
+  id-order sum of those ``k`` values is within ``γ`` of that, hence at
+  least ``(1 − γ)·margin ≥ threshold·(1 + γ)``: the size fails the
+  threshold.
 
 Every other size — one that might accept, one the bound cannot prove, or
 any size of a lane holding a NaN, an infinity or a sign bit — runs the
 exact selection (the deviations, ``argpartition``, ids sorted, gathered
 sums), which alone produces reported members, deficits and masses.  The
-outputs are those of running the exact selection at every size.  The
-bound's cost per size grows with the class count ``C``, a partition's with
-``n``, so a graph with more than ``min(1024, max(64, n/32))`` classes
-(:func:`_certifiable`) instead rejects a size when its ``k``
-smallest deviations, summed in any order from a value partition, clear the
-margin.
+outputs are those of running the exact selection at every size.
 
 Points 2 (the mass condition) and 3 (the largest size over the whole
 schedule) depart from the literal pseudocode; README.md, "Deviations from
@@ -80,9 +97,10 @@ deviations — asserted by integration tests).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from numpy.typing import DTypeLike
@@ -189,46 +207,57 @@ _CERTIFICATE_RUN = 32
 #: community's size need about 4·margin/k, unmixed walks about 1.5·margin/k.
 _PIVOT_SCALES = (1.5, 4.0)
 
-
-def _certifiable(classes: int, vertices: int) -> bool:
-    """Whether the certificate serves a graph with this many degree classes.
-
-    Up to ``max(64, n // 32)`` classes, and never more than 1024: the
-    certificate's cost per size grows with the class count where a
-    partition's grows with ``n`` (measured break-even: about 125 classes at
-    n = 4096, 500 at n = 16384), and its tables take 160 bytes per class
-    and size (about 40 MB for 1024 classes and 260 sizes).  Other graphs
-    reject from the order-free partition estimate.
-    """
-    return classes <= min(1024, max(64, vertices // 32))
-
+#: ``ρ``: a degree band is a run of consecutive degree classes whose largest
+#: degree is at most this many times its smallest.
+_BAND_RATIO = 1.1
 
 #: Bit pattern of +inf: a float64 with a clear sign bit is finite exactly
 #: when its bits lie below this.
 _INFINITY_BITS = 0x7FF0000000000000
 
 
-def _gamma(count: int) -> float:
-    """``γ_count = count·u / (1 − count·u)`` for float64 (``u = 2⁻⁵³``)."""
-    unit = 2.0**-53
+def _gamma(count: int, unit: float = 2.0**-53) -> float:
+    """``γ_count = count·u / (1 − count·u)`` for the unit roundoff ``u`` (float64's by default)."""
     return count * unit / (1.0 - count * unit)
+
+
+def _degree_bands(classes: list[int]) -> list[int]:
+    """The band of each degree class (ascending degrees), numbered from 0.
+
+    A band starts at its smallest class and takes each following class up
+    to :data:`_BAND_RATIO` times that degree; degree 0 is a band of its own.
+    """
+    bands: list[int] = []
+    band, smallest = -1, 0
+    for degree in classes:
+        if smallest == 0 or degree > _BAND_RATIO * smallest:
+            band, smallest = band + 1, degree
+        bands.append(band)
+    return bands
+
+
+def _weight_below(degree: int, vertices: int, volume: int) -> float:
+    """``w = degree·n / 2m``, rounded down to a float64."""
+    exact = Fraction(degree * vertices, volume)
+    weight = float(exact)
+    return weight if Fraction(weight) <= exact else math.nextafter(weight, 0.0)
 
 
 class _CertificateRun(NamedTuple):
     """The per-graph query tables of one run of consecutive scan positions.
 
-    A run of ``R`` sizes and ``J`` pivots holds one query per class and
-    size at the target ``T``, and two per class, size and pivot at
-    ``T ∓ τ``; the per-query arrays are in key order.
+    A run of ``R`` sizes and ``J`` pivots holds one query per band and size
+    at the centre ``1/k``, and two per band, size and pivot at
+    ``1/k ∓ τ/w``; the per-query arrays are in key order.
     """
 
-    #: Per query, ``class`` in the high bits over the truncated value (ascending).
+    #: Per query, ``band`` in the high bits over the truncated value (ascending).
     keys: np.ndarray
-    #: Per query, the weight of its window position: ``T − τ``, ``−2T`` or ``T + τ``.
+    #: Per query, the weight of its window position: ``w/k − τ``, ``−2w/k`` or ``w/k + τ``.
     weights: np.ndarray
-    #: Per query, the weight of its prefix sum: ``−1``, ``2`` or ``−1``.
+    #: Per query, the weight of its prefix sum: ``−w``, ``2w`` or ``−w``.
     signs: np.ndarray
-    #: Per query, its bin: ``pivot·R + size`` for window edges, ``J·R + size`` for targets.
+    #: Per query, its bin: ``pivot·R + size`` for window edges, ``J·R + size`` for centres.
     bins: np.ndarray
     #: ``(J, R)``: ``size · τ`` per pivot and size.
     pivot_totals: np.ndarray
@@ -237,11 +266,11 @@ class _CertificateRun(NamedTuple):
 
 
 class _LaneOrder(NamedTuple):
-    """One lane sorted once by (degree class, value)."""
+    """One lane sorted once by (degree band, ``p/w``)."""
 
-    #: Per vertex, ``class`` in the high bits over the truncated value; ascending.
+    #: Per vertex, ``band`` in the high bits over the truncated ``p/w``; ascending.
     keys: np.ndarray
-    #: Prefix sums of the truncated values in key order (length ``n + 1``).
+    #: Prefix sums of the truncated ``p/w`` in key order (length ``n + 1``).
     prefix: np.ndarray
 
 
@@ -254,28 +283,43 @@ class _RejectionCertificate:
     """
 
     def __init__(
-        self,
-        classes: np.ndarray,
-        class_of: np.ndarray,
-        scan: list[tuple[int, np.floating]],
-        targets: Callable[[np.ndarray, int], np.ndarray],
-        dtype: np.dtype,
+        self, degrees: np.ndarray, scan: list[tuple[int, np.floating]], dtype: np.dtype
     ) -> None:
-        n = len(class_of)
-        width = len(classes)
-        # A key is the class in the top `class_bits` bits over the float64
-        # bits of a non-negative value shifted right by `class_bits`: keys
-        # order by class, then by value truncated by at most 2^class_bits ulps.
-        self._class_bits = max(1, (width - 1).bit_length())
-        self._value_mask = np.int64((1 << (63 - self._class_bits)) - 1)
-        self._class_keys = class_of.astype(np.int64) << (63 - self._class_bits)
-        self._infinity_key = _INFINITY_BITS >> self._class_bits
-        truncation = 2.0 ** (self._class_bits - 52)
-        positions_gamma = _gamma(3 * width + 3) + 4 * truncation
-        prefix_gamma = _gamma(n + 3 * width + 3) + 4 * truncation
-        self._mass_slack = 2 * prefix_gamma * (4 * width + 4)
+        n = len(degrees)
+        volume = int(degrees.sum())
+        classes, class_of = np.unique(degrees, return_inverse=True)
+        class_bands = _degree_bands(classes.tolist())
+        width = class_bands[-1] + 1
+        # Per band: the weight w of its smallest degree (rounded down) and
+        # whether its centre is 1/k; the degree-0 band has w = 1, centre 0.
+        smallest = [int(classes[class_bands.index(band)]) for band in range(width)]
+        scales = np.array([_weight_below(d, n, volume) if d else 1.0 for d in smallest])
+        centred = np.array([d > 0 for d in smallest], dtype=np.float64)
+        # Per vertex: 2m/(n·d) = 1/w, or 1 at degree 0, so p·(2m/(n·d)) = p/w.
+        self._inverse_weights = np.ones(n, dtype=np.float64)
+        np.divide(
+            float(volume),
+            n * degrees.astype(np.float64),
+            out=self._inverse_weights,
+            where=degrees > 0,
+        )
+        # A key is the band in the top `band_bits` bits over the float64
+        # bits of a non-negative value shifted right by `band_bits`: keys
+        # order by band, then by value truncated by at most 2^band_bits ulps.
+        self._band_bits = max(1, (width - 1).bit_length())
+        self._value_mask = np.int64((1 << (63 - self._band_bits)) - 1)
+        band_of = np.asarray(class_bands, dtype=np.int64)[class_of]
+        self._band_keys = band_of << (63 - self._band_bits)
+        self._infinity_key = _INFINITY_BITS >> self._band_bits
+        truncation = 2.0 ** (self._band_bits - 52)
+        positions_gamma = _gamma(3 * width + 5) + 4 * truncation
+        prefix_gamma = _gamma(n + 3 * width + 5) + 4 * truncation
         unit = float(np.finfo(dtype).eps) / 2
-        class_degrees = classes.astype(dtype)
+        # The two terms a band adds: p/w rounded (η) and the exact path's
+        # rounded target against w/k (δ).
+        drift = _gamma(3) + truncation + _gamma(5, unit)
+        total_scale = float(scales.sum())
+        self._mass_slack = 2 * prefix_gamma * (4 * total_scale + 4) + 4 * drift * total_scale
         pivot_scales = np.array(_PIVOT_SCALES)
         pivot_count = len(pivot_scales)
         #: Per scan position: ``(run, offset)``, or ``None`` where the exact
@@ -292,17 +336,27 @@ class _RejectionCertificate:
             length = len(run)
             sizes = np.array([scan[index][0] for index in run], dtype=np.float64)
             margins = np.array([float(scan[index][1]) for index in run])
-            # (J, R) pivots; (R, C) targets, exactly as the exact path forms them.
+            # (J, R) pivots; (R, G) centres; (J, R, G) window edges in p/w.
             pivots = pivot_scales[:, None] * margins / sizes
-            centres = np.array(
-                [targets(class_degrees, scan[index][0]) for index in run], dtype=np.float64
-            )
-            lower = centres - pivots[:, :, None]
-            upper = centres + pivots[:, :, None]
+            centres = centred / sizes[:, None]
+            reach = pivots[:, :, None] / scales
+            lower = centres - reach
+            upper = centres + reach
             edge_bins = np.arange(pivot_count * length).reshape(pivot_count, length, 1)
             values = np.concatenate([lower.ravel(), upper.ravel(), centres.ravel()])
-            weights = np.concatenate([lower.ravel(), upper.ravel(), -2 * centres.ravel()])
-            signs = np.repeat([-1.0, -1.0, 2.0], [lower.size, upper.size, centres.size])
+            lower_weights = scales * lower
+            upper_weights = scales * upper
+            centre_weights = -2 * scales * centres
+            weights = np.concatenate(
+                [lower_weights.ravel(), upper_weights.ravel(), centre_weights.ravel()]
+            )
+            signs = np.concatenate(
+                [
+                    np.broadcast_to(-scales, lower.shape).ravel(),
+                    np.broadcast_to(-scales, upper.shape).ravel(),
+                    np.broadcast_to(2 * scales, centres.shape).ravel(),
+                ]
+            )
             bins = np.concatenate(
                 [
                     np.broadcast_to(edge_bins, lower.shape).ravel(),
@@ -312,17 +366,23 @@ class _RejectionCertificate:
                     ).ravel(),
                 ]
             )
-            # The class is the last axis of every grid.
-            query_classes = np.tile(np.arange(width, dtype=np.int64), len(values) // width)
-            keys = (query_classes << (63 - self._class_bits)) | (
-                np.maximum(values, 0.0).view(np.int64) >> self._class_bits
+            # The band is the last axis of every grid.
+            query_bands = np.tile(np.arange(width, dtype=np.int64), len(values) // width)
+            keys = (query_bands << (63 - self._band_bits)) | (
+                np.maximum(values, 0.0).view(np.int64) >> self._band_bits
             )
             order = np.argsort(keys, kind="stable")
-            # Σ|weights| per pivot and size: the targets' share counts once
+            # Σ|weights| per pivot and size: the centres' share counts once
             # per pivot.
-            spread = (np.abs(lower) + np.abs(upper)).sum(axis=2) + 2 * centres.sum(axis=1)
+            spread = (np.abs(lower_weights) + np.abs(upper_weights)).sum(axis=2) - (
+                centre_weights.sum(axis=1)
+            )
             pivot_totals = sizes * pivots
-            slack = 2 * positions_gamma * (pivot_totals + 4 * n * spread) + 8 * unit * margins
+            slack = (
+                2 * positions_gamma * (pivot_totals + 4 * n * spread)
+                + 2 * drift * pivot_totals
+                + 8 * unit * margins
+            )
             self.runs.append(
                 _CertificateRun(
                     keys=keys[order],
@@ -337,17 +397,18 @@ class _RejectionCertificate:
                 self.slots[index] = (len(self.runs) - 1, offset)
 
     def order(self, lane: np.ndarray) -> _LaneOrder | None:
-        """Sort one lane; ``None`` unless every value is finite and non-negative."""
-        values = lane if lane.dtype == np.float64 else lane.astype(np.float64)
-        keys = values.view(np.int64) >> self._class_bits
-        keys |= self._class_keys
+        """Sort one lane by (band, ``p/w``); ``None`` unless it is all finite and non-negative."""
+        # float64 either way: a float32 lane widens exactly.
+        keys = (lane * self._inverse_weights).view(np.int64)
+        keys >>= self._band_bits
+        keys |= self._band_keys
         keys.sort()
         truncated = keys & self._value_mask
         # A sign bit (a negative value or -0.0) makes a key negative; NaN
         # and infinity have the largest exponent.
         if keys[0] < 0 or truncated.max() >= self._infinity_key:
             return None
-        truncated <<= self._class_bits
+        truncated <<= self._band_bits
         prefix = np.zeros(len(keys) + 1, dtype=np.float64)
         np.cumsum(truncated.view(np.float64), out=prefix[1:])
         return _LaneOrder(keys, prefix)
@@ -376,22 +437,20 @@ class BatchedMixingSetSearch:
     The search object precomputes, once per graph, the candidate-size
     schedule, the degree vector, each size's rejection margin
     (:func:`_rejection_margin`) and the certificate's query tables (about
-    0.8 MB at n = 4096).  Each lane then scans the schedule on its own row:
+    0.23 MB at n = 4096).  Each lane then scans the schedule on its own row:
     from the largest size down, leaving at the first size it accepts (with
     ``stop_at_first_failure`` the scan ascends and a lane leaves at its
     first failure).  At its first size below ``n`` a lane is sorted once by
-    (degree class, value); each run of :data:`_CERTIFICATE_RUN` sizes then
+    (degree band, ``p/w``); each run of :data:`_CERTIFICATE_RUN` sizes then
     costs one ``searchsorted`` and a few vectorised calls, which bound the
     sum of every size's ``|S|`` smallest deviations from below.  A size
     whose bound clears its margin plus the rounding slack is rejected with
     no O(n) pass; every other size forms the deviations ``|p − targets|``
     and runs the exact ``np.argpartition`` selection (the module docstring
-    states the bound, the slack and the proof).  Graphs with many degree
-    classes reject from a value partition of the deviations instead.
-    Distributions are laid out one per row (the matrix is transposed once
-    per call), so every lane is contiguous in memory.  A one-column call is
-    the same kernel with one lane; a wider call shares the exact path's
-    targets across its lanes.
+    states the bound, the slack and the proof).  Distributions are laid out
+    one per row (the matrix is transposed once per call), so every lane is
+    contiguous in memory.  A one-column call is the same kernel with one
+    lane; a wider call shares the exact path's targets across its lanes.
 
     Per-column guarantee
     --------------------
@@ -497,12 +556,7 @@ class BatchedMixingSetSearch:
         self._scan = list(zip(self._sizes, self._rejection_margins))
         if not self._stop_at_first_failure:
             self._scan.reverse()
-        classes, class_of = np.unique(graph.degrees(), return_inverse=True)
-        self._certificate = (
-            _RejectionCertificate(classes, class_of, self._scan, self._targets, self._dtype)
-            if graph.volume > 0 and _certifiable(len(classes), graph.num_vertices)
-            else None
-        )
+        self._certificate = _RejectionCertificate(graph.degrees(), self._scan, self._dtype)
 
     @property
     def candidate_sizes(self) -> list[int]:
@@ -597,15 +651,6 @@ class BatchedMixingSetSearch:
         blocks = parallel_map_blocks(scan_lanes, width, self._workers)
         return [result for block in blocks for result in block]
 
-    def _targets(self, degrees: np.ndarray, size: int) -> np.ndarray:
-        """The targets ``d(u)/µ'(S)`` of ``degrees`` at ``|S| = size``, in the scan dtype.
-
-        The average volume is computed as ``(volume/n)·size`` — the same
-        float sequence as :func:`deviation_values` — and the certificate
-        builds its per-class targets through this same expression.
-        """
-        return degrees / (self._volume_per_vertex * size)
-
     def _scan_lane(
         self, lane: np.ndarray, walk_length: int, targets: dict[int, np.ndarray]
     ) -> LargestMixingSet:
@@ -615,9 +660,8 @@ class BatchedMixingSetSearch:
         descending scan, or at its first failing size on the ascending
         ``stop_at_first_failure`` scan.  A size below ``n`` that the
         certificate rejects costs no O(n) pass (on the ascending scan it is
-        the lane's first failure); on a graph without a certificate a size
-        is rejected when a value partition of its deviations clears the
-        margin.  Every other size runs the exact path: the deviations,
+        the lane's first failure).  Every other size runs the exact path:
+        the deviations,
         ``argpartition``, the chosen ids sorted, deviations and masses
         gathered and summed in id order.  Only the exact path writes
         members, deficits and masses.  ``targets`` caches the exact path's
@@ -638,8 +682,8 @@ class BatchedMixingSetSearch:
         examined = len(scan)
         index = 0
         while index < len(scan):
-            size, margin = scan[index]
-            slot = certificate.slots[index] if certificate is not None else None
+            size = scan[index][0]
+            slot = certificate.slots[index]
             if slot is not None:
                 run, offset = slot
                 if run != run_index:
@@ -663,23 +707,9 @@ class BatchedMixingSetSearch:
                     continue
             size_targets = targets.get(size)
             if size_targets is None:
-                size_targets = targets[size] = self._targets(self._degrees, size)
+                size_targets = targets[size] = self._degrees / (self._volume_per_vertex * size)
             deviations = np.subtract(lane, size_targets)
             np.absolute(deviations, out=deviations)
-            if certificate is None and size < num_vertices:
-                # No certificate (too many degree classes): reject when the
-                # k smallest deviations, summed in any order, clear the
-                # margin.  The partition runs in place, so a size it cannot
-                # reject forms its deviations again, in id order.
-                deviations.partition(size - 1)
-                if deviations[:size].sum() >= margin:
-                    if ascending:
-                        examined = index + 1
-                        break
-                    index += 1
-                    continue
-                deviations = np.subtract(lane, size_targets)
-                np.absolute(deviations, out=deviations)
             if size >= num_vertices:
                 chosen = None
                 deficit = float(deviations.sum())

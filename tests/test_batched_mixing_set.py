@@ -188,10 +188,7 @@ class CountingNumpy:
     1-D ``np.argpartition``: ``argpartition_calls`` counts the (lane, size)
     pairs whose rejection was not certified.  A certified size makes no
     O(n) pass.  Each certificate evaluation (one run of sizes for one lane)
-    makes one ``np.searchsorted``.  On graphs with too many degree classes
-    for the certificate, each size below ``n`` is instead partitioned in
-    place (an ``ndarray`` method, not counted), and a size that partition
-    cannot reject makes a second ``np.subtract`` pass for the exact path.
+    makes one ``np.searchsorted``.  The kernel never calls ``np.partition``.
     """
 
     def __init__(self) -> None:
@@ -574,37 +571,119 @@ def certificate_table(search: BatchedMixingSetSearch, lane: np.ndarray):
     return rows
 
 
-class TestCertificateBound:
-    """The sort-once certificate: sound bound, exact edge, and every input class."""
+def star_and_clique(clique: int) -> Graph:
+    """A ``clique``-vertex clique beside a star whose centre has degree ⌊ρ·(clique − 1)⌋.
 
+    For ``clique − 1`` a multiple of 10 the centre's degree is exactly
+    ρ = 1.1 times the clique's, so one band holds both classes at its full
+    ratio, and the centre's weight is ρ times the band's smallest.
+    """
+    leaves = math.floor(mixing_set_module._BAND_RATIO * (clique - 1))
+    centre = clique
+    edges = [(i, j) for i in range(clique) for j in range(i + 1, clique)]
+    edges += [(centre, centre + 1 + leaf) for leaf in range(leaves)]
+    return Graph(clique + 1 + leaves, edges)
+
+
+def chung_lu_graph(n: int, exponent: float, average: int, seed: int) -> Graph:
+    """A Chung–Lu graph: endpoints drawn with weight ``i^(−1/(exponent−1))``."""
+    rng = np.random.default_rng(seed)
+    weights = np.arange(1, n + 1) ** (-1.0 / (exponent - 1.0))
+    ends = rng.choice(n, size=(n * average // 2, 2), p=weights / weights.sum())
+    ends = np.unique(np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1), axis=0)
+    return Graph.from_edge_array(n, ends)
+
+
+def bound_test_graph(kind: str, num_vertices: int, seed: int, isolated: int) -> Graph:
+    """One graph of the bound test's strategy, plus ``isolated`` degree-0 vertices."""
+    ring = [(i, (i + 1) % num_vertices) for i in range(num_vertices)]
+    if kind == "cycle":
+        graph = cycle(num_vertices)
+    elif kind == "isolated":
+        graph = Graph(num_vertices + 5, ring)
+    elif kind == "regular":
+        chords = [(i, (i + 2) % num_vertices) for i in range(num_vertices)]
+        graph = Graph(num_vertices, ring + chords)
+    elif kind == "star-clique":
+        graph = star_and_clique(10 * (1 + seed % 3) + 1)
+    elif kind == "chung-lu":
+        graph = chung_lu_graph(num_vertices, 2.5, 12, seed)
+    else:
+        graph = gnp_random_graph(num_vertices, 0.3, seed=seed)
+    return Graph.from_edge_array(graph.num_vertices + isolated, graph.edge_array())
+
+
+def hub_lanes(graph: Graph, sizes: list[int], dtype: type) -> np.ndarray:
+    """Per size ``k``, a lane on the exact path's targets at the ``k`` highest degrees, else 0.
+
+    Those ``k`` deviations are exactly 0 in ``dtype``, while the bound sees
+    each as ``|T̂_u − w_u/k|``: the exact path's rounding of a large target
+    is the whole of its ``k`` smallest sum.
+    """
+    n = graph.num_vertices
+    degrees = graph.degrees().astype(dtype)
+    hubs = np.argsort(-graph.degrees(), kind="stable")
+    lanes = np.zeros((n, len(sizes)))
+    for column, size in enumerate(sizes):
+        chosen = hubs[:size]
+        lanes[chosen, column] = degrees[chosen] / (graph.volume / n * size)
+    return lanes
+
+
+class TestCertificateBound:
+    """The banded certificate: sound bound, exact edge, and every input class."""
+
+    def test_band_graphs_hold_several_classes_per_band(self):
+        """The strategy's band-heavy graphs put classes ρ apart in one band."""
+        for graph in (star_and_clique(11), chung_lu_graph(48, 2.5, 12, 3)):
+            classes = np.unique(graph.degrees()).tolist()
+            bands = mixing_set_module._degree_bands(classes)
+            assert len(set(bands)) < len(classes)
+        classes = np.unique(star_and_clique(21).degrees()).tolist()
+        assert classes == [1, 20, 22]
+        assert mixing_set_module._degree_bands(classes) == [0, 1, 1]
+
+    # A hub's target rounded in float32: the bound needs the target-gap term.
+    @example(
+        graph_kind="chung-lu",
+        num_vertices=24,
+        graph_seed=0,
+        isolated=0,
+        distribution_kind="hubs",
+        dtype=np.float32,
+        initial_size=1,
+    )
     @given(
-        graph_kind=st.sampled_from(["random", "cycle", "isolated", "regular"]),
+        graph_kind=st.sampled_from(
+            ["random", "cycle", "isolated", "regular", "star-clique", "chung-lu"]
+        ),
         num_vertices=st.integers(8, 48),
         graph_seed=st.integers(0, 2**16),
-        distribution_kind=st.sampled_from(["random", "tie-heavy", "spiky"]),
+        isolated=st.sampled_from([0, 0, 1, 3]),
+        distribution_kind=st.sampled_from(["random", "tie-heavy", "spiky", "hubs"]),
         dtype=st.sampled_from([np.float64, np.float32]),
         initial_size=st.integers(1, 4),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_bound_never_exceeds_the_k_smallest_sum(
-        self, graph_kind, num_vertices, graph_seed, distribution_kind, dtype, initial_size
+        self,
+        graph_kind,
+        num_vertices,
+        graph_seed,
+        isolated,
+        distribution_kind,
+        dtype,
+        initial_size,
     ):
-        ring = [(i, (i + 1) % num_vertices) for i in range(num_vertices)]
-        if graph_kind == "cycle":
-            graph = cycle(num_vertices)
-        elif graph_kind == "isolated":
-            graph = Graph(num_vertices + 5, ring)
-        elif graph_kind == "regular":
-            chords = [(i, (i + 2) % num_vertices) for i in range(num_vertices)]
-            graph = Graph(num_vertices, ring + chords)
-        else:
-            graph = gnp_random_graph(num_vertices, 0.3, seed=graph_seed)
+        graph = bound_test_graph(graph_kind, num_vertices, graph_seed, isolated)
         assume(graph.num_edges > 0)
         n = graph.num_vertices
         if distribution_kind == "random":
             matrix = random_distribution_matrix(n, 3, graph_seed)
         elif distribution_kind == "tie-heavy":
             matrix = tie_heavy_distribution_matrix(n, 3, graph_seed)
+        elif distribution_kind == "hubs":
+            matrix = hub_lanes(graph, [initial_size, initial_size + 1, 2 * initial_size], dtype)
         else:
             matrix = np.zeros((n, 3))
             matrix[graph_seed % n, 0] = 1.0
@@ -707,7 +786,7 @@ class TestCertificateBound:
         assert counting_numpy.searchsorted_calls == 0
 
     def test_degree_zero_class_and_one_class_graphs_are_certified(self):
-        """Isolated vertices form a class with target 0; a cycle is one class."""
+        """Isolated vertices form a band with target 0; a cycle is one band."""
         for graph in (cycle_with_isolated_vertices(), cycle(30)):
             n = graph.num_vertices
             point = np.zeros(n)
@@ -722,36 +801,45 @@ class TestCertificateBound:
             )
 
 
-class TestPartitionTier:
-    """Graphs with too many degree classes reject from the partition estimate."""
+class TestManyDegreeClasses:
+    """Graphs with many degree classes are certified in few bands."""
 
-    @pytest.fixture(scope="class")
-    def dense(self) -> Graph:
-        # About 85 degree classes on 1024 vertices: above max(64, 1024 // 32).
-        return gnp_random_graph(1024, 0.5, seed=4)
+    @pytest.fixture(scope="class", params=["dense", "chung-lu"])
+    def graph(self, request) -> Graph:
+        # About 85 degree classes each on 1024 vertices: 3 and 37 bands.
+        if request.param == "dense":
+            return gnp_random_graph(1024, 0.5, seed=4)
+        return chung_lu_graph(1024, 2.5, 20, seed=13)
 
-    def test_many_classes_select_the_partition_tier(self, dense):
-        assert len(np.unique(dense.degrees())) > 64
-        assert BatchedMixingSetSearch(dense, initial_size=7)._certificate is None
-        n = 1024
-        ppm = planted_partition_graph(n, 4, 2 * math.log(n) ** 2 / n, 0.6 / n, seed=11).graph
-        assert BatchedMixingSetSearch(ppm, initial_size=7)._certificate is not None
+    def test_many_classes_fall_into_few_bands(self, graph):
+        classes = np.unique(graph.degrees()).tolist()
+        assert len(classes) > 50
+        bands = mixing_set_module._degree_bands(classes)
+        ratio = mixing_set_module._BAND_RATIO
+        assert bands[-1] + 1 <= math.log(classes[-1] / classes[0], ratio) + 2
+        starts = [bands.index(band) for band in range(bands[-1] + 1)]
+        for band, start in enumerate(starts):
+            members = [degree for degree, of in zip(classes, bands) if of == band]
+            assert members[-1] <= ratio * classes[start]
+            # A band ends only where the next class would exceed the ratio.
+            if start + len(members) < len(classes):
+                assert classes[start + len(members)] > ratio * classes[start]
 
     @pytest.mark.parametrize("stop_at_first_failure", [False, True])
-    def test_partition_tier_matches_the_oracle(self, dense, stop_at_first_failure, counting_numpy):
-        walk = BatchedWalkDistribution(dense, [0, 500])
+    def test_many_classes_match_the_oracle(self, graph, stop_at_first_failure, counting_numpy):
+        walk = BatchedWalkDistribution(graph, [0, 500])
         walk.step()
         matrix = np.column_stack([walk.probabilities(), random_distribution_matrix(1024, 2, 1)])
         search = BatchedMixingSetSearch(
-            dense, initial_size=7, stop_at_first_failure=stop_at_first_failure, workers=1
+            graph, initial_size=7, stop_at_first_failure=stop_at_first_failure, workers=1
         )
         results = search.largest_mixing_sets(matrix, 3)
         for lane, result in zip(matrix.T, results):
             assert result == oracle_largest_mixing_set(
-                dense, lane, 3, initial_size=7, stop_at_first_failure=stop_at_first_failure
+                graph, lane, 3, initial_size=7, stop_at_first_failure=stop_at_first_failure
             )
-        # One pass per visited size, and a second one per size that took
-        # the exact path below n.
+        # One pass per size that took the exact path: an argpartition below
+        # n, none at the top size n; certified sizes make no pass.
         descending = search.candidate_sizes[::-1]
         visited = sum(
             result.sizes_examined
@@ -759,9 +847,13 @@ class TestPartitionTier:
             else descending.index(result.size) + 1 if result.size else len(descending)
             for result in results
         )
-        assert counting_numpy.subtract_calls - counting_numpy.argpartition_calls == visited
-        assert counting_numpy.argpartition_calls < visited
-        assert counting_numpy.searchsorted_calls == counting_numpy.partition_calls == 0
+        top = sum(
+            result.sizes_examined == len(descending) if stop_at_first_failure else 1
+            for result in results
+        )
+        assert counting_numpy.subtract_calls - counting_numpy.argpartition_calls == top
+        assert counting_numpy.subtract_calls < visited
+        assert counting_numpy.partition_calls == 0
 
 
 class TestEquivalenceRandomDistributions:

@@ -11,13 +11,19 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import RunConfig, detect
 from repro.exceptions import (
     AlgorithmError,
@@ -25,7 +31,7 @@ from repro.exceptions import (
     DeadlineExpiredError,
     ServiceError,
 )
-from repro.graphs import planted_partition_graph, ppm_expected_conductance
+from repro.graphs import planted_partition_graph, ppm_expected_conductance, write_csr_graph
 from repro.service import DetectionService
 from repro.service_net import BackgroundServer, ServiceClient
 
@@ -376,3 +382,43 @@ class TestWireErrors:
                         client.detect(0)
             finally:
                 thread.join(timeout=30)
+
+
+class TestServeShutdown:
+    """``repro serve`` ends on SIGINT with exit status 0 after serving a request."""
+
+    RUNS = 5
+    GRACE_SECONDS = 20.0
+
+    def test_sigint_after_a_detect_exits_zero(self, ppm, tmp_path):
+        instance, _delta = ppm
+        graph_file = tmp_path / "ppm.csr"
+        write_csr_graph(instance.graph, graph_file)
+        source = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        argv = [
+            sys.executable, "-m", "repro", "serve", "--graph-file", str(graph_file),
+            "--executor", "thread", "--workers", "1", "--port", "0",
+        ]
+        for run in range(self.RUNS):
+            server = subprocess.Popen(
+                argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+            )
+            try:
+                banner = server.stdout.readline()
+                while banner and not banner.startswith("serving detections on"):
+                    banner = server.stdout.readline()
+                assert banner, f"run {run}: the server exited before serving"
+                port = int(banner.rsplit(":", 1)[1])
+                with ServiceClient("127.0.0.1", port) as client:
+                    report = client.detect(run)
+                assert report.detection.communities[0].seed == run
+                server.send_signal(signal.SIGINT)
+                out, err = server.communicate(timeout=self.GRACE_SECONDS)
+            finally:
+                if server.poll() is None:
+                    server.kill()
+                    server.communicate()
+            assert server.returncode == 0, f"run {run}: exit {server.returncode}: {err}"
+            assert "shutting down" in out
