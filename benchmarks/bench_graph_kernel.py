@@ -46,7 +46,10 @@ Measures, on a 1M-edge random graph:
 * **one-seed calls** — 16 single-seed calls on one resident session per
   tier (``session_one_seed_process_s`` / ``session_one_seed_thread_s``,
   best of 3); the process tier runs such a round on the calling thread, so
-  the two rows should match, and the replies must be identical;
+  the two rows should match, and the replies must be identical.  The same
+  calls on the thread tier without per-step traces
+  (``session_one_seed_nohistory_s``) are the service's shape, where the
+  length-1 search runs only for the walks that read it;
 * **coalescing service** — a stream of single-seed requests answered once
   by a serialized session loop (one full batched pass per request) and
   once through :class:`repro.DetectionService` at ``clients ∈ {1, 4, 16}``
@@ -462,6 +465,15 @@ def run_benchmark() -> dict[str, float]:
                 ]
 
             results[f"session_one_seed_{executor}_s"] = _best_of(one_seed_calls)
+    # The service's shape: the same calls without the per-step traces.
+    with DetectionSession(
+        process_ppm.graph,
+        config=RunConfig(workers=ONE_SEED_WORKERS, executor="thread", capture_history=False),
+        delta_hint=process_delta,
+    ) as history_free_session:
+        results["session_one_seed_nohistory_s"] = _best_of(
+            lambda: [history_free_session.detect(seeds=(vertex,)) for vertex in one_seed_stream]
+        )
     results["session_one_seed_identical"] = float(
         all(
             shipped.detection == local.detection
@@ -682,7 +694,8 @@ def print_workers_table(results: dict[str, float]) -> None:
         f"(workers={ONE_SEED_WORKERS}): "
         f"process {results['session_one_seed_process_s']:.4f}s, "
         f"thread {results['session_one_seed_thread_s']:.4f}s "
-        f"(identical={results['session_one_seed_identical']:.0f})"
+        f"(identical={results['session_one_seed_identical']:.0f}), "
+        f"thread without history {results['session_one_seed_nohistory_s']:.4f}s"
     )
     service_levels = ", ".join(
         f"x{clients} {results[f'service_clients{clients}_s']:.4f}s "

@@ -25,8 +25,9 @@ linear schedule, the first-failure scan, ``min_mass`` variants, lazy walks,
 tie-heavy inputs (cycles, regular graphs, quantized columns), isolated
 vertices, NaN columns, an edgeless graph, graphs with many degree classes
 (dense, heavy-tailed), a graph whose degree bands each hold several
-classes and a one-band graph of two classes.  A full ``--write`` takes
-about 40 s on one core.
+classes, a one-band graph of two classes, and history-off runs on every
+centralized tier (where the length-1 search runs only for the walks that
+read it).  A full ``--write`` takes about 40 s on one core.
 """
 
 from __future__ import annotations
@@ -145,15 +146,18 @@ def graphs():
     return built
 
 
+def run(graph, backend, params=None, delta=0.05, **config) -> Callable[[], object]:
+    """A configuration's call: one ``detect()`` and its canonical payload."""
+    from repro.api import RunConfig, detect
+
+    return lambda: report_payload(
+        detect(graph, backend, params=params, config=RunConfig(**config), delta_hint=delta)
+    )
+
+
 def detect_configs(built) -> Iterator[Config]:
     """``detect()`` runs over every CDRW backend and knob the engine reads."""
-    from repro.api import RunConfig, detect
     from repro.core import CDRWParameters
-
-    def run(graph, backend, params=None, delta=0.05, **config):
-        return lambda: report_payload(
-            detect(graph, backend, params=params, config=RunConfig(**config), delta_hint=delta)
-        )
 
     variants = {
         "default": None,
@@ -298,6 +302,39 @@ def detect_configs(built) -> Iterator[Config]:
             )
 
 
+def history_off_configs(built) -> Iterator[Config]:
+    """History-off runs on every centralized tier, where S_1 is read only on demand.
+
+    ``complete64`` finds S_2, so S_1 is searched late and reported;
+    ``regular128`` with a budget of 2 falls back to S_1, and with a budget
+    of 1 reads nothing but S_1.
+    """
+    from itertools import combinations
+
+    from repro.core import CDRWParameters
+    from repro.graphs import Graph, random_regular_graph
+
+    regular = random_regular_graph(128, 8, seed=3)
+    cases = {
+        "complete64": (Graph(64, list(combinations(range(64), 2))), None),
+        "regular128/max1": (regular, CDRWParameters(max_walk_length=1)),
+        "regular128/max2": (regular, CDRWParameters(max_walk_length=2)),
+        "ppm512r4/lazy": (built["ppm512r4"], CDRWParameters(lazy_walk=True)),
+    }
+    tiers = {
+        "scalar": ("scalar", {"seed": 3, "max_seeds": 3}),
+        "batched": ("batched", {"seed": 1, "max_seeds": 6, "batch_size": 4}),
+        "parallel": ("parallel", {"seed": 5, "num_communities": 4}),
+        "process": ("batched", {"seed": 10, "max_seeds": 8, "executor": "process", "workers": 2}),
+    }
+    for name, (graph, params) in cases.items():
+        for tier, (backend, config) in tiers.items():
+            yield (
+                f"history-off/{name}/{tier}",
+                run(graph, backend, params, capture_history=False, **config),
+            )
+
+
 def search_configs(built) -> Iterator[Config]:
     """Direct kernel calls on synthetic columns: ties, NaNs, both dtypes."""
     from repro.core import BatchedMixingSetSearch
@@ -355,7 +392,11 @@ def search_configs(built) -> Iterator[Config]:
 
 def configurations() -> list[Config]:
     built = graphs()
-    return list(detect_configs(built)) + list(search_configs(built))
+    return (
+        list(detect_configs(built))
+        + list(history_off_configs(built))
+        + list(search_configs(built))
+    )
 
 
 def write(path: str) -> None:

@@ -165,7 +165,10 @@ class RunConfig:
         build or pickle them — so each result's ``history`` is empty;
         the detected communities, walk lengths, stop reasons, δ and every
         cost total are unchanged (the stopping rule consumes each step's
-        mixing set directly, never the accumulated list).  The congest,
+        mixing set directly, never the accumulated list).  It also skips
+        reading the length-1 mixing set, which can never stop a walk: that
+        set is searched only for the walks whose length-2 set is found, or
+        that find no set after length 1 within the budget.  The congest,
         kmachine and baseline backends ignore the flag at run time (their
         native results carry no per-step traces to skip) but still honor
         it at serialization time.

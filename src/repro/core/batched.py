@@ -9,7 +9,8 @@ top of one :class:`~repro.randomwalk.batched.BatchedWalkDistribution` (one
 CSR sparse-matrix–matrix product per walk step instead of ``B``
 matrix–vector products).  The mixing-set search is batched as well: one
 :class:`~repro.core.mixing_set.BatchedMixingSetSearch` call per walk step
-evaluates every active column simultaneously, while the per-seed
+evaluates every active column simultaneously (length 1 is searched on
+demand, see below), while the per-seed
 :class:`~repro.core.stopping.GrowthStoppingRule` stays scalar and untouched.
 Walks whose detection stops early are dropped from the batch (``retain``),
 so a batch costs no more steps than its slowest member.
@@ -27,11 +28,28 @@ columns are bit-identical to scalar walks (see
 :mod:`repro.randomwalk.batched`), every ``CommunityResult`` is identical to
 the plain one-walk-per-seed loop of the paper — ``tests/cdrw_oracle.py``
 keeps that loop as the reference the identity suites compare against.
+
+The length-1 set is searched on demand
+--------------------------------------
+The stopping rule (Algorithm 1 line 18) compares ``|S_ℓ|`` with
+``|S_{ℓ−1}|`` only, so ``S_1`` can never stop a walk: it is read only as
+the predecessor of a found ``S_2``, or as the fallback of a walk that finds
+nothing later.  Unless every length is read (``capture_history`` or an
+``on_step`` callback), the loop steps to length 1 without searching, and
+searches ``S_1`` only for the walks whose ``S_2`` is found (fed to their
+rules before ``S_2``) and, once the budget ends, for the walks that found
+no set after length 1 (``max_walk_length`` 1 included).  Outputs are
+unchanged: ``observe(S_1)`` never stops (there is no previous set); after
+a not-found ``S_2`` the rule's state is the same either way (previous
+``S_2``, streak 0); and a stop reason is recorded only at the stopping
+length.  The ``p_1`` columns a late search reads are rebuilt from the
+seeds (:meth:`~repro.randomwalk.batched.BatchedWalkDistribution.first_step_columns`),
+bit-identical to the walk's own.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,7 +81,11 @@ def _detect_community_batch_impl(
     ``capture_history=False`` skips accumulating the per-step mixing-set
     traces (each result's ``history`` is empty); communities, walk lengths,
     stop reasons and δ are unchanged — the stopping rules consume each
-    step's mixing set directly, never the accumulated lists.
+    step's mixing set directly, never the accumulated lists.  Without
+    history or ``on_step`` the length-1 set is searched only for the walks
+    that read it: those whose length-2 set is found, and those that end
+    their budget with no set found after length 1 (see the module
+    docstring for why this is exact).  With either, every walk reads it.
 
     ``on_step(previous, currents)`` is called once per walk length after
     the search, with the ``(n, B)`` distribution *before* that step (a
@@ -106,14 +128,39 @@ def _detect_community_batch_impl(
         else None
     )
     active = list(range(num_seeds))  # walk column c holds seed index active[c]
+    # S_1 never stops a walk, so unless every length is read it is searched
+    # only for the lanes that read it: see the module docstring.
+    every_length_read = capture_history or on_step is not None
+
+    def read_first(columns: Sequence[int], firsts_at: np.ndarray) -> list[LargestMixingSet]:
+        """Search S_1 of the given walk columns (p_1 in ``firsts_at``) and observe it."""
+        firsts = search.largest_mixing_sets(firsts_at, 1)
+        for column, first in zip(columns, firsts):
+            index = active[column]
+            if capture_history:
+                histories[index].append(first)
+            if first.found:
+                last_found[index] = first
+            stoppings[index].observe(first)  # never stops: there is no previous set
+        return firsts
 
     for length in range(1, max_walk_length + 1):
         previous = walk.probabilities()
         walk.step()
+        if length == 1:
+            if every_length_read:
+                firsts = read_first(range(len(active)), walk.probabilities())
+                if on_step is not None:
+                    on_step(previous, firsts)
+            continue
         # One batched search per step evaluates every active column at once.
         currents = search.largest_mixing_sets(walk.probabilities(), length)
         if on_step is not None:
             on_step(previous, currents)
+        if length == 2 and not every_length_read:
+            readers = [column for column, current in enumerate(currents) if current.found]
+            if readers:
+                read_first(readers, walk.first_step_columns(readers))
         stopped_columns: set[int] = set()
         for column, index in enumerate(active):
             current = currents[column]
@@ -143,6 +190,12 @@ def _detect_community_batch_impl(
 
     # Budget exhausted without triggering the growth rule for the survivors:
     # fall back to the last mixing set found, or the seed alone (scalar rule).
+    # A lane with no found set after length 1 has not read S_1 yet when S_1
+    # is deferred, and S_1 may be its last found set.
+    if not every_length_read:
+        unread = [c for c, index in enumerate(active) if last_found[index] is None]
+        if unread:
+            read_first(unread, walk.first_step_columns(unread))
     if active and finals is not None:
         finals[:, active] = walk.columns(range(len(active)))
     for index in active:

@@ -20,10 +20,20 @@ exact equality step for step; the batched CDRW driver in
 :mod:`repro.core.batched` relies on it to reproduce the sequential
 algorithm's output exactly.
 
+The first step is a column
+--------------------------
+``p_1`` of a walk from ``s`` is the operator's column ``s``.  For the
+non-lazy ``A·D⁻¹`` that column is ``1/d(s)`` on the rows of ``N(s)`` and
+``+0.0`` elsewhere, and every row sum of the SpMV has exactly that one
+nonzero term, so the first step gathers it (a few microseconds a column
+instead of a full SpMV), bit-identically.  The lazy walk keeps the SpMV.
+:meth:`BatchedWalkDistribution.first_step_columns` rebuilds ``p_1`` the
+same way at any later length, so a detection loop never needs to keep it.
+
 Storage
 -------
-The distributions live in one C-contiguous ``(n, B)`` matrix and each step
-replaces it with ``operator @ matrix``: scipy reads a contiguous operand
+The distributions live in one C-contiguous ``(n, B)`` matrix and each later
+step replaces it with ``operator @ matrix``: scipy reads a contiguous operand
 without copying it, and the product is the next matrix.  The walk step is
 a small share of a detection (the mixing-set search dominates), so it runs
 on the calling thread; ``workers`` parallelises the search lanes only
@@ -57,6 +67,10 @@ def transition_operator(graph: Graph, lazy: bool = False) -> sp.csr_matrix:
 
 class BatchedWalkDistribution:
     """``B`` exact walk distributions advanced together, one SpMM per step.
+
+    The first step of the non-lazy walk is a gather of the operator's
+    columns at the sources rather than an SpMM (bit-identical; see the
+    module docstring).
 
     Parameters
     ----------
@@ -111,13 +125,13 @@ class BatchedWalkDistribution:
             self._operator: sp.csr_matrix = operator
         else:
             self._operator = transition_operator(graph, self._lazy)
-        self._matrix = self._one_hot()
+        self._matrix = self._one_hot(self._sources)
         self._steps = 0
 
-    def _one_hot(self) -> np.ndarray:
-        """The length-0 distributions: all of walk ``j``'s mass on ``sources[j]``."""
-        matrix = np.zeros((self._graph.num_vertices, len(self._sources)), dtype=np.float64)
-        matrix[list(self._sources), np.arange(len(self._sources))] = 1.0
+    def _one_hot(self, sources: Sequence[int]) -> np.ndarray:
+        """The length-0 distributions: all of column ``j``'s mass on ``sources[j]``."""
+        matrix = np.zeros((self._graph.num_vertices, len(sources)), dtype=np.float64)
+        matrix[list(sources), np.arange(len(sources))] = 1.0
         return matrix
 
     # ------------------------------------------------------------------
@@ -190,9 +204,49 @@ class BatchedWalkDistribution:
         if count < 0:
             raise RandomWalkError(f"cannot step a negative number of times: {count}")
         for _ in range(count):
-            self._matrix = self._operator @ self._matrix
+            if self._steps == 0:
+                self._matrix = self._first_step(self._sources)
+            else:
+                self._matrix = self._operator @ self._matrix
             self._steps += 1
         return self.probabilities()
+
+    def first_step_columns(self, walks: Sequence[int]) -> np.ndarray:
+        """Return the length-1 distributions ``p_1`` of the selected walks.
+
+        Column ``i`` is bit-identical to :meth:`column` of ``walks[i]`` after
+        the first step, whatever the current length: ``p_1`` depends only on
+        the walk's source, so it is rebuilt rather than kept.  The step
+        counter is unchanged.
+        """
+        indices = [int(w) for w in walks]
+        if indices and (min(indices) < 0 or max(indices) >= len(self._sources)):
+            raise RandomWalkError(
+                f"walk indices {walks!r} out of range for a batch of {len(self._sources)}"
+            )
+        matrix = self._first_step([self._sources[w] for w in indices])
+        matrix.flags.writeable = False
+        return matrix
+
+    def _first_step(self, sources: Sequence[int]) -> np.ndarray:
+        """``operator @ one_hot(sources)``, as the operator's columns when that is exact.
+
+        Column ``s`` of the non-lazy ``A·D⁻¹`` holds ``1/d(s)`` on the rows
+        of ``N(s)`` (row ``s``'s column indices, by symmetry).  Each row sum
+        of the product has that one nonzero term, plus ``+0.0`` products, so
+        the gather is bit-identical to the SpMV; an isolated source gives a
+        zero column.  The lazy operator keeps the SpMV.
+        """
+        if self._lazy:
+            return self._operator @ self._one_hot(sources)
+        indptr, indices = self._operator.indptr, self._operator.indices
+        degrees = self._graph.degrees()
+        matrix = np.zeros((self._graph.num_vertices, len(sources)), dtype=np.float64)
+        for column, source in enumerate(sources):
+            neighbours = indices[indptr[source] : indptr[source + 1]]
+            if neighbours.size:
+                matrix[neighbours, column] = 1.0 / float(degrees[source])
+        return matrix
 
     def run_to(self, length: int) -> np.ndarray:
         """Advance all walks until their length equals ``length`` (no rewinding)."""
@@ -204,7 +258,7 @@ class BatchedWalkDistribution:
 
     def restart(self) -> None:
         """Reset every walk to length 0 (all mass at its seed)."""
-        self._matrix = self._one_hot()
+        self._matrix = self._one_hot(self._sources)
         self._steps = 0
 
     # ------------------------------------------------------------------

@@ -361,7 +361,10 @@ class ServiceClient:
         if deadline is not None:
             message["deadline"] = float(deadline)
         response = self._roundtrip(message)
-        report = response["report"]
+        try:
+            report = response["report"]
+        except KeyError as error:
+            raise ServiceError(f"malformed detect reply: {response!r}") from error
         if not isinstance(report, dict):
             raise ServiceError(f"malformed detect reply: {response!r}")
         try:
@@ -371,7 +374,11 @@ class ServiceClient:
 
     def metrics(self) -> dict[str, Any]:
         """Fetch the service's metrics snapshot."""
-        metrics = self._roundtrip({"op": "metrics"})["metrics"]
+        response = self._roundtrip({"op": "metrics"})
+        try:
+            metrics = response["metrics"]
+        except KeyError as error:
+            raise ServiceError(f"malformed metrics reply: {response!r}") from error
         if not isinstance(metrics, dict):
             raise ServiceError("malformed metrics reply")
         return metrics
@@ -398,7 +405,10 @@ class ServiceClient:
             line = self._reader.readline()
         if not line:
             raise ServiceError("server closed the connection")
-        response = _decode_reply(line.decode("utf-8"))
+        try:
+            response = _decode_reply(line.decode("utf-8"))
+        except ValueError as error:  # a cut-off line, or bytes that are not UTF-8
+            raise ServiceError(f"malformed reply: {error}") from error
         if not isinstance(response, dict):
             raise ServiceError(f"malformed reply: {response!r}")
         if response.get("id") != ident:

@@ -10,6 +10,7 @@ import pytest
 from repro.exceptions import RandomWalkError
 from repro.graphs import Graph, planted_partition_graph
 from repro.randomwalk import BatchedWalkDistribution, WalkDistribution
+from repro.randomwalk.batched import transition_operator
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,25 @@ class TestEquivalence:
                     # (well inside the 1e-12 tolerance the equivalence spec
                     # requires).
                     assert np.array_equal(batched.column(j), walk.probabilities())
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_first_step_is_bit_identical_to_the_operator_product(self, ppm_graph, lazy):
+        # The last vertex is isolated; duplicate sources are separate walks.
+        n = ppm_graph.num_vertices + 1
+        graph = Graph.from_edge_array(n, ppm_graph.edge_array())
+        seeds = [0, 17, n - 1, 130, 17]
+        batched = BatchedWalkDistribution(graph, seeds, lazy=lazy)
+        expected = transition_operator(graph, lazy) @ batched.probabilities()
+        first = batched.step()
+        # Equal bytes: equal floats, and +0.0 wherever the product has it.
+        assert first.shape == expected.shape and first.tobytes() == expected.tobytes()
+        assert first[:, 2].sum() == (0.5 if lazy else 0.0)  # the isolated seed's column
+        batched.step(2)
+        selected = batched.first_step_columns([4, 2, 0])
+        assert selected.tobytes() == np.ascontiguousarray(expected[:, [4, 2, 0]]).tobytes()
+        assert batched.steps == 3 and not selected.flags.writeable
+        with pytest.raises(RandomWalkError):
+            batched.first_step_columns([5])
 
     def test_initial_state_is_indicator(self, two_cliques_graph):
         batched = BatchedWalkDistribution(two_cliques_graph, [2, 9])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import os
 import signal
 import socket
@@ -36,6 +37,10 @@ from repro.service import DetectionService
 from repro.service_net import BackgroundServer, ServiceClient
 
 PAYLOAD_KEYS = ("backend", "detection", "phase_costs", "total_cost", "artifacts", "params")
+
+
+DETECT = operator.methodcaller("detect", 0)
+METRICS = operator.methodcaller("metrics")
 
 
 def payload(report) -> dict:
@@ -382,6 +387,38 @@ class TestWireErrors:
                         client.detect(0)
             finally:
                 thread.join(timeout=30)
+
+    @pytest.mark.parametrize(
+        ("call", "reply", "cause"),
+        (
+            (DETECT, b'{"id": 0, "ok": true, "rep', json.JSONDecodeError),
+            (DETECT, b'{"id": 0, "ok": true, "report": "\xff"}\n', UnicodeDecodeError),
+            (DETECT, b'{"id": 0, "ok": true}\n', KeyError),
+            (METRICS, b'{"id": 0, "ok": true}\n', KeyError),
+        ),
+        ids=("truncated-line", "not-utf8", "detect-without-report", "metrics-without-metrics"),
+    )
+    def test_malformed_reply_raises_service_error(self, call, reply, cause):
+        """A reply the client cannot read is a ServiceError caused by the parse fault."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def answer_once() -> None:
+                connection, _address = listener.accept()
+                with connection, connection.makefile("rb") as reader:
+                    reader.readline()
+                    # The line is cut off when the reply has no newline:
+                    # the connection closes right after it.
+                    connection.sendall(reply)
+
+            thread = threading.Thread(target=answer_once)
+            thread.start()
+            try:
+                with ServiceClient(*listener.getsockname()) as client:
+                    with pytest.raises(ServiceError, match="malformed") as raised:
+                        call(client)
+            finally:
+                thread.join(timeout=30)
+        assert isinstance(raised.value.__cause__, cause)
 
 
 class TestServeShutdown:
