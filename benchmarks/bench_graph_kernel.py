@@ -44,12 +44,14 @@ Measures, on a 1M-edge random graph:
   :class:`repro.DetectionSession`, which broadcasts exactly once and keeps
   the pool and cached operators resident; answers are bit-identical;
 * **one-seed calls** — 16 single-seed calls on one resident session per
-  tier (``session_one_seed_process_s`` / ``session_one_seed_thread_s``,
-  best of 3); the process tier runs such a round on the calling thread, so
-  the two rows should match, and the replies must be identical.  The same
-  calls on the thread tier without per-step traces
-  (``session_one_seed_nohistory_s``) are the service's shape, where the
-  length-1 search runs only for the walks that read it;
+  tier (``session_one_seed_process_s`` / ``session_one_seed_thread_s``);
+  the process tier runs such a round on the calling thread, so the two
+  rows should match, and the replies must be identical.  The same calls on
+  the thread tier without per-step traces (``session_one_seed_nohistory_s``)
+  are the service's shape, where the length-1 search runs only for the
+  walks that read it.  Each row is the median of
+  ``ONE_SEED_ROUNDS`` rounds, and each round runs the three sequences back
+  to back, so a drift of the host's speed hits all three rows alike;
 * **coalescing service** — a stream of single-seed requests answered once
   by a serialized session loop (one full batched pass per request) and
   once through :class:`repro.DetectionService` at ``clients ∈ {1, 4, 16}``
@@ -77,11 +79,13 @@ guards still run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import functools
 import json
 import os
 import platform
+import statistics
 import tempfile
 import threading
 import time
@@ -170,6 +174,7 @@ SESSION_REQUIRED_SPEEDUP = 2.0
 # only the identity of the replies is gated.
 ONE_SEED_CALLS = 16
 ONE_SEED_WORKERS = 2
+ONE_SEED_ROUNDS = 7
 
 # The coalescing service amortises whole batched passes: N pending
 # single-seed requests become one detect_batch wave instead of N sequential
@@ -450,30 +455,34 @@ def run_benchmark() -> dict[str, float]:
     )
 
     # -- one-seed calls on a resident session, per tier -----------------
+    # The nohistory row is the service's shape: thread-tier calls without
+    # the per-step traces.
     one_seed_stream = process_seeds[:ONE_SEED_CALLS]
+    one_seed_configs = {
+        "process": RunConfig(workers=ONE_SEED_WORKERS, executor="process"),
+        "thread": RunConfig(workers=ONE_SEED_WORKERS, executor="thread"),
+        "nohistory": RunConfig(
+            workers=ONE_SEED_WORKERS, executor="thread", capture_history=False
+        ),
+    }
     one_seed_replies: dict[str, list[RunReport]] = {}
-    for executor in ("process", "thread"):
-        with DetectionSession(
-            process_ppm.graph,
-            config=RunConfig(workers=ONE_SEED_WORKERS, executor=executor),
-            delta_hint=process_delta,
-        ) as one_seed_session:
-
-            def one_seed_calls() -> None:
-                one_seed_replies[executor] = [
+    one_seed_times: dict[str, list[float]] = {row: [] for row in one_seed_configs}
+    with contextlib.ExitStack() as stack:
+        one_seed_sessions = {
+            row: stack.enter_context(
+                DetectionSession(process_ppm.graph, config=config, delta_hint=process_delta)
+            )
+            for row, config in one_seed_configs.items()
+        }
+        for _ in range(ONE_SEED_ROUNDS):
+            for row, one_seed_session in one_seed_sessions.items():
+                start = time.perf_counter()
+                one_seed_replies[row] = [
                     one_seed_session.detect(seeds=(vertex,)) for vertex in one_seed_stream
                 ]
-
-            results[f"session_one_seed_{executor}_s"] = _best_of(one_seed_calls)
-    # The service's shape: the same calls without the per-step traces.
-    with DetectionSession(
-        process_ppm.graph,
-        config=RunConfig(workers=ONE_SEED_WORKERS, executor="thread", capture_history=False),
-        delta_hint=process_delta,
-    ) as history_free_session:
-        results["session_one_seed_nohistory_s"] = _best_of(
-            lambda: [history_free_session.detect(seeds=(vertex,)) for vertex in one_seed_stream]
-        )
+                one_seed_times[row].append(time.perf_counter() - start)
+    for row, times in one_seed_times.items():
+        results[f"session_one_seed_{row}_s"] = statistics.median(times)
     results["session_one_seed_identical"] = float(
         all(
             shipped.detection == local.detection
@@ -826,6 +835,7 @@ def dump_json(results: dict[str, float], path: str) -> None:
             "session_seeds_per_call": SESSION_SEEDS_PER_CALL,
             "one_seed_calls": ONE_SEED_CALLS,
             "one_seed_workers": ONE_SEED_WORKERS,
+            "one_seed_rounds": ONE_SEED_ROUNDS,
             "service_requests": SERVICE_REQUESTS,
             "service_concurrency": list(SERVICE_CONCURRENCY),
         },

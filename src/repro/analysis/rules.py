@@ -530,8 +530,8 @@ class ExplicitDtypeRule(Rule):
     The equivalence suites pin kernels bit-for-bit across executors, so an
     allocation that silently inherits numpy's defaults (``float64`` today,
     platform-dependent for integer fills via ``np.full``) is an invariant
-    waiting to drift — e.g. a future ``dtype`` axis (the planned float32
-    walk) flipping a forgotten buffer.  Every ``np.zeros`` / ``np.empty`` /
+    waiting to drift — e.g. an integer fill that is ``int32`` on one
+    platform and ``int64`` on another.  Every ``np.zeros`` / ``np.empty`` /
     ``np.ones`` / ``np.full`` in the kernel packages states its dtype.
     """
 
@@ -539,8 +539,8 @@ class ExplicitDtypeRule(Rule):
     name = "explicit-dtype"
     summary = "np.zeros/empty/ones/full in kernel packages must pass dtype="
     history = (
-        "implicit float64 buffers are a dtype-axis drift waiting to happen; "
-        "pinned when the float32 search fast path landed in PR 3"
+        "implicit float64 buffers are a precision drift waiting to happen; "
+        "pinned when the search's exactness contract was first stated"
     )
     packages = (
         "randomwalk",

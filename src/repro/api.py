@@ -4,7 +4,7 @@ The CDRW algorithm has one definition but many executors — the scalar pool
 loop, the batched multi-seed executor, the parallel shared-walk variant, the
 CONGEST message-level simulation, the k-machine simulation, and the
 related-work baselines.  Historically each was its own entry point with its
-own ad-hoc signature of ``seed``/``workers``/``dtype``/``batch_size`` knobs.
+own ad-hoc signature of ``seed``/``workers``/``batch_size`` knobs.
 This module makes the executors *backends* behind a single stable surface:
 
 * a **registry** (:func:`register_backend` / :func:`get_backend` /
@@ -14,7 +14,7 @@ This module makes the executors *backends* behind a single stable surface:
   (distributed, GPU, streaming) is a registry entry instead of an eighth
   bespoke function;
 * a frozen :class:`RunConfig` dataclass unifying every *execution* knob (rng
-  seed, explicit seed vertices, ``workers``, ``dtype``, ``batch_size``, the
+  seed, explicit seed vertices, ``workers``, ``batch_size``, the
   seed-spreading policy, machine counts, capture flags) next to the existing
   *algorithmic* :class:`~repro.core.parameters.CDRWParameters`;
 * the :func:`detect` facade — ``detect(graph, backend="batched",
@@ -133,9 +133,6 @@ class RunConfig:
         is identical across tiers; the report fields that *describe* the run
         (``config``, wall-clock ``timings``, executor metadata) naturally
         name the tier that produced them.
-    dtype:
-        Precision of the batched mixing-set scan: ``"float64"`` (exact,
-        default) or ``"float32"`` (fast path, ≈-close only).
     num_communities:
         The community-count estimate ``r``: the number of simultaneously
         started seeds of the parallel backend, and the cluster count of the
@@ -185,7 +182,6 @@ class RunConfig:
     batch_size: int = 8
     workers: int | None = None
     executor: str | None = None
-    dtype: str = "float64"
     num_communities: int | None = None
     seed_min_distance: int = 2
     overlap_merge_threshold: float = 0.5
@@ -200,10 +196,6 @@ class RunConfig:
             object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if self.max_seeds is not None and self.max_seeds < 0:
             raise BackendError(f"max_seeds must be >= 0, got {self.max_seeds}")
-        if self.dtype not in ("float64", "float32"):
-            raise BackendError(
-                f"dtype must be 'float64' or 'float32', got {self.dtype!r}"
-            )
         if self.executor is not None and self.executor not in (
             EXECUTOR_THREAD,
             EXECUTOR_PROCESS,
@@ -228,7 +220,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
+        """Rebuild a config from :meth:`to_dict` output.
+
+        Keys this version does not know are dropped, except ``dtype``, which
+        reports written before 4.0.0 carry: such a report loads only if its
+        run scanned in float64, the one precision the search has.
+        """
+        dtype = data.get("dtype", "float64")
+        if dtype != "float64":
+            raise BackendError(
+                f"config dtype {dtype!r} is not supported: the search runs in float64 only"
+            )
         known = {f.name for f in fields(cls)}
         kwargs = {key: value for key, value in data.items() if key in known}
         if kwargs.get("seeds") is not None:
@@ -812,7 +814,6 @@ def _scalar_runner(
         config.with_overrides(
             batch_size=1,
             executor=EXECUTOR_THREAD,
-            dtype="float64",
             capture_distributions=False,
         ),
         delta_hint,
@@ -826,7 +827,6 @@ def _serve(
     params: CDRWParameters | None,
     config: RunConfig,
     delta_hint: float | None,
-    dtype: str,
     has_seeds: bool,
     body: Callable[[RoundRunner], _T],
 ) -> tuple[_T, dict[str, float], dict[str, object]]:
@@ -838,13 +838,11 @@ def _serve(
     ``session_*`` key.  See :meth:`repro.session.DetectionSession._serve`.
     """
     if session is not None:
-        return session._serve(params, config, delta_hint, dtype, has_seeds, body)
+        return session._serve(params, config, delta_hint, has_seeds, body)
     from .session import DetectionSession
 
     with DetectionSession(graph) as owned:
-        result, timings, extras = owned._serve(
-            params, config, delta_hint, dtype, has_seeds, body
-        )
+        result, timings, extras = owned._serve(params, config, delta_hint, has_seeds, body)
     extras = {key: value for key, value in extras.items() if not key.startswith("session_")}
     return result, timings, extras
 
@@ -889,9 +887,7 @@ def _batched_runner(
         )
 
     has_seeds = explicit is None or bool(explicit)
-    results, timings, extras = _serve(
-        graph, session, params, config, delta_hint, config.dtype, has_seeds, body
-    )
+    results, timings, extras = _serve(graph, session, params, config, delta_hint, has_seeds, body)
     artifacts: dict[str, object] = {}
     finals = None
     if config.capture_distributions:
@@ -953,15 +949,13 @@ def _parallel_runner(
             min_distance=config.seed_min_distance,
             seed=as_rng(config.seed),
         )[: config.max_seeds]
-    # Step 2: the detections as one round; the search always scans in
-    # float64 here.
+    # Step 2: the detections as one round.
     (raw_results, distributions), timings, extras = _serve(
         graph,
         session,
         params,
         config,
         delta_hint,
-        "float64",
         bool(spread),
         lambda run_round: run_round(spread, max(len(spread), 1), True),
     )

@@ -126,12 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO_EXECUTOR or thread; process = shared-memory worker pool)",
     )
     detect_parser.add_argument(
-        "--dtype",
-        choices=["float64", "float32"],
-        default="float64",
-        help="mixing-set scan precision of the batched backend",
-    )
-    detect_parser.add_argument(
         "--num-communities",
         type=int,
         default=None,
@@ -378,7 +372,6 @@ def _run_detect(arguments: argparse.Namespace) -> int:
             batch_size=arguments.batch_size,
             workers=arguments.workers,
             executor=arguments.executor,
-            dtype=arguments.dtype,
             num_communities=(
                 arguments.num_communities
                 if arguments.num_communities is not None

@@ -24,7 +24,7 @@ per-message objects).  The results are identical; tests assert it.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,43 +75,51 @@ def convergecast(
     network: CongestNetwork,
     tree: BFSResult,
     values: Sequence[float] | np.ndarray,
-    combine: Callable[[float, float], float],
+    combine: np.ufunc,
     kind: str = "convergecast",
     count_only: bool = True,
 ) -> float:
     """Fold per-vertex ``values`` up the tree and return the aggregate at the root.
 
-    ``combine`` must be associative and commutative (sum, min, max, ...).
-    Takes ``tree.depth()`` rounds and one message per tree edge.
+    ``combine`` is a binary NumPy ufunc (``np.add``, ``np.minimum``,
+    ``np.maximum``).  Takes ``tree.depth()`` rounds and one message per tree
+    edge.  From the deepest level up, each parent folds its children's
+    partial aggregates into its own value in ascending child id,
+    ``combine(combine(x, c₁), c₂)`` for children ``c₁ < c₂``.  Count-only
+    mode folds a whole level with one ``combine.at``, which applies its
+    updates in index order; the message-level mode folds each delivered
+    payload in send order.  The two agree bit for bit.
+
+    ``np.minimum`` / ``np.maximum`` propagate a NaN where Python's ``min`` /
+    ``max`` would depend on the argument order; every value the CONGEST
+    backend aggregates is finite.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (network.graph.num_vertices,):
+    if not isinstance(combine, np.ufunc) or combine.nin != 2:
+        raise SimulationError(f"combine must be a binary numpy ufunc, got {combine!r}")
+    # A copy: the fold writes each parent's partial aggregate in place.
+    partial = np.array(values, dtype=np.float64)
+    if partial.shape != (network.graph.num_vertices,):
         raise SimulationError(
-            f"values has shape {values.shape}, expected ({network.graph.num_vertices},)"
+            f"values has shape {partial.shape}, expected ({network.graph.num_vertices},)"
         )
-    levels = tree.levels
-    # Indexed by vertex; only reached vertices are ever read.
-    partial = values.tolist()
-    parents = tree.parents.tolist()
+    folds = tree.fold_levels
 
     if count_only:
-        network.charge_rounds(max(0, len(levels) - 1))
+        network.charge_rounds(len(folds))
         network.charge_messages(kind, tree_edge_count(tree))
-        for level in reversed(levels[1:]):
-            for vertex in level:
-                parent = parents[vertex]
-                partial[parent] = combine(partial[parent], partial[vertex])
-        return partial[tree.root]
+        for vertices, parents in folds:
+            combine.at(partial, parents, partial[vertices])
+        return float(partial[tree.root])
 
-    for level in reversed(levels[1:]):
+    for vertices, parents in folds:
         network.begin_round()
-        for vertex in level:
-            network.send(vertex, parents[vertex], kind, payload=partial[vertex])
+        for vertex, parent in zip(vertices.tolist(), parents.tolist()):
+            network.send(vertex, parent, kind, payload=float(partial[vertex]))
         delivered = network.end_round()
         for receiver, messages in delivered.items():
             for message in messages:
-                partial[receiver] = combine(partial[receiver], float(message.payload))
-    return partial[tree.root]
+                partial[receiver] = combine(partial[receiver], message.payload)
+    return float(partial[tree.root])
 
 
 def select_k_smallest(
@@ -182,8 +190,8 @@ def select_k_smallest(
     scale = (spread if spread > 0 else 1.0) * 1e-9 / max(len(reached), 1)
     perturbed = values + perturbation * scale
 
-    convergecast(network, tree, perturbed, combine=min, kind=kind, count_only=False)
-    convergecast(network, tree, perturbed, combine=max, kind=kind, count_only=False)
+    convergecast(network, tree, perturbed, combine=np.minimum, kind=kind, count_only=False)
+    convergecast(network, tree, perturbed, combine=np.maximum, kind=kind, count_only=False)
     low = float(perturbed[reached].min())
     high = float(perturbed[reached].max())
     iterations = 0
@@ -193,11 +201,7 @@ def select_k_smallest(
         pivot = (low + high) / 2.0
         broadcast(network, tree, payload=pivot, kind=kind, count_only=False)
         below = np.where(perturbed <= pivot, 1.0, 0.0)
-        count = int(
-            convergecast(
-                network, tree, below, combine=lambda a, b: a + b, kind=kind, count_only=False
-            )
-        )
+        count = int(convergecast(network, tree, below, combine=np.add, kind=kind, count_only=False))
         if count == k:
             break
         if count < k:
@@ -208,7 +212,5 @@ def select_k_smallest(
     broadcast(network, tree, payload=high, kind=kind, count_only=False)
     indicator = np.zeros(network.graph.num_vertices, dtype=np.float64)
     indicator[selected] = values[selected]
-    convergecast(
-        network, tree, indicator, combine=lambda a, b: a + b, kind=kind, count_only=False
-    )
+    convergecast(network, tree, indicator, combine=np.add, kind=kind, count_only=False)
     return selected, selected_sum, max(1, iterations)

@@ -157,7 +157,7 @@ def detect_community_congest(
             mass_values = np.zeros(graph.num_vertices, dtype=np.float64)
             mass_values[selected] = distribution[selected]
             mass = convergecast(
-                network, tree, mass_values, combine=lambda a, b: a + b,
+                network, tree, mass_values, combine=np.add,
                 kind="mass", count_only=count_only,
             )
             if deficit < threshold and mass >= min_mass:

@@ -44,28 +44,28 @@ deviations ``≤ τ``.
   bound every size of a run of :data:`_CERTIFICATE_RUN` consecutive sizes
   at the pivots ``τ ∈ {1.5, 4}·margin/k``.  A graph has at most about
   ``log_ρ(d_max/d_min) + 2`` bands, whatever its number of classes.
-* **The rounding slack.**  The size is rejected when some pivot's computed
-  bound is at least ``margin + slack``: ``margin`` is
-  :func:`_rejection_margin` (``threshold·(1+γ)/(1−γ)``,
-  ``γ = (k−1)·u/(1−(k−1)·u)``, ``u`` the scan dtype's unit roundoff) and
-  ``slack = 2(γ₁ + 4ε)(kτ + 4nW) + 2(γ₂ + 4ε)(4S + 4)R
+* **The rounding slack.**  Every quantity — the lane, the exact path and
+  the certificate — is a float64, with unit roundoff ``u = 2⁻⁵³`` and
+  ``γ_j = j·u/(1 − j·u)``.  The size is rejected when some pivot's
+  computed bound is at least ``margin + slack``: ``margin`` is
+  :func:`_rejection_margin` (``threshold·(1+γ)/(1−γ)``, ``γ = γ_(k−1)``)
+  and ``slack = 2(γ₁ + 4ε)(kτ + 4nW) + 2(γ₂ + 4ε)(4S + 4)R
   + 2(η + δ)(kτ + 2SR) + 8u·margin`` with ``ε = 2^(c−52)``,
-  ``γ₁ = γ_(3G+5)`` and ``γ₂ = γ_(n+3G+5)`` in float64, ``G`` bands,
+  ``γ₁ = γ_(3G+5)``, ``γ₂ = γ_(n+3G+5)``, ``G`` bands,
   ``S = Σ_g w_g`` (1 for the degree-0 band), ``R`` the sum of the lane's
   truncated ``r`` and ``W`` the sum of the bound's ``|w_g/k ∓ τ|`` and
-  ``2w_g/k`` weights.  The ``γ`` terms cover the float64 prefix sums,
-  products and sums; the ``ε`` terms cover the truncated keys and values
-  (a vertex within ``ε`` of a window edge or of ``1/k``).  The two band
-  terms: ``η = γ₃ + ε`` (float64) covers ``r̂ = p·(2m/(n·d))`` rounded
-  and truncated, which moves each ``z_u`` by at most ``η·p_u`` and
-  ``L_k(τ)`` by at most ``η‖p‖₁``, with
-  ``‖p‖₁ ≤ ρ·max_g w_g·R/(1 − η) ≤ 2SR``; ``δ = γ₅`` in the scan dtype
+  ``2w_g/k`` weights.  The ``γ`` terms cover the prefix sums, products
+  and sums; the ``ε`` terms cover the truncated keys and values (a vertex
+  within ``ε`` of a window edge or of ``1/k``).  The two band terms:
+  ``η = γ₃ + ε`` covers ``r̂ = p·(2m/(n·d))`` rounded and truncated, which
+  moves each ``z_u`` by at most ``η·p_u`` and ``L_k(τ)`` by at most
+  ``η‖p‖₁``, with ``‖p‖₁ ≤ ρ·max_g w_g·R/(1 − η) ≤ 2SR``; ``δ = γ₅``
   bounds the gap ``|T̂_u − w_u/k| ≤ δ·w_u/k`` between the exact path's
   rounded target ``T̂_u`` and ``w_u/k``.  The factor 2 covers the slack's
   own evaluation, and ``8u·margin`` the underflow of a subnormal ``r̂``
   (under ``2^−1070`` per vertex).
-* **The proof.**  Let ``y_u = |p_u − T̂_u|`` be the real deviations of the
-  scan dtype's ``p`` and ``T̂``.  Since ``w_u/k ≤ p_u + |p_u − w_u/k|``,
+* **The proof.**  Let ``y_u = |p_u − T̂_u|`` be the real deviations of
+  ``p`` and ``T̂``.  Since ``w_u/k ≤ p_u + |p_u − w_u/k|``,
   each ``y_u ≥ (1 − δ)·|p_u − w_u/k| − δ·p_u ≥ (1 − δ)·z_u − δ·p_u``, and
   ``L_k(τ) ≤ kτ``, so the ``k`` smallest ``y_u`` sum to at least
   ``L_k(τ) − δ·kτ − (η + δ)·‖p‖₁`` for ``L_k(τ)`` taken over the truncated
@@ -103,7 +103,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from numpy.typing import DTypeLike
 
 from ..exceptions import AlgorithmError
 from ..execution import parallel_map_blocks, resolve_workers
@@ -174,26 +173,25 @@ def deviation_values(graph: Graph, distribution: np.ndarray, subset_size: int) -
 
 
 @functools.lru_cache(maxsize=4096)
-def _rejection_margin(threshold: float, size: int, dtype: np.dtype) -> np.floating:
-    """The smallest ``dtype`` value that certifies a size's rejection.
+def _rejection_margin(threshold: float, size: int) -> float:
+    """The smallest float64 that certifies a size's rejection.
 
-    Any two sums of the same ``size`` non-negative ``dtype`` values, in any
+    Any two sums of the same ``size`` non-negative float64 values, in any
     order, lie within ``γ = (size−1)·u / (1 − (size−1)·u)`` of their exact
-    sum (``u`` is the unit roundoff: 2⁻⁵³ for float64, 2⁻²⁴ for float32).
-    So an order-free estimate ``ŝ ≥ threshold·(1+γ)/(1−γ)`` implies that
-    the id-order sum is ``≥ threshold`` as well.  The margin
+    sum (``u = 2⁻⁵³`` is the unit roundoff).  So an order-free estimate
+    ``ŝ ≥ threshold·(1+γ)/(1−γ)`` implies that the id-order sum is
+    ``≥ threshold`` as well.  The margin
     ``threshold·(1+γ)/(1−γ) = threshold / (1 − 2·(size−1)·u)`` is evaluated
-    exactly and rounded up to ``dtype``; it is infinite (nothing is ever
-    certified) where ``(size−1)·u ≥ 1/2``.
+    exactly and rounded up; it is infinite (nothing is ever certified)
+    where ``(size−1)·u ≥ 1/2``.
     """
-    kind = dtype.type
-    slack = 2 * (size - 1) * Fraction(1, 2 ** (np.finfo(kind).nmant + 1))
+    slack = 2 * (size - 1) * Fraction(1, 2**53)
     if slack >= 1:
-        return kind(np.inf)
+        return math.inf
     exact = Fraction(threshold) / (1 - slack)
-    margin = kind(float(exact))
-    while Fraction(float(margin)) < exact:
-        margin = np.nextafter(margin, kind(np.inf))
+    margin = float(exact)
+    while Fraction(margin) < exact:
+        margin = math.nextafter(margin, math.inf)
     return margin
 
 
@@ -216,9 +214,13 @@ _BAND_RATIO = 1.1
 _INFINITY_BITS = 0x7FF0000000000000
 
 
-def _gamma(count: int, unit: float = 2.0**-53) -> float:
-    """``γ_count = count·u / (1 − count·u)`` for the unit roundoff ``u`` (float64's by default)."""
-    return count * unit / (1.0 - count * unit)
+#: ``u``: the float64 unit roundoff.
+_UNIT = 2.0**-53
+
+
+def _gamma(count: int) -> float:
+    """``γ_count = count·u / (1 − count·u)``."""
+    return count * _UNIT / (1.0 - count * _UNIT)
 
 
 def _degree_bands(classes: list[int]) -> list[int]:
@@ -282,9 +284,7 @@ class _RejectionCertificate:
     docstring states the bound, its rounding slack and its proof).
     """
 
-    def __init__(
-        self, degrees: np.ndarray, scan: list[tuple[int, np.floating]], dtype: np.dtype
-    ) -> None:
+    def __init__(self, degrees: np.ndarray, scan: list[tuple[int, float]]) -> None:
         n = len(degrees)
         volume = int(degrees.sum())
         classes, class_of = np.unique(degrees, return_inverse=True)
@@ -314,10 +314,9 @@ class _RejectionCertificate:
         truncation = 2.0 ** (self._band_bits - 52)
         positions_gamma = _gamma(3 * width + 5) + 4 * truncation
         prefix_gamma = _gamma(n + 3 * width + 5) + 4 * truncation
-        unit = float(np.finfo(dtype).eps) / 2
         # The two terms a band adds: p/w rounded (η) and the exact path's
         # rounded target against w/k (δ).
-        drift = _gamma(3) + truncation + _gamma(5, unit)
+        drift = _gamma(3) + truncation + _gamma(5)
         total_scale = float(scales.sum())
         self._mass_slack = 2 * prefix_gamma * (4 * total_scale + 4) + 4 * drift * total_scale
         pivot_scales = np.array(_PIVOT_SCALES)
@@ -328,14 +327,14 @@ class _RejectionCertificate:
         positions = [
             index
             for index, (size, margin) in enumerate(scan)
-            if size < n and np.isfinite(margin)
+            if size < n and math.isfinite(margin)
         ]
         self.runs: list[_CertificateRun] = []
         for start in range(0, len(positions), _CERTIFICATE_RUN):
             run = positions[start : start + _CERTIFICATE_RUN]
             length = len(run)
             sizes = np.array([scan[index][0] for index in run], dtype=np.float64)
-            margins = np.array([float(scan[index][1]) for index in run])
+            margins = np.array([scan[index][1] for index in run])
             # (J, R) pivots; (R, G) centres; (J, R, G) window edges in p/w.
             pivots = pivot_scales[:, None] * margins / sizes
             centres = centred / sizes[:, None]
@@ -381,7 +380,7 @@ class _RejectionCertificate:
             slack = (
                 2 * positions_gamma * (pivot_totals + 4 * n * spread)
                 + 2 * drift * pivot_totals
-                + 8 * unit * margins
+                + 8 * _UNIT * margins
             )
             self.runs.append(
                 _CertificateRun(
@@ -398,7 +397,6 @@ class _RejectionCertificate:
 
     def order(self, lane: np.ndarray) -> _LaneOrder | None:
         """Sort one lane by (band, ``p/w``); ``None`` unless it is all finite and non-negative."""
-        # float64 either way: a float32 lane widens exactly.
         keys = (lane * self._inverse_weights).view(np.int64)
         keys >>= self._band_bits
         keys |= self._band_keys
@@ -485,16 +483,6 @@ class BatchedMixingSetSearch:
     pool (:mod:`repro.execution`) by contiguous lane ranges.  Every lane's
     results are computed from that lane's row alone, so the per-column
     guarantee holds for every ``workers`` value.
-
-    float32 fast path
-    -----------------
-    ``dtype=np.float32`` halves the memory traffic of the deviation scan —
-    the knob for searches that are bandwidth-bound, not precision-bound.  It
-    is explicitly **not** float64-exact: deviations, deficits and masses are
-    computed in single precision (then widened for the threshold
-    comparisons), so reported floats are only ≈-close to the float64 path
-    and argpartition near-ties may select different members.  Tests assert
-    closeness, never equality, against float64.
     """
 
     def __init__(
@@ -508,7 +496,6 @@ class BatchedMixingSetSearch:
         min_mass: float | None = None,
         *,
         workers: int | None = None,
-        dtype: DTypeLike = np.float64,
     ) -> None:
         if initial_size < 1:
             raise AlgorithmError(f"initial size must be >= 1, got {initial_size}")
@@ -534,11 +521,6 @@ class BatchedMixingSetSearch:
             self._sizes = linear_sizes(initial, graph.num_vertices)
         else:
             raise AlgorithmError(f"unknown schedule: {schedule!r}")
-        self._dtype = np.dtype(dtype)
-        if self._dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise AlgorithmError(
-                f"batched search dtype must be float64 or float32, got {dtype!r}"
-            )
         self._graph = graph
         self._threshold = mixing_threshold
         self._min_mass = min_mass
@@ -547,16 +529,16 @@ class BatchedMixingSetSearch:
         # Per-graph constants, hoisted out of the size loop.  The average
         # volume is computed as (volume/n)·size — the same float sequence as
         # deviation_values — so targets stay bit-identical to it.
-        self._degrees = graph.degrees().astype(self._dtype)
+        self._degrees = graph.degrees().astype(np.float64)
         self._volume_per_vertex = graph.volume / graph.num_vertices
         self._rejection_margins = [
-            _rejection_margin(mixing_threshold, size, self._dtype) for size in self._sizes
+            _rejection_margin(mixing_threshold, size) for size in self._sizes
         ]
         # The scan order: ascending to the first failure, else descending.
         self._scan = list(zip(self._sizes, self._rejection_margins))
         if not self._stop_at_first_failure:
             self._scan.reverse()
-        self._certificate = _RejectionCertificate(graph.degrees(), self._scan, self._dtype)
+        self._certificate = _RejectionCertificate(graph.degrees(), self._scan)
 
     @property
     def candidate_sizes(self) -> list[int]:
@@ -568,11 +550,6 @@ class BatchedMixingSetSearch:
         """The resolved thread count used by the lane-blocked scan."""
         return self._workers
 
-    @property
-    def dtype(self) -> np.dtype:
-        """The scan precision (float64 exact path or float32 fast path)."""
-        return self._dtype
-
     @classmethod
     def from_parameters(
         cls,
@@ -580,7 +557,6 @@ class BatchedMixingSetSearch:
         parameters: "CDRWParameters",
         initial_size: int,
         workers: int | None = None,
-        dtype: DTypeLike = np.float64,
     ) -> "BatchedMixingSetSearch":
         """Build a search from a :class:`CDRWParameters` instance."""
         return cls(
@@ -592,7 +568,6 @@ class BatchedMixingSetSearch:
             stop_at_first_failure=parameters.stop_at_first_failure,
             min_mass=parameters.min_mass,
             workers=workers,
-            dtype=dtype,
         )
 
     def largest_mixing_sets(
@@ -636,9 +611,8 @@ class BatchedMixingSetSearch:
         if width == 0:
             return []
         # One distribution per row: each lane is contiguous in memory.  The
-        # transpose changes layout only, never a lane's value sequence; the
-        # float32 fast path casts here, in the same pass.
-        rows = np.ascontiguousarray(matrix.T, dtype=self._dtype)
+        # transpose changes layout only, never a lane's value sequence.
+        rows = np.ascontiguousarray(matrix.T)
 
         def scan_lanes(lane_start: int, lane_stop: int) -> list[LargestMixingSet]:
             # Worker task: every lane's result depends only on its own row.
@@ -654,7 +628,7 @@ class BatchedMixingSetSearch:
     def _scan_lane(
         self, lane: np.ndarray, walk_length: int, targets: dict[int, np.ndarray]
     ) -> LargestMixingSet:
-        """Scan the candidate schedule for one lane (a row in the scan dtype).
+        """Scan the candidate schedule for one lane (one row of the transposed matrix).
 
         The lane retires at its first accepted size on the default
         descending scan, or at its first failing size on the ascending

@@ -15,7 +15,7 @@ Each derived field is built on first use and then kept.  Two consequences:
   edgeless graph is meaningless);
 * the process tier's parent process resolves :attr:`Prepared.delta` and
   ships it resolved to the workers, each of which keeps its own
-  :class:`Prepared` for the ``(parameters, δ, dtype)`` it last saw; the
+  :class:`Prepared` for the ``(parameters, δ)`` it last saw; the
   parent builds the operator and the search only for a round it runs on
   its own thread (one seed, or a one-worker pool).
 
@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
 import scipy.sparse as sp
 
 from ..graphs.graph import Graph
@@ -59,15 +58,12 @@ class Prepared:
     workers:
         Thread count of the mixing-set search's lanes (``None`` → the
         ``REPRO_WORKERS`` default).
-    dtype:
-        Precision of the mixing-set scan; only ``"float64"`` is exact.
     """
 
     graph: Graph
     parameters: CDRWParameters = field(default_factory=CDRWParameters)
     delta_hint: float | None = None
     workers: int | None = None
-    dtype: str = "float64"
 
     @cached_property
     def delta(self) -> float:
@@ -96,5 +92,4 @@ class Prepared:
             self.parameters,
             self.parameters.resolve_initial_size(self.graph),
             workers=self.workers,
-            dtype=np.dtype(self.dtype),
         )

@@ -32,7 +32,7 @@ The design has three parts:
   so results cannot depend on scheduling.  The parent resolves δ once per
   call and ships it resolved (``resolve_delta`` is idempotent on its own
   output); each worker keeps one :class:`~repro.core.prepared.Prepared` for
-  the ``(parameters, δ, dtype)`` it last saw, so consecutive shards of one
+  the ``(parameters, δ)`` it last saw, so consecutive shards of one
   call or one session reuse its transition operator and search.
 
 Worker processes run the batched kernels with ``workers=1`` — process-level
@@ -153,7 +153,6 @@ class _ShardTask:
     parameters: CDRWParameters | None
     delta_hint: float | None
     capture_distributions: bool
-    dtype: str
     capture_history: bool = True
 
 
@@ -164,7 +163,7 @@ class _ShardResult:
     seconds: float
 
 
-#: The worker's :class:`Prepared` for the ``(parameters, δ, dtype)`` of its
+#: The worker's :class:`Prepared` for the ``(parameters, δ)`` of its
 #: last shard; consecutive shards with the same knobs reuse its operator and
 #: search instead of rebuilding them.
 _worker_prepared: Prepared | None = None
@@ -177,11 +176,9 @@ def _run_shard(task: _ShardTask) -> _ShardResult:
     start = time.perf_counter()
     parameters = task.parameters or CDRWParameters()
     prepared = _worker_prepared
-    knobs = (parameters, task.delta_hint, task.dtype)
-    if prepared is None or (prepared.parameters, prepared.delta_hint, prepared.dtype) != knobs:
-        prepared = Prepared(
-            _worker_attachment.graph, parameters, task.delta_hint, 1, task.dtype
-        )
+    knobs = (parameters, task.delta_hint)
+    if prepared is None or (prepared.parameters, prepared.delta_hint) != knobs:
+        prepared = Prepared(_worker_attachment.graph, parameters, task.delta_hint, 1)
         _worker_prepared = prepared
     results, finals = _detect_community_batch_impl(
         prepared,
@@ -232,7 +229,6 @@ class ProcessGraphPool:
         *,
         batch_size: int,
         capture_distributions: bool = False,
-        dtype: str = "float64",
         capture_history: bool = True,
     ) -> tuple[list[CommunityResult], np.ndarray | None]:
         """Detect every seed in ``seeds``, split across the worker processes.
@@ -270,7 +266,6 @@ class ProcessGraphPool:
                 parameters=parameters,
                 delta_hint=delta_hint,
                 capture_distributions=capture_distributions,
-                dtype=dtype,
                 capture_history=capture_history,
             )
             futures.append(self._executor.submit(_run_shard, task))

@@ -84,6 +84,19 @@ class BFSResult:
             tuple(ordered[start:stop]) for start, stop in zip([0] + bounds[:-1], bounds)
         )
 
+    @cached_property
+    def fold_levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``(vertices, their parents)`` per level below the root, deepest first.
+
+        The int arrays a convergecast folds up the tree, one level at a
+        time; built once per tree.
+        """
+        folds = []
+        for level in reversed(self.levels[1:]):
+            vertices = np.array(level, dtype=np.int64)
+            folds.append((vertices, self.parents[vertices]))
+        return tuple(folds)
+
     def subtree_order(self) -> list[int]:
         """Return the reached vertices in non-decreasing distance order.
 

@@ -25,7 +25,7 @@ otherwise dwarf the per-call work.
   ``process_tasks`` 0 and no ``shard_<i>_seconds`` key.  The pool forks
   its workers only on the first round it is sent.
 * **One prepared context per knob set.**  Calls with the same parameters,
-  δ hint, worker count and dtype share one
+  δ hint and worker count share one
   :class:`~repro.core.prepared.Prepared` (``session_prepared_reused``), so
   the spectral δ estimate, the operator and the search are built at most
   once.  All of them are deterministic functions of the graph and the
@@ -140,7 +140,7 @@ class DetectionSession:
         # when nested: _busy, then _state_lock.
         self._state_lock = threading.Lock()
         self._closed = False  # repro: guarded-by(_state_lock)
-        # One prepared context per (params, hint, workers, dtype).
+        # One prepared context per (params, hint, workers).
         self._prepared: dict[tuple[object, ...], Prepared] = {}  # repro: guarded-by(_busy)
         self._stationary: np.ndarray | None = None  # repro: guarded-by(_busy)
         # Process-tier residents.
@@ -304,7 +304,6 @@ class DetectionSession:
         params: CDRWParameters,
         delta_hint: float | None,
         workers: int | None,
-        dtype: str,
     ) -> tuple[Prepared, bool]:
         """The call's :class:`Prepared`, one per knob set, and whether it was cached.
 
@@ -313,11 +312,11 @@ class DetectionSession:
         every field is a deterministic function of the key, so reuse
         reproduces a fresh call exactly.
         """
-        key = (params, delta_hint, workers, dtype)
+        key = (params, delta_hint, workers)
         prepared = self._prepared.get(key)
         if prepared is not None:
             return prepared, True
-        prepared = Prepared(self.graph, params, delta_hint, workers, dtype)
+        prepared = Prepared(self.graph, params, delta_hint, workers)
         self._prepared[key] = prepared
         return prepared, False
 
@@ -364,7 +363,6 @@ class DetectionSession:
         params: CDRWParameters | None,
         config: RunConfig,
         delta_hint: float | None,
-        dtype: str,
         has_seeds: bool,
         body: Callable[[RoundRunner], T],
     ) -> tuple[T, dict[str, float], dict[str, object]]:
@@ -393,7 +391,6 @@ class DetectionSession:
                 params or CDRWParameters(),
                 delta_hint,
                 1 if process else config.workers,
-                dtype,
             )
             extras: dict[str, object] = {"executor": executor}
             timings: dict[str, float] = {}
@@ -473,8 +470,8 @@ def _run_on_pool(
     one-worker pool — runs on the calling thread instead: shipping it would
     only add the pickling, the pipe round trip and a worker wake-up while
     this thread waits.  Per-seed results are pure functions of (graph,
-    parameters, δ, dtype), and ``prepared`` holds the same δ and dtype the
-    workers get, so the answer is the same; such a round issues no task.
+    parameters, δ), and ``prepared`` holds the same δ the workers get, so
+    the answer is the same; such a round issues no task.
     """
     if len(seeds) <= 1 or pool.workers == 1:
         return _run_inline(
@@ -487,7 +484,6 @@ def _run_on_pool(
             delta,
             batch_size=batch_size,
             capture_distributions=capture_distributions,
-            dtype=prepared.dtype,
             capture_history=capture_history,
         )
     except BrokenProcessPool as error:

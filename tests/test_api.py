@@ -110,9 +110,21 @@ class TestRegistry:
 
 
 class TestRunConfig:
-    def test_rejects_unknown_dtype(self):
-        with pytest.raises(BackendError, match="float64"):
-            RunConfig(dtype="float16")
+    @pytest.mark.parametrize("dtype", ["float32", "float16"])
+    def test_rejects_unknown_dtype(self, dtype):
+        # A report of a run in another precision must not load as float64.
+        data = {**RunConfig(seed=5).to_dict(), "dtype": dtype}
+        with pytest.raises(BackendError, match=f"'{dtype}'"):
+            RunConfig.from_dict(data)
+
+    def test_dtype_is_not_a_field(self):
+        with pytest.raises(TypeError, match="dtype"):
+            RunConfig(dtype="float64")
+
+    def test_loads_float64_dtype_of_old_reports(self):
+        data = {**RunConfig(seed=5, seeds=(1, 2)).to_dict(), "dtype": "float64"}
+        assert RunConfig.from_dict(data) == RunConfig(seed=5, seeds=(1, 2))
+        assert "dtype" not in RunConfig().to_dict()
 
     def test_seeds_normalised_to_ints(self):
         config = RunConfig(seeds=np.asarray([3, 1, 4], dtype=np.int32))
@@ -136,7 +148,7 @@ class TestRunConfig:
         assert config.batch_size == 8  # original untouched
 
     def test_round_trips_through_dict(self):
-        config = RunConfig(seed=5, seeds=(1, 2), num_communities=3, dtype="float32")
+        config = RunConfig(seed=5, seeds=(1, 2), num_communities=3, capture_history=False)
         assert RunConfig.from_dict(config.to_dict()) == config
 
     def test_generator_seed_serializes_as_none(self):

@@ -40,13 +40,8 @@ def oracle_largest_mixing_set(
     schedule: str = "geometric",
     stop_at_first_failure: bool = False,
     min_mass: float | None = None,
-    dtype: type = np.float64,
 ) -> LargestMixingSet:
-    """The search of Algorithm 1 lines 12-17, one size at a time on a 1-D vector.
-
-    ``dtype`` is the scan precision: values are cast to it once and every
-    deviation and sum stays in it, as in the kernel.
-    """
+    """The search of Algorithm 1 lines 12-17, one size at a time on a 1-D vector."""
     n = graph.num_vertices
     initial = min(initial_size, n)
     sizes = (
@@ -56,8 +51,8 @@ def oracle_largest_mixing_set(
     )
     if min_mass is None:
         min_mass = max(0.0, 1.0 - 2.0 * mixing_threshold)
-    distribution = np.ascontiguousarray(distribution, dtype=dtype)
-    degrees = graph.degrees().astype(dtype)
+    distribution = np.ascontiguousarray(distribution, dtype=np.float64)
+    degrees = graph.degrees().astype(np.float64)
     best = LargestMixingSet(walk_length, 0, frozenset(), 0.0, 0.0, 0)
     examined = 0
     for size in sizes:
@@ -383,49 +378,45 @@ class TestCertifiedRejectionEdge:
     SIZE = 8
     N = 40
 
-    def id_order_sum(self, graph: Graph, lane: np.ndarray, dtype: type) -> float:
-        """The oracle's deficit of ``lane`` at :attr:`SIZE`, in ``dtype``."""
-        lane = lane.astype(dtype)
-        targets = graph.degrees().astype(dtype) / (graph.volume / self.N * self.SIZE)
+    def id_order_sum(self, graph: Graph, lane: np.ndarray) -> float:
+        """The oracle's deficit of ``lane`` at :attr:`SIZE`."""
+        targets = graph.degrees() / (graph.volume / self.N * self.SIZE)
         deviations = np.abs(lane - targets)
         chosen = np.sort(np.argpartition(deviations, self.SIZE - 1)[: self.SIZE])
         return float(deviations[chosen].sum())
 
-    def lanes_around_threshold(self, graph: Graph, dtype: type) -> list[np.ndarray]:
+    def lanes_around_threshold(self, graph: Graph) -> list[np.ndarray]:
         """The last lane summing below the threshold, then the first two at or above it."""
-        up, down = dtype(np.inf), dtype(-np.inf)
         spread = np.linspace(0.5, 1.5, self.SIZE)  # distinct, untied deviations
-        lane = np.zeros(self.N, dtype=dtype)
+        lane = np.zeros(self.N)
         lane[: self.SIZE] = 1.0 / self.SIZE + MIXING_THRESHOLD / self.SIZE * spread
-        while self.id_order_sum(graph, lane, dtype) >= MIXING_THRESHOLD:
-            lane[0] = np.nextafter(lane[0], down)
-        while self.id_order_sum(graph, lane, dtype) < MIXING_THRESHOLD:
-            lane[0] = np.nextafter(lane[0], up)
+        while self.id_order_sum(graph, lane) >= MIXING_THRESHOLD:
+            lane[0] = np.nextafter(lane[0], -np.inf)
+        while self.id_order_sum(graph, lane) < MIXING_THRESHOLD:
+            lane[0] = np.nextafter(lane[0], np.inf)
         below, above = lane.copy(), lane.copy()
-        below[0] = np.nextafter(lane[0], down)
-        above[0] = np.nextafter(lane[0], up)
+        below[0] = np.nextafter(lane[0], -np.inf)
+        above[0] = np.nextafter(lane[0], np.inf)
         return [below, lane, above]
 
     @pytest.mark.parametrize("stop_at_first_failure", [False, True])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_lanes_at_the_threshold_take_the_exact_path(
-        self, dtype, stop_at_first_failure, counting_numpy
+        self, stop_at_first_failure, counting_numpy
     ):
         graph = cycle(self.N)
-        edge = self.lanes_around_threshold(graph, dtype)
-        sums = [self.id_order_sum(graph, lane, dtype) for lane in edge]
+        edge = self.lanes_around_threshold(graph)
+        sums = [self.id_order_sum(graph, lane) for lane in edge]
         assert sums[0] < MIXING_THRESHOLD <= sums[1] < sums[2]
-        ulp = float(np.spacing(dtype(MIXING_THRESHOLD)))
+        ulp = float(np.spacing(MIXING_THRESHOLD))
         assert all(abs(total - MIXING_THRESHOLD) <= 4 * ulp for total in sums)
         nan_lane = np.full(self.N, np.nan)
         far_lane = np.zeros(self.N)  # every deviation 1/8: certified at size 8
-        matrix = np.column_stack(edge + [nan_lane, far_lane]).astype(np.float64)
+        matrix = np.column_stack(edge + [nan_lane, far_lane])
         kwargs = dict(
             initial_size=self.SIZE,
             growth_factor=10.0,
             min_mass=0.0,
             stop_at_first_failure=stop_at_first_failure,
-            dtype=dtype,
         )
         search = BatchedMixingSetSearch(graph, workers=1, **kwargs)
         assert search.candidate_sizes == [self.SIZE, self.N]
@@ -440,23 +431,19 @@ class TestCertifiedRejectionEdge:
         assert counting_numpy.searchsorted_calls == 4
         assert counting_numpy.argpartition_calls == 4
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("size", [1, 2, 8, 4096, 2**20, 2**23])
-    def test_margin_is_the_smallest_value_above_the_bound(self, dtype, size):
-        unit = Fraction(1, 2 ** (np.finfo(dtype).nmant + 1))
-        terms = (size - 1) * unit
-        margin = mixing_set_module._rejection_margin(MIXING_THRESHOLD, size, np.dtype(dtype))
-        assert type(margin) is dtype
+    @pytest.mark.parametrize("size", [1, 2, 8, 4096, 2**20, 2**23, 2**30, 2**40, 2**52])
+    def test_margin_is_the_smallest_value_above_the_bound(self, size):
+        terms = (size - 1) * Fraction(1, 2**53)
+        margin = mixing_set_module._rejection_margin(MIXING_THRESHOLD, size)
+        assert type(margin) is float
         gamma = terms / (1 - terms)
         bound = Fraction(MIXING_THRESHOLD) * (1 + gamma) / (1 - gamma)
-        assert Fraction(float(margin)) >= bound
-        assert Fraction(float(np.nextafter(margin, dtype(-np.inf)))) < bound
+        assert Fraction(margin) >= bound
+        assert Fraction(math.nextafter(margin, -math.inf)) < bound
 
     def test_margin_is_infinite_where_the_bound_fails(self):
-        margin = mixing_set_module._rejection_margin(
-            MIXING_THRESHOLD, 2**23 + 1, np.dtype(np.float32)
-        )
-        assert margin == np.inf
+        assert mixing_set_module._rejection_margin(MIXING_THRESHOLD, 2**52) < math.inf
+        assert mixing_set_module._rejection_margin(MIXING_THRESHOLD, 2**52 + 1) == math.inf
 
 
 class TestCertifiedScanCounts:
@@ -525,24 +512,22 @@ class TestCertifiedScanCounts:
         assert counting_numpy.argpartition_calls == 0
 
 
-def k_smallest_sum(graph: Graph, lane: np.ndarray, size: int, dtype: type) -> float:
+def k_smallest_sum(graph: Graph, lane: np.ndarray, size: int) -> float:
     """The exact sum of the ``size`` smallest deviations the exact path forms.
 
     A lexsort by (deviation, id) orders the deviations, and ``math.fsum``
     adds the first ``size`` of them without rounding.
     """
-    lane = lane.astype(dtype)
-    targets = graph.degrees().astype(dtype) / (graph.volume / graph.num_vertices * size)
+    targets = graph.degrees() / (graph.volume / graph.num_vertices * size)
     deviations = np.abs(lane - targets)
     order = np.lexsort((np.arange(graph.num_vertices), deviations))
     return math.fsum(deviations[order[:size]].tolist())
 
 
-def oracle_accepts_deficit(graph: Graph, lane: np.ndarray, size: int, dtype: type) -> bool:
+def oracle_accepts_deficit(graph: Graph, lane: np.ndarray, size: int) -> bool:
     """Whether the oracle's id-order deficit at ``size`` is below the threshold."""
-    lane = lane.astype(dtype)
     n = graph.num_vertices
-    deviations = np.abs(lane - graph.degrees().astype(dtype) / (graph.volume / n * size))
+    deviations = np.abs(lane - graph.degrees() / (graph.volume / n * size))
     chosen = np.sort(np.argpartition(deviations, size - 1)[:size])
     return bool(float(deviations[chosen].sum()) < MIXING_THRESHOLD)
 
@@ -550,7 +535,7 @@ def oracle_accepts_deficit(graph: Graph, lane: np.ndarray, size: int, dtype: typ
 def certificate_table(search: BatchedMixingSetSearch, lane: np.ndarray):
     """``(size, margin, best bound, slack, verdict)`` per certified size of ``lane``."""
     certificate = search._certificate
-    order = certificate.order(lane.astype(search.dtype))
+    order = certificate.order(lane)
     rows = []
     for index, slot in enumerate(certificate.slots):
         if slot is None:
@@ -562,7 +547,7 @@ def certificate_table(search: BatchedMixingSetSearch, lane: np.ndarray):
         rows.append(
             (
                 size,
-                float(margin),
+                margin,
                 float(bounds[best, offset]),
                 float(needs[best, offset]) - float(margin),
                 bool((bounds[:, offset] >= needs[:, offset]).any()),
@@ -613,15 +598,15 @@ def bound_test_graph(kind: str, num_vertices: int, seed: int, isolated: int) -> 
     return Graph.from_edge_array(graph.num_vertices + isolated, graph.edge_array())
 
 
-def hub_lanes(graph: Graph, sizes: list[int], dtype: type) -> np.ndarray:
+def hub_lanes(graph: Graph, sizes: list[int]) -> np.ndarray:
     """Per size ``k``, a lane on the exact path's targets at the ``k`` highest degrees, else 0.
 
-    Those ``k`` deviations are exactly 0 in ``dtype``, while the bound sees
+    Those ``k`` deviations are exactly 0, while the bound sees
     each as ``|T̂_u − w_u/k|``: the exact path's rounding of a large target
     is the whole of its ``k`` smallest sum.
     """
     n = graph.num_vertices
-    degrees = graph.degrees().astype(dtype)
+    degrees = graph.degrees().astype(np.float64)
     hubs = np.argsort(-graph.degrees(), kind="stable")
     lanes = np.zeros((n, len(sizes)))
     for column, size in enumerate(sizes):
@@ -643,16 +628,6 @@ class TestCertificateBound:
         assert classes == [1, 20, 22]
         assert mixing_set_module._degree_bands(classes) == [0, 1, 1]
 
-    # A hub's target rounded in float32: the bound needs the target-gap term.
-    @example(
-        graph_kind="chung-lu",
-        num_vertices=24,
-        graph_seed=0,
-        isolated=0,
-        distribution_kind="hubs",
-        dtype=np.float32,
-        initial_size=1,
-    )
     @given(
         graph_kind=st.sampled_from(
             ["random", "cycle", "isolated", "regular", "star-clique", "chung-lu"]
@@ -661,7 +636,6 @@ class TestCertificateBound:
         graph_seed=st.integers(0, 2**16),
         isolated=st.sampled_from([0, 0, 1, 3]),
         distribution_kind=st.sampled_from(["random", "tie-heavy", "spiky", "hubs"]),
-        dtype=st.sampled_from([np.float64, np.float32]),
         initial_size=st.integers(1, 4),
     )
     @settings(max_examples=100, deadline=None)
@@ -672,7 +646,6 @@ class TestCertificateBound:
         graph_seed,
         isolated,
         distribution_kind,
-        dtype,
         initial_size,
     ):
         graph = bound_test_graph(graph_kind, num_vertices, graph_seed, isolated)
@@ -683,28 +656,26 @@ class TestCertificateBound:
         elif distribution_kind == "tie-heavy":
             matrix = tie_heavy_distribution_matrix(n, 3, graph_seed)
         elif distribution_kind == "hubs":
-            matrix = hub_lanes(graph, [initial_size, initial_size + 1, 2 * initial_size], dtype)
+            matrix = hub_lanes(graph, [initial_size, initial_size + 1, 2 * initial_size])
         else:
             matrix = np.zeros((n, 3))
             matrix[graph_seed % n, 0] = 1.0
             matrix[:, 1] = graph.degrees() / graph.volume
             matrix[: n // 2, 2] = 2.0 / n
         search = BatchedMixingSetSearch(
-            graph, initial_size=initial_size, schedule="linear", min_mass=0.0, dtype=dtype
+            graph, initial_size=initial_size, schedule="linear", min_mass=0.0
         )
-        unit = float(np.finfo(dtype).eps) / 2
         for lane in matrix.T:
             for size, _margin, bound, slack, verdict in certificate_table(search, lane):
-                exact = k_smallest_sum(graph, lane, size, dtype)
-                assert bound - slack <= exact * (1 + 2 * unit)
+                exact = k_smallest_sum(graph, lane, size)
+                assert bound - slack <= exact * (1 + 2 * mixing_set_module._UNIT)
                 if verdict:
-                    assert not oracle_accepts_deficit(graph, lane, size, dtype)
+                    assert not oracle_accepts_deficit(graph, lane, size)
         assert_matches_oracle(
-            graph, matrix, initial_size=initial_size, schedule="linear", min_mass=0.0, dtype=dtype
+            graph, matrix, initial_size=initial_size, schedule="linear", min_mass=0.0
         )
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_verdict_flips_within_a_few_ulps_of_the_need(self, dtype, counting_numpy):
+    def test_verdict_flips_within_a_few_ulps_of_the_need(self, counting_numpy):
         """Eight deviations inside every pivot's window: the bound is their sum.
 
         On a 40-cycle at size 8 (schedule [8, 40]), vertices 0-7 sit just
@@ -714,12 +685,12 @@ class TestCertificateBound:
         time across the value the bound must reach.
         """
         graph, size, n = cycle(40), 8, 40
-        kwargs = dict(initial_size=size, growth_factor=10.0, min_mass=0.0, dtype=dtype)
+        kwargs = dict(initial_size=size, growth_factor=10.0, min_mass=0.0)
         search = BatchedMixingSetSearch(graph, workers=1, **kwargs)
         assert search.candidate_sizes == [size, n]
-        up, down = dtype(np.inf), dtype(-np.inf)
-        lane = np.zeros(n, dtype=dtype)
-        lane[:size] = dtype(0.125) + dtype(0.0229) * np.linspace(0.9, 1.1, size).astype(dtype)
+        up, down = np.inf, -np.inf
+        lane = np.zeros(n)
+        lane[:size] = 0.125 + 0.0229 * np.linspace(0.9, 1.1, size)
 
         def verdict(values):
             ((_, margin, bound, slack, certified),) = certificate_table(search, values)
@@ -728,7 +699,7 @@ class TestCertificateBound:
         # Move vertex 0 so the eight deviations sum to the need, then walk
         # it to the first representable value the certificate accepts.
         _, bound, need = verdict(lane)
-        lane[0] = dtype(float(lane[0]) + (need - bound))
+        lane[0] += need - bound
         while verdict(lane)[0]:
             lane[0] = np.nextafter(lane[0], down)
         while not verdict(lane)[0]:
@@ -749,7 +720,7 @@ class TestCertificateBound:
         _, bound, need = verdict(sweep[4])
         step = float(np.spacing(sweep[4][0]))
         assert 0.0 <= bound - need <= max(2 * step, 4 * float(np.spacing(float(n))))
-        matrix = np.column_stack(sweep).astype(np.float64)
+        matrix = np.column_stack(sweep)
         results = search.largest_mixing_sets(matrix, 1)
         for column, result in zip(matrix.T, results):
             assert result == oracle_largest_mixing_set(graph, column, 1, **kwargs)

@@ -168,7 +168,7 @@ class TestAggregation:
         network = CongestNetwork(two_cliques_graph)
         tree = bfs_tree(two_cliques_graph, 0)
         values = np.arange(10, dtype=float)
-        total = convergecast(network, tree, values, combine=lambda a, b: a + b)
+        total = convergecast(network, tree, values, combine=np.add)
         assert total == pytest.approx(values.sum())
 
     def test_convergecast_message_level_same_value_and_cost(self, two_cliques_graph):
@@ -176,8 +176,8 @@ class TestAggregation:
         values = np.arange(10, dtype=float)
         fast = CongestNetwork(two_cliques_graph)
         slow = CongestNetwork(two_cliques_graph)
-        a = convergecast(fast, tree, values, combine=max, count_only=True)
-        b = convergecast(slow, tree, values, combine=max, count_only=False)
+        a = convergecast(fast, tree, values, combine=np.maximum, count_only=True)
+        b = convergecast(slow, tree, values, combine=np.maximum, count_only=False)
         assert a == b == 9.0
         assert fast.rounds == slow.rounds
         assert fast.messages == slow.messages
@@ -193,7 +193,42 @@ class TestAggregation:
         network = CongestNetwork(two_cliques_graph)
         tree = bfs_tree(two_cliques_graph, 0)
         with pytest.raises(SimulationError):
-            convergecast(network, tree, np.zeros(3), combine=max)
+            convergecast(network, tree, np.zeros(3), combine=np.maximum)
+
+    def test_convergecast_combine_must_be_a_binary_ufunc(self, two_cliques_graph):
+        network = CongestNetwork(two_cliques_graph)
+        tree = bfs_tree(two_cliques_graph, 0)
+        for combine in (max, lambda a, b: a + b, np.negative):
+            with pytest.raises(SimulationError, match="binary numpy ufunc"):
+                convergecast(network, tree, np.zeros(10), combine=combine)
+
+    @pytest.mark.parametrize(
+        "combine, fold",
+        [(np.add, lambda a, b: a + b), (np.minimum, min), (np.maximum, max)],
+        ids=["add", "minimum", "maximum"],
+    )
+    def test_convergecast_is_the_level_order_left_fold_bit_for_bit(self, combine, fold):
+        # Three levels under the root; every parent has many children.  On
+        # this draw, folding each level's children in descending id changes
+        # the root's sum.
+        rng = np.random.default_rng(4)
+        hubs, middle, leaves = range(1, 9), range(9, 201), range(201, 600)
+        edges = [(0, hub) for hub in hubs]
+        edges += [(int(rng.choice(hubs)), vertex) for vertex in middle]
+        edges += [(int(rng.choice(middle)), vertex) for vertex in leaves]
+        graph = Graph(600, edges)
+        tree = bfs_tree(graph, 0)
+        values = 10.0 ** rng.uniform(-300, 3, graph.num_vertices)
+        # The oracle: each parent folds its children in ascending id, one
+        # level at a time from the deepest, in Python floats.
+        partial = values.tolist()
+        parents = tree.parents.tolist()
+        for level in reversed(tree.levels[1:]):
+            for vertex in level:
+                partial[parents[vertex]] = fold(partial[parents[vertex]], partial[vertex])
+        fast = convergecast(CongestNetwork(graph), tree, values, combine, count_only=True)
+        slow = convergecast(CongestNetwork(graph), tree, values, combine, count_only=False)
+        assert fast.hex() == slow.hex() == partial[tree.root].hex()
 
     def test_select_k_smallest_matches_sort(self, small_gnp_graph):
         network = CongestNetwork(small_gnp_graph)

@@ -5,9 +5,7 @@ The contract under test is the one the threaded search is built on
 time, never a single output bit.  The batched mixing-set search, batched
 detection and parallel detection are therefore asserted **bit-identical**
 across ``workers ∈ {1, 2, 4}`` and against their scalar references (for the
-search: the width-1 call the scalar backend makes, column by column); the
-float32 fast path of the search — explicitly outside the exactness
-guarantee — is asserted ≈-close instead.
+search: the width-1 call the scalar backend makes, column by column).
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from repro.core import (
     parallel_map_blocks,
     resolve_workers,
 )
-from repro.exceptions import AlgorithmError, ReproError
+from repro.exceptions import ReproError
 from repro.execution import WORKERS_ENV_VAR
 from repro.graphs import Graph, planted_partition_graph, ppm_expected_conductance
 from repro.randomwalk import BatchedWalkDistribution
@@ -163,33 +161,14 @@ class TestThreadedSearchInvariance:
                 f"workers={workers} diverged from the width-1 search"
             )
 
-    def test_float32_fast_path_is_close_not_exact(self, search_case):
-        graph, distributions = search_case
-        initial = log_size(graph.num_vertices)
-        exact = BatchedMixingSetSearch(graph, initial_size=initial)
-        fast = BatchedMixingSetSearch(
-            graph, initial_size=initial, workers=2, dtype=np.float32
-        )
-        assert fast.dtype == np.dtype(np.float32)
-        exact_results = exact.largest_mixing_sets(distributions, 6)
-        fast_results = fast.largest_mixing_sets(distributions, 6)
-        for fast_result, exact_result in zip(fast_results, exact_results):
-            assert fast_result.sizes_examined == exact_result.sizes_examined
-            assert np.isclose(fast_result.deficit, exact_result.deficit, rtol=1e-4, atol=1e-5)
-            assert np.isclose(fast_result.mass, exact_result.mass, rtol=1e-4, atol=1e-5)
-
-    def test_float32_width_one_uses_batched_precision(self, search_case):
-        graph, distributions = search_case
-        initial = log_size(graph.num_vertices)
-        fast = BatchedMixingSetSearch(graph, initial_size=initial, dtype=np.float32)
-        wide = fast.largest_mixing_sets(distributions[:, :2], 6)[0]
-        narrow = fast.largest_mixing_sets(distributions[:, :1], 6)[0]
-        assert narrow == wide
-
     def test_rejects_unknown_dtype(self, search_case):
+        # The scan runs in float64 only: a precision argument is refused,
+        # never silently ignored.
         graph, _ = search_case
-        with pytest.raises(AlgorithmError, match="float64 or float32"):
-            BatchedMixingSetSearch(graph, initial_size=4, dtype=np.int32)
+        with pytest.raises(TypeError, match="dtype"):
+            BatchedMixingSetSearch(graph, initial_size=4, dtype=np.float32)
+        with pytest.raises(TypeError, match="dtype"):
+            BatchedMixingSetSearch.from_parameters(graph, dtype=np.float32)
 
 
 class TestThreadedDetectionInvariance:

@@ -237,6 +237,15 @@ class TestReportingAndCli:
         assert captured.out == ""
         assert captured.err == "repro detect: max_seeds must be >= 0, got -1\n"
 
+    def test_cli_detect_dtype_flag_is_gone_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["detect", "--n", "64", "--dtype", "float32"])
+        captured = capsys.readouterr()
+        assert raised.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --dtype float32" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_cli_seed_accepted_after_subcommand(self, capsys):
         """`repro detect --seed 5` used to die with 'unrecognized arguments'."""
         exit_code = main(["detect", "--seed", "5", "--n", "128", "--blocks", "2"])

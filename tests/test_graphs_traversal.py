@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import GraphError
@@ -50,6 +51,18 @@ class TestBfs:
         assert result.levels == tuple(tuple(level) for level in expected)
         assert result.levels is result.levels  # built once per tree
         assert result.subtree_order() == [v for level in expected for v in level]
+
+    @pytest.mark.parametrize("max_depth", [None, 0, 2])
+    def test_fold_levels_pair_each_level_with_its_parents(self, max_depth):
+        graph = gnp_random_graph(60, 0.06, seed=2)
+        result = bfs_tree(graph, 0, max_depth=max_depth)
+        folds = result.fold_levels
+        assert len(folds) == result.depth()
+        for (vertices, parents), level in zip(folds, reversed(result.levels[1:])):
+            assert vertices.tolist() == list(level)
+            assert parents.tolist() == [int(result.parents[v]) for v in level]
+            assert vertices.dtype == parents.dtype == np.int64
+        assert result.fold_levels is folds  # built once per tree
 
     def test_unreachable_vertices(self):
         graph = Graph(4, [(0, 1)])

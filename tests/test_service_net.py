@@ -388,6 +388,32 @@ class TestWireErrors:
             finally:
                 thread.join(timeout=30)
 
+    def test_report_of_another_precision_raises_service_error(self, ppm):
+        """A report whose config ran in float32 is refused, not read as float64."""
+        instance, delta = ppm
+        report = detect(
+            instance.graph, "batched", config=RunConfig(seeds=(0,)), delta_hint=delta
+        ).to_dict()
+        report["config"]["dtype"] = "float32"
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def answer_once() -> None:
+                connection, _address = listener.accept()
+                with connection, connection.makefile("rb") as reader:
+                    request = json.loads(reader.readline())
+                    reply = {"id": request["id"], "ok": True, "report": report}
+                    connection.sendall(json.dumps(reply).encode("utf-8") + b"\n")
+
+            thread = threading.Thread(target=answer_once)
+            thread.start()
+            try:
+                with ServiceClient(*listener.getsockname()) as client:
+                    with pytest.raises(ServiceError, match="'float32'") as raised:
+                        client.detect(0)
+            finally:
+                thread.join(timeout=30)
+        assert isinstance(raised.value.__cause__, BackendError)
+
     @pytest.mark.parametrize(
         ("call", "reply", "cause"),
         (
