@@ -27,10 +27,6 @@ Measures, on a 1M-edge random graph:
 * **parallel detection** — the ``"parallel"`` backend (one shared
   batched walk + conflict resolution) against the pre-port scalar per-seed
   loop over the same spread seeds, at ``r ∈ {1, 8, 64}`` on an 8-block PPM;
-* **worker scaling** — the B=64 batched mixing-set search at
-  ``workers ∈ {1, 2, 4}`` threads (the multi-core execution layer of
-  :mod:`repro.execution`; results are bit-identical at every worker count,
-  only the wall clock moves);
 * **process executor** — a 32-seed batched detection through the facade on
   the serial in-process path against the shared-memory process tier
   (:mod:`repro.execution_process`) at ``workers ∈ {1, 2, 4}`` processes;
@@ -68,11 +64,9 @@ the 64-column batched search and 64-seed parallel detection faster than
 their scalar loops, and identical detections on the process tier, the
 memmapped file, the resident session (one broadcast), the one-seed calls
 of both tiers and the service (fewer waves than requests).  On hosts with
-at least two cores the threaded search must beat its ``workers=1`` timing
-by ≥ 1.3×; on hosts with at least four cores the process tier must beat
-the serial facade by ≥ 1.5×, the resident session the per-call setup loop
-by ≥ 2×, and the service at 16 concurrent clients the serialized session
-loop by ≥ 2×.  Smaller hosts skip those scaling guards, and the identity
+at least four cores the process tier must beat the serial facade by
+≥ 1.5×, the resident session the per-call setup loop by ≥ 2×, and the
+service at 16 concurrent clients the serialized session loop by ≥ 2×.  Smaller hosts skip those scaling guards, and the identity
 guards still run.
 """
 
@@ -145,8 +139,6 @@ HEAVY_SEARCH_AVERAGE_DEGREE = 40
 PARALLEL_VERTICES = 2_048
 PARALLEL_BLOCKS = 8
 BATCH_WIDTHS = (1, 8, 64)
-WORKER_COUNTS = (1, 2, 4)
-THREADED_REQUIRED_SPEEDUP = 1.3
 
 # The process tier pays pool start-up and result pickling, so it is measured
 # on a full multi-seed detection (where the per-seed work dwarfs both) and
@@ -301,21 +293,6 @@ def run_benchmark() -> dict[str, float]:
             results[f"search{width}_scalar_s"] / results[f"search{width}_batched_s"]
         )
 
-    # -- worker scaling: threaded B=64 mixing-set search ----------------
-    widest = np.ascontiguousarray(distributions[:, : max(BATCH_WIDTHS)])
-    for workers in WORKER_COUNTS:
-        threaded_search = BatchedMixingSetSearch(
-            search_graph, initial_size=initial_size, workers=workers
-        )
-        # Best-of-7: this row backs an enforced acceptance threshold, so a
-        # scheduler hiccup on a shared host must not deflate the speedup.
-        results[f"search_workers{workers}_s"] = _best_of(
-            lambda: threaded_search.largest_mixing_sets(widest, 5), repeats=7
-        )
-    results["search_threads_speedup"] = results["search_workers1_s"] / min(
-        results[f"search_workers{workers}_s"] for workers in WORKER_COUNTS if workers > 1
-    )
-
     results.update(walk_search_rows())
 
     # -- parallel detection (shared batched walk, r ∈ {1, 8, 64}) -------
@@ -460,10 +437,8 @@ def run_benchmark() -> dict[str, float]:
     one_seed_stream = process_seeds[:ONE_SEED_CALLS]
     one_seed_configs = {
         "process": RunConfig(workers=ONE_SEED_WORKERS, executor="process"),
-        "thread": RunConfig(workers=ONE_SEED_WORKERS, executor="thread"),
-        "nohistory": RunConfig(
-            workers=ONE_SEED_WORKERS, executor="thread", capture_history=False
-        ),
+        "thread": RunConfig(executor="thread"),
+        "nohistory": RunConfig(executor="thread", capture_history=False),
     }
     one_seed_replies: dict[str, list[RunReport]] = {}
     one_seed_times: dict[str, list[float]] = {row: [] for row in one_seed_configs}
@@ -498,7 +473,7 @@ def run_benchmark() -> dict[str, float]:
         int(v)
         for v in service_rng.choice(n, size=SERVICE_REQUESTS, replace=False)
     )
-    service_config = RunConfig(workers=SESSION_WORKERS)
+    service_config = RunConfig(executor="thread")
 
     start = time.perf_counter()
     with DetectionSession(
@@ -578,7 +553,7 @@ def walk_search_rows() -> dict[str, float]:
     for name, graph in graphs.items():
         n = graph.num_vertices
         seeds = np.random.default_rng(12).choice(n, size=PPM_SEARCH_WIDTH, replace=False)
-        search = BatchedMixingSetSearch(graph, initial_size=log_size(n), workers=1)
+        search = BatchedMixingSetSearch(graph, initial_size=log_size(n))
         descending = search.candidate_sizes[::-1]
         walk = BatchedWalkDistribution(graph, seeds.tolist())
         single = batched = 0.0
@@ -672,15 +647,16 @@ def print_table(results: dict[str, float]) -> None:
 
 
 def print_workers_table(results: dict[str, float]) -> None:
-    """Print the workers ∈ {1, 2, 4} scaling table of the search and process tier."""
-    header = "".join(f"{f'workers={w} [s]':>15s}" for w in WORKER_COUNTS)
-    print(f"{'threaded kernel':26s}{header} {'best speedup':>13s}")
-    for label, prefix, speedup_key in (
-        (f"mixing search B={max(BATCH_WIDTHS)}", "search_workers", "search_threads_speedup"),
-        (f"process detect {PROCESS_SEEDS} seeds", "process_workers", "process_speedup"),
-    ):
-        timings = "".join(f"{results[f'{prefix}{w}_s']:15.4f}" for w in WORKER_COUNTS)
-        print(f"{label:26s}{timings} {results[speedup_key]:12.1f}x")
+    """Print the workers ∈ {1, 2, 4} scaling table of the process tier."""
+    header = "".join(f"{f'workers={w} [s]':>15s}" for w in PROCESS_WORKER_COUNTS)
+    print(f"{'tier':26s}{header} {'best speedup':>13s}")
+    timings = "".join(
+        f"{results[f'process_workers{w}_s']:15.4f}" for w in PROCESS_WORKER_COUNTS
+    )
+    print(
+        f"{f'process detect {PROCESS_SEEDS} seeds':26s}{timings} "
+        f"{results['process_speedup']:12.1f}x"
+    )
     print(
         f"{'(process serial baseline)':26s}{results['process_serial_s']:15.4f} "
         f"identical={results['process_identical']:.0f}"
@@ -700,7 +676,7 @@ def print_workers_table(results: dict[str, float]) -> None:
     )
     print(
         f"{ONE_SEED_CALLS} one-seed calls on a resident session "
-        f"(workers={ONE_SEED_WORKERS}): "
+        f"(process workers={ONE_SEED_WORKERS}): "
         f"process {results['session_one_seed_process_s']:.4f}s, "
         f"thread {results['session_one_seed_thread_s']:.4f}s "
         f"(identical={results['session_one_seed_identical']:.0f}), "
@@ -719,7 +695,7 @@ def print_workers_table(results: dict[str, float]) -> None:
     )
     cores = os.cpu_count() or 1
     print(f"(host has {cores} core{'s' if cores != 1 else ''}; "
-          f"threaded and process results are identical to workers=1 at any count)")
+          f"process results are identical to workers=1 at any count)")
 
 
 class Guard(NamedTuple):
@@ -740,11 +716,6 @@ GUARDS: tuple[Guard, ...] = (
     Guard("induced_speedup", lambda r: r["induced_speedup"] > 1.0),
     Guard("search64_speedup", lambda r: r["search64_speedup"] > 1.0),
     Guard("parallel64_speedup", lambda r: r["parallel64_speedup"] > 1.0),
-    Guard(
-        "search_threads_speedup",
-        lambda r: r["search_threads_speedup"] >= THREADED_REQUIRED_SPEEDUP,
-        min_cores=2,
-    ),
     Guard("process_identical", lambda r: r["process_identical"] == 1.0),
     Guard(
         "process_speedup",
@@ -828,7 +799,7 @@ def dump_json(results: dict[str, float], path: str) -> None:
             "parallel_vertices": PARALLEL_VERTICES,
             "parallel_blocks": PARALLEL_BLOCKS,
             "batch_widths": list(BATCH_WIDTHS),
-            "worker_counts": list(WORKER_COUNTS),
+            "worker_counts": list(PROCESS_WORKER_COUNTS),
             "process_vertices": PROCESS_VERTICES,
             "process_seeds": PROCESS_SEEDS,
             "session_repeats": SESSION_REPEATS,
@@ -841,7 +812,6 @@ def dump_json(results: dict[str, float], path: str) -> None:
         },
         "thresholds": {
             "required_speedup": REQUIRED_SPEEDUP,
-            "threaded_required_speedup": THREADED_REQUIRED_SPEEDUP,
             "process_required_speedup": PROCESS_REQUIRED_SPEEDUP,
             "session_required_speedup": SESSION_REQUIRED_SPEEDUP,
             "service_required_speedup": SERVICE_REQUIRED_SPEEDUP,

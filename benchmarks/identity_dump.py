@@ -383,7 +383,7 @@ def search_configs(built) -> Iterator[Config]:
             if graph.num_vertices <= 256:
                 yield (
                     f"search/{name}/{kind}/linear",
-                    search(graph, matrix, initial_size=1, schedule="linear", workers=2),
+                    search(graph, matrix, initial_size=1, schedule="linear"),
                 )
 
 

@@ -10,7 +10,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-cdrw",
-    version="4.0.0",
+    version="5.0.0",
     description=(
         "Reproduction of 'Efficient Distributed Community Detection in the "
         "Stochastic Block Model' (Fathi, Molla, Pandurangan; ICDCS 2019)"

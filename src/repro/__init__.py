@@ -125,7 +125,7 @@ from .metrics import average_f_score, score_detection
 from .service import DetectionService
 from .session import DetectionSession
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "__version__",

@@ -81,8 +81,8 @@ class _Resolver:
 
     Lock identity is qualified per owner — ``DetectionService._lock`` and
     ``DetectionSession._busy`` are distinct graph nodes even if the field
-    names collided; module locks qualify by module stem
-    (``execution._pool_lock``).
+    names collided; module locks qualify by module stem (a module-level
+    ``_lock`` in ``service.py`` is ``service._lock``).
     """
 
     def __init__(self, model: ProjectModel) -> None:

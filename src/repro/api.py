@@ -116,12 +116,12 @@ class RunConfig:
         Seeds per batched pass (batched backend; ``1`` reproduces the scalar
         pool loop RNG-exactly).
     workers:
-        Worker count of the execution tier: threads for the lanes of the
-        batched mixing-set search on the ``"thread"`` executor (the walk
-        step always runs on the calling thread), worker processes on the
-        ``"process"`` executor (``None`` → the ``REPRO_WORKERS`` environment
-        override, default serial; ``0`` → all cores).  Results are identical
-        for every value on either tier.
+        Worker-process count of the ``"process"`` executor (``None`` → the
+        ``REPRO_WORKERS`` environment override, default serial; ``0`` → all
+        cores).  The ``"thread"`` executor validates the field and the
+        override and otherwise ignores both: it runs every round, walk and
+        search on the calling thread.  Results are identical for every
+        value on either tier.
     executor:
         Execution tier of the ``batched`` and ``parallel`` backends:
         ``"thread"`` (in-process batched kernels, the default) or
@@ -196,6 +196,8 @@ class RunConfig:
             object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if self.max_seeds is not None and self.max_seeds < 0:
             raise BackendError(f"max_seeds must be >= 0, got {self.max_seeds}")
+        if self.workers is not None and self.workers < 0:
+            raise BackendError(f"workers must be >= 0 (0 = all cores), got {self.workers}")
         if self.executor is not None and self.executor not in (
             EXECUTOR_THREAD,
             EXECUTOR_PROCESS,

@@ -114,9 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="workers of the execution tier: search threads (--executor thread) or "
-        "worker processes (--executor process); default: REPRO_WORKERS or "
-        "serial; 0 = all cores",
+        help="worker processes of --executor process (ignored by --executor "
+        "thread); default: REPRO_WORKERS or serial; 0 = all cores",
     )
     detect_parser.add_argument(
         "--executor",
@@ -230,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="workers of the execution tier (default: REPRO_WORKERS or serial; 0 = all cores)",
+        help="worker processes of --executor process (ignored by --executor "
+        "thread); default: REPRO_WORKERS or serial; 0 = all cores",
     )
     serve.add_argument(
         "--executor",

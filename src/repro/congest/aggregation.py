@@ -154,12 +154,22 @@ def select_k_smallest(
         )
 
     reached_values = values[reached]
-    # Tie-break by vertex id: order lexicographically by (value, id).  The
-    # distributed protocol achieves the same by adding a distinct vanishing
-    # perturbation per vertex, which makes all values distinct so the binary
-    # search over them terminates in O(log n) iterations.
-    order = np.lexsort((reached, reached_values))
-    selected = np.sort(reached[order[:k]])
+    # Tie-break by vertex id: the k smallest by (value, id) are every value
+    # below the k-th smallest value τ, then the lowest ids equal to τ
+    # (``reached`` is ascending, so mask order is id order; NaN sorts last,
+    # so a NaN τ has every number below it).  The distributed protocol
+    # achieves the same by adding a distinct vanishing perturbation per
+    # vertex, which makes all values distinct so the binary search over
+    # them terminates in O(log n) iterations.
+    tau = np.partition(reached_values, k - 1)[k - 1]
+    if np.isnan(tau):
+        tied = np.isnan(reached_values)
+        below = ~tied
+    else:
+        tied = reached_values == tau
+        below = reached_values < tau
+    fill = k - np.count_nonzero(below)
+    selected = reached[below | (tied & (np.cumsum(tied) <= fill))]
     selected_sum = float(values[selected].sum())
 
     depth = tree.depth()

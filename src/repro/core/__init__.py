@@ -3,7 +3,6 @@
 The algorithm itself runs through :func:`repro.api.detect`.
 """
 
-from ..execution import block_ranges, parallel_map_blocks, resolve_workers
 from .parameters import CDRWParameters
 from .mixing_set import BatchedMixingSetSearch, LargestMixingSet, deviation_values
 from .stopping import GrowthStoppingRule, StoppingDecision
@@ -12,9 +11,6 @@ from .parallel import select_spread_seeds
 
 __all__ = [
     "CDRWParameters",
-    "block_ranges",
-    "parallel_map_blocks",
-    "resolve_workers",
     "BatchedMixingSetSearch",
     "LargestMixingSet",
     "deviation_values",

@@ -105,7 +105,6 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from ..exceptions import AlgorithmError
-from ..execution import parallel_map_blocks, resolve_workers
 from ..graphs.graph import Graph
 from ..utils import GROWTH_FACTOR, MIXING_THRESHOLD, geometric_sizes, linear_sizes
 
@@ -448,12 +447,13 @@ class BatchedMixingSetSearch:
     states the bound, the slack and the proof).  Distributions are laid out
     one per row (the matrix is transposed once per call), so every lane is
     contiguous in memory.  A one-column call is the same kernel with one
-    lane; a wider call shares the exact path's targets across its lanes.
+    lane; a wider call shares the exact path's targets across its lanes,
+    which it scans one after another on the calling thread.
 
     Per-column guarantee
     --------------------
-    A column's result is independent of the batch width, of the other lanes
-    and of ``workers``: ``largest_mixing_sets(P, ℓ)[j]`` equals
+    A column's result is independent of the batch width and of the other
+    lanes: ``largest_mixing_sets(P, ℓ)[j]`` equals
     ``largest_mixing_sets(P[:, j:j + 1], ℓ)[0]`` (dataclass equality: same
     members, same deficit/mass floats, same ``sizes_examined``).
 
@@ -475,14 +475,6 @@ class BatchedMixingSetSearch:
     *not* the lowest vertex ids (README.md, "Deviations from the paper").
     ``tests/test_batched_mixing_set.py`` checks every column against a plain
     per-size argpartition oracle and against its own width-1 call.
-
-    Multi-core search
-    -----------------
-    The ``workers`` knob (``None`` → ``REPRO_WORKERS`` environment override →
-    serial; ``0`` → all cores) splits the lanes across threads of the shared
-    pool (:mod:`repro.execution`) by contiguous lane ranges.  Every lane's
-    results are computed from that lane's row alone, so the per-column
-    guarantee holds for every ``workers`` value.
     """
 
     def __init__(
@@ -494,8 +486,6 @@ class BatchedMixingSetSearch:
         schedule: str = "geometric",
         stop_at_first_failure: bool = False,
         min_mass: float | None = None,
-        *,
-        workers: int | None = None,
     ) -> None:
         if initial_size < 1:
             raise AlgorithmError(f"initial size must be >= 1, got {initial_size}")
@@ -525,7 +515,6 @@ class BatchedMixingSetSearch:
         self._threshold = mixing_threshold
         self._min_mass = min_mass
         self._stop_at_first_failure = bool(stop_at_first_failure)
-        self._workers = resolve_workers(workers)
         # Per-graph constants, hoisted out of the size loop.  The average
         # volume is computed as (volume/n)·size — the same float sequence as
         # deviation_values — so targets stay bit-identical to it.
@@ -545,18 +534,12 @@ class BatchedMixingSetSearch:
         """The candidate-size schedule (read-only copy)."""
         return list(self._sizes)
 
-    @property
-    def workers(self) -> int:
-        """The resolved thread count used by the lane-blocked scan."""
-        return self._workers
-
     @classmethod
     def from_parameters(
         cls,
         graph: Graph,
         parameters: "CDRWParameters",
         initial_size: int,
-        workers: int | None = None,
     ) -> "BatchedMixingSetSearch":
         """Build a search from a :class:`CDRWParameters` instance."""
         return cls(
@@ -567,7 +550,6 @@ class BatchedMixingSetSearch:
             schedule=parameters.size_schedule,
             stop_at_first_failure=parameters.stop_at_first_failure,
             min_mass=parameters.min_mass,
-            workers=workers,
         )
 
     def largest_mixing_sets(
@@ -607,23 +589,11 @@ class BatchedMixingSetSearch:
             )
         if self._graph.num_edges == 0:
             raise AlgorithmError("the mixing-set search requires a graph with at least one edge")
-        width = matrix.shape[1]
-        if width == 0:
-            return []
         # One distribution per row: each lane is contiguous in memory.  The
         # transpose changes layout only, never a lane's value sequence.
         rows = np.ascontiguousarray(matrix.T)
-
-        def scan_lanes(lane_start: int, lane_stop: int) -> list[LargestMixingSet]:
-            # Worker task: every lane's result depends only on its own row.
-            targets: dict[int, np.ndarray] = {}
-            return [
-                self._scan_lane(rows[lane], walk_length, targets)
-                for lane in range(lane_start, lane_stop)
-            ]
-
-        blocks = parallel_map_blocks(scan_lanes, width, self._workers)
-        return [result for block in blocks for result in block]
+        targets: dict[int, np.ndarray] = {}
+        return [self._scan_lane(row, walk_length, targets) for row in rows]
 
     def _scan_lane(
         self, lane: np.ndarray, walk_length: int, targets: dict[int, np.ndarray]

@@ -55,15 +55,11 @@ class Prepared:
         Caller-known conductance for δ resolution (see
         :meth:`~repro.core.parameters.CDRWParameters.resolve_delta`).  A
         resolved δ passed back in as the hint reproduces itself exactly.
-    workers:
-        Thread count of the mixing-set search's lanes (``None`` → the
-        ``REPRO_WORKERS`` default).
     """
 
     graph: Graph
     parameters: CDRWParameters = field(default_factory=CDRWParameters)
     delta_hint: float | None = None
-    workers: int | None = None
 
     @cached_property
     def delta(self) -> float:
@@ -91,5 +87,4 @@ class Prepared:
             self.graph,
             self.parameters,
             self.parameters.resolve_initial_size(self.graph),
-            workers=self.workers,
         )

@@ -1,56 +1,39 @@
-"""Shared multi-core execution layer for the batched kernels.
+"""Shared knobs of the execution tiers: worker counts, tier names, sharding.
 
-The hot kernel of the batched CDRW path is the lane-blocked mixing-set
-search of :class:`~repro.core.mixing_set.BatchedMixingSetSearch`; the walk
-step of :class:`~repro.randomwalk.batched.BatchedWalkDistribution` is a
-small share of a detection and always runs on the calling thread.  The
-search decomposes into fully independent contiguous blocks of lanes, so it
-parallelises across threads without any change to the per-lane
-arithmetic: numpy's elementwise and partition loops release the GIL on
-large arrays, and every block writes a disjoint output slice.
-
-This module owns the thread pool the search runs on:
+Every detection's mixing-set search and walk run on the calling thread.
+What varies is where a round of seeds runs: on that thread (the ``thread``
+tier) or sharded over a worker-process pool (the ``process`` tier,
+:mod:`repro.execution_process`).  This module resolves the knobs both
+tiers and the session read:
 
 * :func:`resolve_workers` turns the user-facing ``workers`` knob (an explicit
   count, ``0`` for "all cores", or ``None`` for the ``REPRO_WORKERS``
-  environment override, default ``1``) into a concrete worker count;
-* :func:`parallel_map_blocks` splits an index range into contiguous blocks
-  and maps a ``function(start, stop)`` over them — inline when one worker
-  suffices, otherwise on the shared process-global
-  :class:`~concurrent.futures.ThreadPoolExecutor` (created lazily, grown
-  to the largest worker count requested so far, reused for the life of the
-  process; superseded smaller pools are shut down so their threads exit).
-
-Determinism contract
---------------------
-``parallel_map_blocks`` never changes *what* is computed, only *where*: the
-block boundaries depend solely on ``(count, workers)``, results are returned
-in block order, and callers must make per-item results independent of the
-block partition (the batched search guarantees exactly that — see its
-docstring), so any ``workers`` value produces bit-identical output.
+  environment override, default ``1``) into a concrete worker-process
+  count; the thread tier accepts the knob and ignores it;
+* :func:`resolve_executor` picks the tier (``REPRO_EXECUTOR`` by default);
+* :func:`block_ranges` splits a round of seeds into contiguous shards — a
+  pure function of ``(count, blocks)``, never of timing, so sharding never
+  changes a result.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, TypeVar
 
 from .exceptions import ReproError
 
 __all__ = [
     "resolve_workers",
     "resolve_executor",
-    "parallel_map_blocks",
     "block_ranges",
     "EXECUTOR_THREAD",
     "EXECUTOR_PROCESS",
 ]
 
 #: Environment variable overriding the default worker count when the
-#: ``workers`` knob is left at ``None`` (e.g. ``REPRO_WORKERS=2 pytest`` runs
-#: the whole suite through the threaded search).
+#: ``workers`` knob is left at ``None`` (e.g. ``REPRO_WORKERS=2
+#: REPRO_EXECUTOR=process pytest`` runs the whole suite on a two-process
+#: pool).
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
 #: Environment variable overriding the default execution tier when the
@@ -59,8 +42,8 @@ WORKERS_ENV_VAR = "REPRO_WORKERS"
 #: shared-memory process pool of :mod:`repro.execution_process`).
 EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 
-#: The in-process tier: the batched search on the shared thread pool (numpy
-#: releases the GIL on the hot loops).  The default.
+#: The in-process tier: every round runs the batched detection loop on the
+#: calling thread.  The default.
 EXECUTOR_THREAD = "thread"
 
 #: The out-of-process tier: seed shards on a worker-process pool sharing the
@@ -70,15 +53,9 @@ EXECUTOR_PROCESS = "process"
 
 _EXECUTORS = (EXECUTOR_THREAD, EXECUTOR_PROCESS)
 
-_T = TypeVar("_T")
-
-_pool_lock = threading.Lock()
-_pool: ThreadPoolExecutor | None = None  # repro: guarded-by(_pool_lock)
-_pool_width = 0  # repro: guarded-by(_pool_lock)
-
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Return the effective worker count for the given ``workers`` knob.
+    """Return the effective worker-process count for the given ``workers`` knob.
 
     ``None`` defers to the ``REPRO_WORKERS`` environment variable (default
     ``1`` — the serial path — when unset); ``0`` means "one worker per
@@ -145,50 +122,3 @@ def block_ranges(count: int, blocks: int) -> list[tuple[int, int]]:
         ranges.append((start, stop))
         start = stop
     return ranges
-
-
-def _shared_pool(workers: int) -> ThreadPoolExecutor:  # repro: requires(_pool_lock)
-    """Return the process-global pool, grown to at least ``workers`` threads.
-
-    A request wider than the current pool replaces it; the superseded pool
-    is shut down (``wait=False`` — submitted blocks still complete, after
-    which its threads exit) so pools never accumulate.  Narrower requests
-    reuse the wide pool: concurrency is already bounded by the number of
-    blocks submitted, not by the pool width.  Callers must submit while
-    holding :data:`_pool_lock` so a concurrent grow cannot retire the pool
-    between lookup and submission.
-    """
-    global _pool, _pool_width
-    if _pool is None or _pool_width < workers:
-        if _pool is not None:
-            _pool.shutdown(wait=False)
-        _pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-worker"
-        )
-        _pool_width = workers
-    return _pool
-
-
-def parallel_map_blocks(
-    function: Callable[[int, int], _T],
-    count: int,
-    workers: int | None = None,
-) -> list[_T]:
-    """Map ``function(start, stop)`` over contiguous blocks of ``range(count)``.
-
-    The range is split into ``min(workers, count)`` blocks
-    (:func:`block_ranges`); with one effective worker the blocks run inline
-    on the calling thread, otherwise they run concurrently on the shared
-    pool.  Results are returned in block order either way.  Exceptions
-    propagate to the caller (remaining blocks still run to completion on the
-    pool — blocks must therefore be side-effect-safe, which disjoint output
-    slices guarantee).
-    """
-    workers = resolve_workers(workers)
-    ranges = block_ranges(count, workers)
-    if workers <= 1 or len(ranges) <= 1:
-        return [function(start, stop) for start, stop in ranges]
-    with _pool_lock:
-        pool = _shared_pool(workers)
-        futures = [pool.submit(function, start, stop) for start, stop in ranges]
-    return [future.result() for future in futures]

@@ -1,11 +1,9 @@
 """Out-of-process execution tier: seed shards on a shared-memory process pool.
 
-The thread tier scales the batched kernels as far as scipy/numpy release the
-GIL; pure-Python portions of the detection loop (the stopping rule, history
-bookkeeping, candidate scheduling) stay serialized.  This module is the tier
-past that limit, mirroring the paper's k-machine deployment in-process:
-``k`` worker *processes*, each running the unchanged batched detection
-kernel on its own shard of a seed round.
+The thread tier runs every round of seeds on the calling thread.  This
+module is the tier that spreads a round over cores, mirroring the paper's
+k-machine deployment in-process: ``k`` worker *processes*, each running the
+unchanged batched detection kernel on its own shard of a seed round.
 
 The design has three parts:
 
@@ -17,9 +15,9 @@ The design has three parts:
   constructor.  Tasks then carry only seed lists and parameters — the graph
   never crosses a pipe.
 * **Deterministic sharding.**  :meth:`ProcessGraphPool.run_seeds` splits a
-  round of seeds into contiguous shards with the same
-  :func:`~repro.execution.block_ranges` partition the thread tier uses — a
-  pure function of ``(count, workers)``, never of timing — and merges shard
+  round of seeds into contiguous shards with the
+  :func:`~repro.execution.block_ranges` partition — a pure function of
+  ``(count, workers)``, never of timing — and merges shard
   results back in shard order.  Every per-seed
   :class:`~repro.core.result.CommunityResult` is *identical* to the thread
   tier's because the batched kernels guarantee per-column results
@@ -34,10 +32,6 @@ The design has three parts:
   output); each worker keeps one :class:`~repro.core.prepared.Prepared` for
   the ``(parameters, δ)`` it last saw, so consecutive shards of one
   call or one session reuse its transition operator and search.
-
-Worker processes run the batched kernels with ``workers=1`` — process-level
-parallelism replaces thread-level parallelism rather than multiplying it —
-which is bit-identical by the thread tier's own guarantee.
 
 Like the paper's k machines, the pool pays for communication only where
 workers run in parallel: the session ships a round only when two workers
@@ -178,7 +172,7 @@ def _run_shard(task: _ShardTask) -> _ShardResult:
     prepared = _worker_prepared
     knobs = (parameters, task.delta_hint)
     if prepared is None or (prepared.parameters, prepared.delta_hint) != knobs:
-        prepared = Prepared(_worker_attachment.graph, parameters, task.delta_hint, 1)
+        prepared = Prepared(_worker_attachment.graph, parameters, task.delta_hint)
         _worker_prepared = prepared
     results, finals = _detect_community_batch_impl(
         prepared,

@@ -35,9 +35,8 @@ Storage
 The distributions live in one C-contiguous ``(n, B)`` matrix and each later
 step replaces it with ``operator @ matrix``: scipy reads a contiguous operand
 without copying it, and the product is the next matrix.  The walk step is
-a small share of a detection (the mixing-set search dominates), so it runs
-on the calling thread; ``workers`` parallelises the search lanes only
-(:class:`~repro.core.mixing_set.BatchedMixingSetSearch`).
+a small share of a detection (the mixing-set search dominates); both run
+on the calling thread.
 """
 
 from __future__ import annotations

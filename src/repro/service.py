@@ -55,7 +55,8 @@ behind a JSON-lines-over-TCP socket (``repro serve``).
 
 Usage::
 
-    with DetectionService(graph, config=RunConfig(workers=4)) as service:
+    config = RunConfig(executor="process", workers=4)
+    with DetectionService(graph, config=config) as service:
         future = service.submit(seed)          # from any thread
         report = future.result(timeout=60)
         report = await service.detect(seed)    # from any event loop

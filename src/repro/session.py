@@ -24,12 +24,12 @@ otherwise dwarf the per-call work.
   prepared context: no pickling, no pipe round trip, no worker wake-up,
   ``process_tasks`` 0 and no ``shard_<i>_seconds`` key.  The pool forks
   its workers only on the first round it is sent.
-* **One prepared context per knob set.**  Calls with the same parameters,
-  δ hint and worker count share one
-  :class:`~repro.core.prepared.Prepared` (``session_prepared_reused``), so
-  the spectral δ estimate, the operator and the search are built at most
-  once.  All of them are deterministic functions of the graph and the
-  knobs, so reuse changes no float.
+* **One prepared context per knob set.**  Calls with the same parameters
+  and δ hint share one :class:`~repro.core.prepared.Prepared`
+  (``session_prepared_reused``) on either tier, so the spectral δ
+  estimate, the operator and the search are built at most once.  All of
+  them are deterministic functions of the graph and the knobs, so reuse
+  changes no float.
 * **Request coalescing.**  :meth:`DetectionSession.detect_batch` folds many
   single-seed requests into one explicit-seed ``"batched"`` shard wave —
   the batched kernels make width nearly free, and per-seed results are
@@ -140,7 +140,7 @@ class DetectionSession:
         # when nested: _busy, then _state_lock.
         self._state_lock = threading.Lock()
         self._closed = False  # repro: guarded-by(_state_lock)
-        # One prepared context per (params, hint, workers).
+        # One prepared context per (params, hint), shared by both tiers.
         self._prepared: dict[tuple[object, ...], Prepared] = {}  # repro: guarded-by(_busy)
         self._stationary: np.ndarray | None = None  # repro: guarded-by(_busy)
         # Process-tier residents.
@@ -303,7 +303,6 @@ class DetectionSession:
         self,
         params: CDRWParameters,
         delta_hint: float | None,
-        workers: int | None,
     ) -> tuple[Prepared, bool]:
         """The call's :class:`Prepared`, one per knob set, and whether it was cached.
 
@@ -312,15 +311,15 @@ class DetectionSession:
         every field is a deterministic function of the key, so reuse
         reproduces a fresh call exactly.
         """
-        key = (params, delta_hint, workers)
+        key = (params, delta_hint)
         prepared = self._prepared.get(key)
         if prepared is not None:
             return prepared, True
-        prepared = Prepared(self.graph, params, delta_hint, workers)
+        prepared = Prepared(self.graph, params, delta_hint)
         self._prepared[key] = prepared
         return prepared, False
 
-    def _ensure_pool(self, workers: int | None) -> tuple[ProcessGraphPool, bool]:  # repro: requires(_busy)
+    def _ensure_pool(self, workers: int) -> tuple[ProcessGraphPool, bool]:  # repro: requires(_busy)
         """The persistent worker pool, broadcasting the graph at most once.
 
         A worker-count change rebuilds only the executor; the shared-memory
@@ -333,12 +332,11 @@ class DetectionSession:
             self._shared = SharedGraph(self.graph)
             with self._state_lock:
                 self._broadcasts += 1
-        resolved = resolve_workers(workers)
-        if self._pool is not None and self._pool.workers == resolved:
+        if self._pool is not None and self._pool.workers == workers:
             return self._pool, True
         if self._pool is not None:
             self._pool.close()
-        self._pool = ProcessGraphPool(self._shared, resolved)
+        self._pool = ProcessGraphPool(self._shared, workers)
         return self._pool, False
 
     def _ensure_open(self) -> None:
@@ -384,19 +382,19 @@ class DetectionSession:
                 self._calls += 1
             executor = resolve_executor(config.executor)
             process = executor == EXECUTOR_PROCESS
-            # Process-tier workers search single-threaded; the parent's
-            # context matches theirs, resolves δ and runs the rounds that
-            # stay on this thread (see _run_on_pool).
+            # Only the process tier uses the count, but a bad value fails
+            # on either tier.
+            workers = resolve_workers(config.workers)
+            # On the process tier the parent's context resolves δ and runs
+            # the rounds that stay on this thread (see _run_on_pool).
             prepared, prepared_reused = self._prepare(
-                params or CDRWParameters(),
-                delta_hint,
-                1 if process else config.workers,
+                params or CDRWParameters(), delta_hint
             )
             extras: dict[str, object] = {"executor": executor}
             timings: dict[str, float] = {}
             if process and has_seeds and self.graph.num_edges > 0:
                 delta = prepared.delta  # before the pool starts: a bad hint costs no fork
-                pool, pool_reused = self._ensure_pool(config.workers)
+                pool, pool_reused = self._ensure_pool(workers)
                 mark = pool.mark()
                 run_round = functools.partial(
                     _run_on_pool, pool, prepared, delta, config.capture_history

@@ -277,7 +277,10 @@ class TestDeferredFirstSet:
         report = detect(
             graph,
             "batched",
-            config=RunConfig(seeds=seeds, batch_size=len(seeds), capture_history=False),
+            # The spy sees the calling process only.
+            config=RunConfig(
+                seeds=seeds, batch_size=len(seeds), capture_history=False, executor="thread"
+            ),
             delta_hint=0.05,
         )
         lengths = [walk_length for walk_length, _distributions, _results in search_calls]
@@ -296,7 +299,10 @@ class TestDeferredFirstSet:
         report = detect(
             graph,
             "batched",
-            config=RunConfig(seeds=seeds, batch_size=len(seeds), capture_history=False),
+            # The spy sees the calling process only.
+            config=RunConfig(
+                seeds=seeds, batch_size=len(seeds), capture_history=False, executor="thread"
+            ),
             delta_hint=0.05,
         )
         lengths = [walk_length for walk_length, _distributions, _results in search_calls]

@@ -101,11 +101,9 @@ def cycle_graph() -> Graph:
     return cycle(24)
 
 
-def assert_matches_oracle(
-    graph: Graph, matrix: np.ndarray, *, workers: int = 1, **search_kwargs
-) -> None:
+def assert_matches_oracle(graph: Graph, matrix: np.ndarray, **search_kwargs) -> None:
     """Every kernel column equals the oracle and its own width-1 search."""
-    search = BatchedMixingSetSearch(graph, workers=workers, **search_kwargs)
+    search = BatchedMixingSetSearch(graph, **search_kwargs)
     walk_length = 3
     results = search.largest_mixing_sets(matrix, walk_length)
     assert len(results) == matrix.shape[1]
@@ -126,7 +124,6 @@ class TestDifferential:
         schedule="linear",
         stop_at_first_failure=False,
         min_mass=0.0,
-        workers=1,
     )
     @given(
         graph_kind=st.sampled_from(["random", "cycle"]),
@@ -138,7 +135,6 @@ class TestDifferential:
         schedule=st.sampled_from(["geometric", "linear"]),
         stop_at_first_failure=st.booleans(),
         min_mass=st.sampled_from([None, 0.0, 0.5, 1.0]),
-        workers=st.sampled_from([1, 2]),
     )
     @settings(max_examples=80, deadline=None)
     def test_columns_match_oracle_and_width_one(
@@ -152,7 +148,6 @@ class TestDifferential:
         schedule,
         stop_at_first_failure,
         min_mass,
-        workers,
     ):
         if graph_kind == "cycle":
             graph = cycle(num_vertices)
@@ -167,7 +162,6 @@ class TestDifferential:
         assert_matches_oracle(
             graph,
             make(num_vertices, width, graph_seed),
-            workers=workers,
             initial_size=initial_size,
             schedule=schedule,
             stop_at_first_failure=stop_at_first_failure,
@@ -254,7 +248,7 @@ class TestDescendingScan:
         accepted = [size for size in range(1, 21) if oracle_accepts(graph, lane, size, 0.0)]
         assert accepted == [1, 2, 3, 4, 5, 6, 7, 8, 18, 19]
         search = BatchedMixingSetSearch(
-            graph, initial_size=1, schedule="linear", min_mass=0.0, workers=1
+            graph, initial_size=1, schedule="linear", min_mass=0.0
         )
         (result,) = search.largest_mixing_sets(lane[:, None], 1)
         assert result.size == 19
@@ -276,7 +270,7 @@ class TestDescendingScan:
         lane = np.zeros(20)
         lane[0] = 1.0
         search = BatchedMixingSetSearch(
-            graph, initial_size=1, schedule="linear", min_mass=0.0, workers=1
+            graph, initial_size=1, schedule="linear", min_mass=0.0
         )
         (result,) = search.largest_mixing_sets(lane[:, None], 1)
         assert (result.size, result.members) == (1, frozenset({19}))
@@ -295,7 +289,7 @@ class TestDescendingScan:
     def test_accepted_top_size_evaluates_one_size(self, small_ppm, counting_numpy):
         graph = small_ppm.graph
         degrees = graph.degrees().astype(np.float64)
-        search = BatchedMixingSetSearch(graph, initial_size=5, workers=1)
+        search = BatchedMixingSetSearch(graph, initial_size=5)
         stationary = np.tile((degrees / degrees.sum())[:, None], (1, 3))
         results = search.largest_mixing_sets(stationary, 2)
         assert [result.size for result in results] == [graph.num_vertices] * 3
@@ -307,7 +301,7 @@ class TestDescendingScan:
 
     def test_sizes_examined_is_the_whole_schedule(self, small_ppm):
         graph = small_ppm.graph
-        search = BatchedMixingSetSearch(graph, initial_size=5, workers=1)
+        search = BatchedMixingSetSearch(graph, initial_size=5)
         walk = BatchedWalkDistribution(graph, [0, 17, 100, 250])
         degrees = graph.degrees().astype(np.float64)
         schedule = len(search.candidate_sizes)
@@ -326,7 +320,6 @@ class TestDescendingScan:
             schedule="linear",
             stop_at_first_failure=True,
             min_mass=0.0,
-            workers=1,
         )
         (result,) = search.largest_mixing_sets(lane[:, None], 1)
         # Sizes 1-8 pass and size 9 is the first failure: the scan stops
@@ -355,11 +348,8 @@ class TestDescendingScan:
         matrix = np.column_stack(
             [self.non_monotone_lane(graph), degrees / degrees.sum(), point, np.full(20, 0.05)]
         )
-        for workers in (1, 2):
-            assert_matches_oracle(
-                graph, matrix, workers=workers, initial_size=1, schedule="linear", min_mass=0.0
-            )
-            assert_matches_oracle(graph, matrix, workers=workers, initial_size=2)
+        assert_matches_oracle(graph, matrix, initial_size=1, schedule="linear", min_mass=0.0)
+        assert_matches_oracle(graph, matrix, initial_size=2)
 
 
 class TestCertifiedRejectionEdge:
@@ -418,7 +408,7 @@ class TestCertifiedRejectionEdge:
             min_mass=0.0,
             stop_at_first_failure=stop_at_first_failure,
         )
-        search = BatchedMixingSetSearch(graph, workers=1, **kwargs)
+        search = BatchedMixingSetSearch(graph, **kwargs)
         assert search.candidate_sizes == [self.SIZE, self.N]
         results = search.largest_mixing_sets(matrix, 1)
         for lane, result in zip(matrix.T, results):
@@ -481,7 +471,7 @@ class TestCertifiedScanCounts:
 
     def test_default_scan(self, walked, counting_numpy):
         graph, matrix = walked
-        search = BatchedMixingSetSearch(graph, initial_size=log_size(1024), workers=1)
+        search = BatchedMixingSetSearch(graph, initial_size=log_size(1024))
         results = search.largest_mixing_sets(matrix, 5)
         for lane, result in zip(matrix.T, results):
             assert result == oracle_largest_mixing_set(graph, lane, 5, initial_size=7)
@@ -496,7 +486,7 @@ class TestCertifiedScanCounts:
     def test_first_failure_scan(self, walked, counting_numpy):
         graph, matrix = walked
         search = BatchedMixingSetSearch(
-            graph, initial_size=log_size(1024), stop_at_first_failure=True, workers=1
+            graph, initial_size=log_size(1024), stop_at_first_failure=True
         )
         results = search.largest_mixing_sets(matrix, 5)
         for lane, result in zip(matrix.T, results):
@@ -686,7 +676,7 @@ class TestCertificateBound:
         """
         graph, size, n = cycle(40), 8, 40
         kwargs = dict(initial_size=size, growth_factor=10.0, min_mass=0.0)
-        search = BatchedMixingSetSearch(graph, workers=1, **kwargs)
+        search = BatchedMixingSetSearch(graph, **kwargs)
         assert search.candidate_sizes == [size, n]
         up, down = np.inf, -np.inf
         lane = np.zeros(n)
@@ -745,7 +735,7 @@ class TestCertificateBound:
         matrix = np.column_stack(lanes)
         kwargs = dict(initial_size=1, schedule="linear", min_mass=0.0)
         search = BatchedMixingSetSearch(
-            graph, workers=1, stop_at_first_failure=stop_at_first_failure, **kwargs
+            graph, stop_at_first_failure=stop_at_first_failure, **kwargs
         )
         assert all(search._certificate.order(lane) is None for lane in lanes)
         assert search._certificate.order(stationary) is not None
@@ -802,7 +792,7 @@ class TestManyDegreeClasses:
         walk.step()
         matrix = np.column_stack([walk.probabilities(), random_distribution_matrix(1024, 2, 1)])
         search = BatchedMixingSetSearch(
-            graph, initial_size=7, stop_at_first_failure=stop_at_first_failure, workers=1
+            graph, initial_size=7, stop_at_first_failure=stop_at_first_failure
         )
         results = search.largest_mixing_sets(matrix, 3)
         for lane, result in zip(matrix.T, results):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.congest import (
     CongestNetwork,
@@ -260,3 +262,30 @@ class TestAggregation:
             select_k_smallest(network, tree, np.zeros(10), 0)
         with pytest.raises(SimulationError):
             select_k_smallest(network, tree, np.zeros(10), 11)
+
+    @given(
+        num_vertices=st.integers(2, 40),
+        root=st.integers(0, 39),
+        max_depth=st.sampled_from([None, 1, 2]),
+        values=st.lists(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, np.inf, np.nan]), min_size=40, max_size=40
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_select_k_smallest_matches_the_lexsort_oracle(
+        self, num_vertices, root, max_depth, values, data
+    ):
+        # A path, so a depth cap leaves part of the graph unreached; few
+        # distinct values, so most selections cut through a tie.
+        graph = Graph(num_vertices, [(i, i + 1) for i in range(num_vertices - 1)])
+        tree = bfs_tree(graph, root % num_vertices, max_depth=max_depth)
+        reached = tree.reached()
+        k = data.draw(st.integers(1, len(reached)))
+        values = np.array(values[:num_vertices])
+        reached_values = values[reached]
+        expected = np.sort(reached[np.lexsort((reached, reached_values))[:k]])
+        selected, total, _ = select_k_smallest(CongestNetwork(graph), tree, values, k)
+        assert selected.dtype == expected.dtype
+        assert np.array_equal(selected, expected)
+        assert np.array_equal(total, float(values[expected].sum()), equal_nan=True)

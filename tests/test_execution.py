@@ -1,34 +1,28 @@
-"""The multi-core execution layer: pool helpers and worker-count invariance.
+"""The execution knobs, and the batched paths against their scalar references.
 
-The contract under test is the one the threaded search is built on
-(:mod:`repro.execution`): the ``workers`` knob may only move wall-clock
-time, never a single output bit.  The batched mixing-set search, batched
-detection and parallel detection are therefore asserted **bit-identical**
-across ``workers ∈ {1, 2, 4}`` and against their scalar references (for the
-search: the width-1 call the scalar backend makes, column by column).
+:mod:`repro.execution` resolves the worker count and shards seed rounds
+for the process pool.  On the thread tier ``workers`` sizes nothing: the
+search and the walk run on the calling thread, so the knob must change no
+output bit and start no thread.  The batched mixing-set search and batched
+detection are asserted **bit-identical** to their scalar references (for
+the search: the width-1 call the scalar backend makes, column by column).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from repro.api import RunConfig, detect
-from repro.core import (
-    BatchedMixingSetSearch,
-    block_ranges,
-    parallel_map_blocks,
-    resolve_workers,
-)
-from repro.exceptions import ReproError
-from repro.execution import WORKERS_ENV_VAR
+from repro.core import BatchedMixingSetSearch, CDRWParameters
+from repro.exceptions import BackendError, ReproError
+from repro.execution import WORKERS_ENV_VAR, block_ranges, resolve_workers
 from repro.graphs import Graph, planted_partition_graph, ppm_expected_conductance
 from repro.randomwalk import BatchedWalkDistribution
 from repro.utils import log_size
-
-WORKER_COUNTS = (1, 2, 4)
 
 
 @pytest.fixture(scope="module")
@@ -95,30 +89,6 @@ class TestBlockRanges:
             block_ranges(4, 0)
 
 
-class TestParallelMapBlocks:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_results_in_block_order(self, workers):
-        results = parallel_map_blocks(lambda start, stop: (start, stop), 10, workers)
-        assert results == block_ranges(10, workers)
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_disjoint_slice_writes_cover_everything(self, workers):
-        out = np.zeros(97, dtype=np.int64)
-
-        def fill(start, stop):
-            out[start:stop] = np.arange(start, stop)
-
-        parallel_map_blocks(fill, out.size, workers)
-        assert np.array_equal(out, np.arange(out.size))
-
-    def test_exceptions_propagate(self):
-        def boom(start, stop):
-            raise ValueError("block failed")
-
-        with pytest.raises(ValueError, match="block failed"):
-            parallel_map_blocks(boom, 8, 2)
-
-
 class TestVectorizedSourceValidation:
     def test_empty_sources_message_unchanged(self, ppm):
         with pytest.raises(Exception, match="at least one source vertex"):
@@ -137,9 +107,9 @@ class TestVectorizedSourceValidation:
         assert walk.sources[:3] == (0, 1, 2)
 
 
-class TestThreadedSearchInvariance:
+class TestBatchedSearchInvariance:
     @pytest.mark.parametrize("stop_at_first_failure", [False, True])
-    def test_equal_across_workers_and_to_scalar(self, search_case, stop_at_first_failure):
+    def test_equal_to_scalar(self, search_case, stop_at_first_failure):
         graph, distributions = search_case
         initial = log_size(graph.num_vertices)
         # The scalar backend's call: one serial width-1 search per column.
@@ -150,16 +120,10 @@ class TestThreadedSearchInvariance:
             scalar.largest_mixing_sets(distributions[:, j : j + 1], 6)[0]
             for j in range(distributions.shape[1])
         ]
-        for workers in WORKER_COUNTS:
-            batched = BatchedMixingSetSearch(
-                graph,
-                initial_size=initial,
-                stop_at_first_failure=stop_at_first_failure,
-                workers=workers,
-            )
-            assert batched.largest_mixing_sets(distributions, 6) == reference, (
-                f"workers={workers} diverged from the width-1 search"
-            )
+        batched = BatchedMixingSetSearch(
+            graph, initial_size=initial, stop_at_first_failure=stop_at_first_failure
+        )
+        assert batched.largest_mixing_sets(distributions, 6) == reference
 
     def test_rejects_unknown_dtype(self, search_case):
         # The scan runs in float64 only: a precision argument is refused,
@@ -170,34 +134,61 @@ class TestThreadedSearchInvariance:
         with pytest.raises(TypeError, match="dtype"):
             BatchedMixingSetSearch.from_parameters(graph, dtype=np.float32)
 
+    def test_workers_is_not_a_search_argument(self, search_case):
+        # The search runs on the calling thread: a thread count is refused,
+        # never silently ignored.
+        graph, _ = search_case
+        with pytest.raises(TypeError, match="workers"):
+            BatchedMixingSetSearch(graph, initial_size=4, workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            BatchedMixingSetSearch.from_parameters(graph, CDRWParameters(), 4, workers=2)
 
-class TestThreadedDetectionInvariance:
-    def test_batched_detection_matches_scalar_at_every_worker_count(
-        self, ppm, scalar_community
-    ):
+
+class TestBatchedDetectionInvariance:
+    def test_batched_detection_matches_scalar(self, ppm, scalar_community):
         delta = ppm_expected_conductance(512, 4, 3 * math.log(512) ** 2 / 512, 1.0 / 512)
         seeds = (7, 130, 260, 400, 505)
         reference = [scalar_community(ppm.graph, s, delta_hint=delta) for s in seeds]
-        for workers in WORKER_COUNTS:
-            config = RunConfig(seeds=seeds, batch_size=len(seeds), workers=workers)
-            report = detect(ppm.graph, "batched", config=config, delta_hint=delta)
-            results = list(report.detection.communities)
-            assert results == reference, f"workers={workers} changed a detection"
+        config = RunConfig(seeds=seeds, batch_size=len(seeds))
+        report = detect(ppm.graph, "batched", config=config, delta_hint=delta)
+        assert list(report.detection.communities) == reference
 
-    def test_parallel_detection_identical_across_worker_counts(self, ppm):
+    def test_bad_worker_counts_fail_on_the_thread_tier(self, ppm, monkeypatch):
+        config = RunConfig(seeds=(7,), executor="thread")
+        with pytest.raises(BackendError, match="workers must be >= 0"):
+            config.with_overrides(workers=-1)
+        monkeypatch.setenv(WORKERS_ENV_VAR, "not-a-number")
+        with pytest.raises(ReproError, match=WORKERS_ENV_VAR):
+            detect(ppm.graph, "batched", config=config)
+
+    @pytest.mark.parametrize(
+        "backend, config",
+        [
+            ("batched", RunConfig(seeds=(7, 130, 260, 400, 505), batch_size=5)),
+            ("parallel", RunConfig(seed=3, num_communities=4)),
+        ],
+        ids=["batched", "parallel"],
+    )
+    def test_workers_is_inert_on_the_thread_tier(self, ppm, backend, config, monkeypatch):
         delta = ppm_expected_conductance(512, 4, 3 * math.log(512) ** 2 / 512, 1.0 / 512)
-        detections = [
-            detect(
-                ppm.graph,
-                "parallel",
-                config=RunConfig(seed=3, num_communities=4, workers=workers),
-                delta_hint=delta,
-            ).detection
-            for workers in WORKER_COUNTS
-        ]
-        assert detections[0] == detections[1] == detections[2]
+        serial = config.with_overrides(executor="thread", workers=1)
+        reference = detect(ppm.graph, backend, config=serial, delta_hint=delta)
+        # Every lane must be scanned on the calling thread.
+        scanning_threads = set()
+        scan_lane = BatchedMixingSetSearch._scan_lane
 
-    def test_env_override_reaches_the_kernels(self, ppm, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        search = BatchedMixingSetSearch(ppm.graph, initial_size=4)
-        assert search.workers == 2
+        def spy(search, *args):
+            scanning_threads.add(threading.get_ident())
+            return scan_lane(search, *args)
+
+        monkeypatch.setattr(BatchedMixingSetSearch, "_scan_lane", spy)
+        threads = threading.active_count()
+        report = detect(
+            ppm.graph, backend, config=serial.with_overrides(workers=4), delta_hint=delta
+        )
+        assert threading.active_count() == threads
+        assert scanning_threads == {threading.get_ident()}
+        computed, expected = report.to_dict(), reference.to_dict()
+        for described in ("config", "timings"):
+            del computed[described], expected[described]
+        assert computed == expected

@@ -237,6 +237,13 @@ class TestReportingAndCli:
         assert captured.out == ""
         assert captured.err == "repro detect: max_seeds must be >= 0, got -1\n"
 
+    def test_cli_detect_negative_workers_exits_2(self, capsys):
+        exit_code = main(["detect", "--n", "64", "--workers", "-1"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out == ""
+        assert captured.err == "repro detect: workers must be >= 0 (0 = all cores), got -1\n"
+
     def test_cli_detect_dtype_flag_is_gone_exits_2(self, capsys):
         with pytest.raises(SystemExit) as raised:
             main(["detect", "--n", "64", "--dtype", "float32"])

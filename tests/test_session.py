@@ -159,6 +159,17 @@ class TestSessionResidency:
         assert first.metadata["session_prepared_reused"] is False
         assert second.metadata["session_prepared_reused"] is True
 
+    def test_tiers_and_worker_counts_share_one_prepared_context(self, ppm):
+        instance, delta = ppm
+        with DetectionSession(instance.graph, delta_hint=delta) as s:
+            first = s.detect(seeds=(0,), executor="thread", workers=1)
+            wider = s.detect(seeds=(0,), executor="thread", workers=4)
+            process = s.detect(seeds=(0,), executor="process", workers=2)
+        assert first.detection == wider.detection == process.detection
+        assert first.metadata["session_prepared_reused"] is False
+        assert wider.metadata["session_prepared_reused"] is True
+        assert process.metadata["session_prepared_reused"] is True
+
     def test_worker_change_rebuilds_executor_not_broadcast(self, ppm):
         instance, delta = ppm
         with DetectionSession(instance.graph, delta_hint=delta) as s:
